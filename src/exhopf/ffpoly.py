@@ -14,8 +14,6 @@ term dictionaries, so instances can be shared freely across threads.
 
 from functools import reduce
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13}
-
 
 def _is_prime(n):
     if n < 2:
@@ -113,6 +111,14 @@ class RingContext:
     def order_key(self, mon):
         """Sort key realizing weighted grevlex (larger key = larger monomial)."""
         return (self.wdeg(mon), tuple(-mon[i] for i in self.precedence))
+
+    def descending_key(self, mon):
+        """The reverse of `order_key`: larger key = smaller monomial.
+
+        Every component of `order_key` is negated, so ascending keys list
+        monomials from the largest down and a min-heap pops the leading one.
+        """
+        return (-self.wdeg(mon), tuple(mon[i] for i in self.precedence))
 
     def mon_mul(self, m1, m2):
         return tuple(a + b for a, b in zip(m1, m2))

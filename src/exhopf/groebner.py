@@ -6,6 +6,13 @@ truncation bound can never influence normal forms at or below it, so they
 are discarded.  Pairs are processed in the normal strategy (smallest lcm
 weight first) with the product and chain criteria.
 
+Division picks each next leading term from a heap, as in Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007): every monomial is keyed once, when it
+first enters the working polynomial, and a term that cancels is skipped
+when its stale heap entry surfaces.  A division step therefore costs a
+logarithm in the number of live terms instead of a rescan of all of them.
+
 Bases are completed to reduced form (monic, inter-reduced, sorted), so
 identical inputs always produce bit-identical bases and remainders.
 """
@@ -25,6 +32,10 @@ class NoSolution(GroebnerError):
 
 class Ambiguous(GroebnerError):
     """The pivot lies in the ideal, so the scalar is not determined."""
+
+
+class DegenerateBasis(GroebnerError):
+    """A minimal basis element reduced to zero against the others."""
 
 
 class ReductionResult:
@@ -56,14 +67,27 @@ class GroebnerBasis:
 
 
 def _reduce_terms(terms, basis, lms, ring, quotients=None):
-    """Full division of a term dict by a monic basis; returns the remainder dict."""
+    """Full division of a term dict by a monic basis; returns the remainder dict.
+
+    Each step divides the leading term of `work` by the first basis element
+    whose leading monomial divides it.  Leading terms come off a min-heap of
+    `descending_key`s.  A monomial is pushed only when it first enters
+    `work`: every term a step adds is smaller than the term it divides, so a
+    popped monomial never returns, and one that cancelled before its pop is
+    simply skipped.
+    """
     p = ring.field.p
-    key = ring.order_key
+    key = ring.descending_key
     work = dict(terms)
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    pushed = set(work)
     remainder = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue  # cancelled after it was pushed
         for bi, lm in enumerate(lms):
             if ring.mon_divides(lm, m):
                 shift = ring.mon_div(m, lm)
@@ -75,6 +99,9 @@ def _reduce_terms(terms, basis, lms, ring, quotients=None):
                     v = (work.get(mm, 0) - c * gc) % p
                     if v:
                         work[mm] = v
+                        if mm not in pushed:
+                            pushed.add(mm)
+                            heapq.heappush(heap, (key(mm), mm))
                     else:
                         work.pop(mm, None)
                 if quotients is not None:
@@ -186,7 +213,8 @@ def _finalize(ring, gens, truncation, basis, lms):
         other_lms = kept_lms[:i] + kept_lms[i + 1 :]
         rem = _reduce_terms(b.terms, others, other_lms, ring)
         h = Polynomial(ring, rem)
-        assert not h.is_zero(), "minimal basis element reduced to zero"
+        if h.is_zero():
+            raise DegenerateBasis("minimal basis element reduced to zero")
         reduced.append(h.monic())
     reduced.sort(key=lambda f: (f.weight(), ring.order_key(f.leading_monomial())))
     return GroebnerBasis(ring, gens, truncation, reduced)

@@ -13,9 +13,7 @@ The reduced-power table on the odd generators is the computed b-table
 the Adem composites that the printed list omits.
 """
 
-from functools import lru_cache
 from itertools import product as iproduct
-from math import comb
 
 from . import bst as bst_mod
 from . import liedata
@@ -340,7 +338,6 @@ class HopfModel:
         self._mul_cache = {}
         self._sq_cache = {}
         self._power_cache = {}
-        self._mu_cache = {}
         self._sq_x_table = None
         self._coproducts = None
         self._even_coproducts = None

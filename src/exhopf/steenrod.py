@@ -14,7 +14,6 @@ formula.  (Odd Steenrod squares vanish identically on these subrings at
 p = 2, so the pure P-Cartan recursion is exact there too.)
 """
 
-from functools import reduce
 from math import comb
 
 from .ffpoly import Polynomial

@@ -25,6 +25,10 @@ class NotSymmetricError(ValueError):
     """Input polynomial is not symmetric in the t-variables."""
 
 
+class EliminationError(ArithmeticError):
+    """A leading-term elimination step left its leading partition behind."""
+
+
 # -- partitions ----------------------------------------------------------
 
 
@@ -178,7 +182,8 @@ def m_to_e(mdict, p=None):
                 work[mu] = v
             else:
                 work.pop(mu, None)
-        assert lam not in work
+        if lam in work:
+            raise EliminationError(f"m_{lam} survived elimination by e_{conj}")
     return {k: v for k, v in out.items() if v}
 
 

@@ -59,10 +59,31 @@ def test_f4_p3_fallback_path():
 
 
 def test_both_strategy_agreement_small_pairs():
-    for group, p in (("F4", 2), ("F4", 3), ("E6", 3)):
+    # strategy="both" raises BstError wherever Method I and Method II disagree
+    for group, p in (("F4", 2), ("F4", 3), ("E6", 2), ("E6", 3)):
         table = full_table(group, p, strategy="both")
         printed = liedata.lemma22_printed(group, p)
         assert table.nonzero() == printed, (group, p)
+    e7 = _assert_both_matches_method2("E7", 2)
+    assert verify_lemma22("E7", 2, e7)["extra"] == ["8,14"]  # pinned Lemma 2.2 extra
+
+
+def _assert_both_matches_method2(group, p):
+    table = full_table(group, p, strategy="both")
+    assert table.nonzero() == full_table(group, p, strategy="method2").nonzero()
+    return table
+
+
+@pytest.mark.slow
+def test_both_strategy_agreement_e7_p3():
+    table = _assert_both_matches_method2("E7", 3)
+    assert verify_lemma22("E7", 3, table)["pass"]
+
+
+@pytest.mark.slow
+def test_both_strategy_agreement_e8_p2():
+    table = _assert_both_matches_method2("E8", 2)
+    assert verify_lemma22("E8", 2, table)["extra"] == ["8,14", "8,15"]
 
 
 def test_eq24_witness_f4_p3():

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from naive_division import naive_reduce
 
+from exhopf import bst, groebner, liedata, steenrod
 from exhopf.ffpoly import PrimeField, RingContext, render
 from exhopf.groebner import (
     Ambiguous,
+    DegenerateBasis,
     GroebnerBasis,
+    GroebnerError,
     NoSolution,
     buchberger,
     normal_form,
@@ -117,15 +121,17 @@ def test_ideal_membership_random():
 
 
 def _monomials(R, weight):
-    # all monomials of a given weight in an all-weight-one ring
+    # all monomials of a given weighted degree
     out = []
 
     def rec(i, left, acc):
+        w = R.weights[i]
         if i == R.nvars - 1:
-            out.append(tuple(acc + [left]))
+            if left % w == 0:
+                out.append(tuple(acc + [left // w]))
             return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + [e])
+        for e in range(left // w + 1):
+            rec(i + 1, left - e * w, acc + [e])
 
     rec(0, weight, [])
     return out
@@ -170,3 +176,67 @@ def test_solve_independent_of_precedence():
         gb = buchberger([theta2], truncation=3)
         lhs = R.parse("w1^2*w2+w1*w2^2")
         assert solve_linear_coefficient(lhs, theta3, gb) == 1
+
+
+def _random_homogeneous(R, weight, rng, density=0.5):
+    p = R.field.p
+    terms = {m: rng.randrange(1, p) for m in _monomials(R, weight) if rng.random() < density}
+    return R.from_terms(terms.items())
+
+
+def _assert_matches_oracle(f, gb):
+    res = normal_form(f, gb, with_quotients=True)
+    rem, quotients = naive_reduce(f.terms, gb.basis, gb.ring)
+    # same terms in the same (descending) insertion order
+    assert list(res.remainder.terms.items()) == list(rem.items())
+    assert [list(q.terms.items()) for q in res.quotients] == [list(q.items()) for q in quotients]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("precedence", [None, (2, 0, 3, 1)])
+def test_heap_division_matches_rescan_oracle(p, precedence):
+    rng = random.Random(1000 * p + (precedence is not None))
+    names = ("x", "y", "z", "t")
+    R = ring(p, names, weights=(1, 1, 2, 3), precedence=precedence)
+    for _ in range(6):
+        gens = [_random_homogeneous(R, w, rng) for w in (2, 3, 3)]
+        gens = [g for g in gens if not g.is_zero()]
+        gb = buchberger(gens, truncation=8, ring=R)
+        for w in range(1, 9):
+            f = _random_homogeneous(R, w, rng, density=0.7)
+            _assert_matches_oracle(f, gb)
+        # division by a generating set that is not a Groebner basis
+        divisors = [g.monic() for g in gens]
+        f = _random_homogeneous(R, 8, rng, density=0.7)
+        rem = groebner._reduce_terms(f.terms, divisors, [g.leading_monomial() for g in divisors], R)
+        assert list(rem.items()) == list(naive_reduce(f.terms, divisors, R)[0].items())
+
+
+def test_heap_division_matches_rescan_oracle_e6_method1():
+    prof = liedata.profile("E6", 2)
+    ts = liedata.theta_set("E6", 2)
+    ctx = bst._weight_ctx("E6", 2)
+    for s, t, k in bst.admissible_pairs(prof):
+        if k >= s:
+            continue
+        gb = bst._gb_method1("E6", 2, t)
+        _assert_matches_oracle(steenrod.power(k, ts.omega(s), ctx), gb)
+
+
+@pytest.mark.parametrize("precedence", [None, (3, 1, 0, 2)])
+def test_descending_key_reverses_order_key(precedence):
+    rng = random.Random(11)
+    R = ring(3, ("a", "b", "c", "d"), weights=(1, 2, 2, 3), precedence=precedence)
+    mons = list({tuple(rng.randrange(4) for _ in range(4)) for _ in range(300)})
+    rng.shuffle(mons)
+    assert sorted(mons, key=R.descending_key) == sorted(mons, key=R.order_key, reverse=True)
+
+
+def test_degenerate_basis_is_a_typed_error(monkeypatch):
+    R = ring(2, ("x", "y"))
+    gens = [R.parse("x^2+y^2"), R.parse("x*y")]
+    monkeypatch.setattr(groebner, "_reduce_terms", lambda terms, *args, **kwargs: {})
+    with pytest.raises(DegenerateBasis) as info:
+        groebner._finalize(R, gens, None, [g.monic() for g in gens],
+                           [g.leading_monomial() for g in gens])
+    assert isinstance(info.value, GroebnerError)

@@ -4,8 +4,10 @@ from itertools import product
 import pytest
 
 from closed_forms import closed_form, remark52_table
+from exhopf import symfun
 from exhopf.ffpoly import render
 from exhopf.symfun import (
+    EliminationError,
     NotSymmetricError,
     SymContext,
     as_partition,
@@ -282,3 +284,10 @@ def test_m_to_e_round_trip():
                 term = term * elementary(i, ctx)
             total = total + term
         assert total == monomial_symmetric_t(lam, ctx)
+
+
+def test_m_to_e_uncancelled_leading_term_is_a_typed_error(monkeypatch):
+    # an e-expansion without the unit leading coefficient cannot kill m_lam
+    monkeypatch.setattr(symfun, "_e_product_mexp", lambda mu: {})
+    with pytest.raises(EliminationError):
+        m_to_e({(2, 1): 1})
