@@ -31,6 +31,10 @@ class Inconsistent(HopfError):
     """The coproduct constraints admit no solution."""
 
 
+class InvariantError(HopfError):
+    """A generator table or an argument breaks a structural invariant."""
+
+
 class Underdetermined(HopfError):
     def __init__(self, dim):
         super().__init__(f"solution space has dimension {dim}")
@@ -606,7 +610,8 @@ class HopfModel:
         """Sq^a of a purely even element at p = 2."""
         out = self.zero()
         for (xexp, odds), c in elem.terms.items():
-            assert not odds
+            if odds:
+                raise InvariantError(f"_sq_even got a basis element with odd part {odds}")
             out = out + c * self._sq_basis_factors(
                 a, [(t, e) for t, e in zip(self.e_list, xexp) if e], (), partial
             )
@@ -674,10 +679,7 @@ class HopfModel:
         self._x_action_odd = table
         for t in self.e_list:
             s = t  # delta(alpha_{2t-1}) = u * x_{2t} with s = t in e(G,p)
-            data = BOCKSTEIN_DATA[(self.group, self.p)][s]
-            assert len(data) == 1 and data[0][1] == {t: 1}
-            unit = data[0][0] % self.p
-            uinv = pow(unit, self.p - 2, self.p)
+            uinv = pow(self._bockstein_unit(t), self.p - 2, self.p)
             for k in range(1, t):
                 val = self.bockstein(self._alpha_power_elem(k, s))
                 prev = self.power_alpha(k - 1, s)
@@ -690,11 +692,22 @@ class HopfModel:
                 val = uinv * val
                 if not val.is_zero():
                     target = t + k * (self.p - 1)
-                    assert (
+                    if not (
                         target in self.e_list
                         and val.terms.keys() == set(self.x(target).terms)
-                    ), f"P^{k} x_{2*t} is not a generator multiple"
+                    ):
+                        raise InvariantError(f"P^{k} x_{2*t} is not a generator multiple")
                     table[(t, k)] = val
+
+    def _bockstein_unit(self, t):
+        """The unit u with delta(alpha_{2t-1}) = u * x_{2t}, at odd p."""
+        data = BOCKSTEIN_DATA[(self.group, self.p)][t]
+        if len(data) != 1 or data[0][1] != {t: 1}:
+            raise InvariantError(
+                f"delta(alpha_{2*t-1}) of ({self.group},{self.p}) is {data}, "
+                f"not a unit multiple of x_{2*t}"
+            )
+        return data[0][0] % self.p
 
     def _power_x(self, k, t, exp):
         """P^k (x_{2t}^exp) at odd p, by pairwise Cartan on the factors."""
@@ -888,12 +901,9 @@ class HopfModel:
             full = TensorElement(self, {k: v for k, v in sq_terms.items() if v})
         else:
             # x_{2t} = unit * delta(alpha_{2t-1}); mu* delta = delta_tensor mu*
-            s = t
-            data = BOCKSTEIN_DATA[(self.group, self.p)][s]
-            [(unit, xmon)] = [d for d in data if d[1] == {t: 1}]
-            assert len(data) == 1
-            amu = self._mu_of_alpha(s, phi)
-            full = self.tensor_bockstein(amu).scale(pow(unit, self.p - 2, self.p))
+            amu = self._mu_of_alpha(t, phi)
+            uinv = pow(self._bockstein_unit(t), self.p - 2, self.p)
+            full = self.tensor_bockstein(amu).scale(uinv)
         x_elem = self.x(t)
         [(xb, _)] = x_elem.terms.items()
         unit_b = (self._zero_x, ())
@@ -1181,8 +1191,7 @@ def check_suite(model):
     cartan_ok = True
     for kind, idx in gens:
         g = gen_elem(kind, idx)
-        top = idx if kind == "alpha" else idx
-        for k in range(1, top + 1):
+        for k in range(1, idx + 1):
             if model.mu_star(model.reduced_power(k, g)) != model.tensor_power(
                 k, model.mu_star(g)
             ):

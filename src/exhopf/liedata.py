@@ -46,6 +46,11 @@ PROFILE_TABLE = {
 SUPPORTED_PAIRS = tuple(PROFILE_TABLE)
 
 
+class ChecksumError(ValueError):
+    """A theta table does not match its pinned transcription checksum, or the
+    pin for it is missing."""
+
+
 class UnsupportedPair(ValueError):
     pass
 
@@ -446,12 +451,14 @@ def _stored_checksums():
 def _verify_checksums(group, p, theta_c):
     stored = _stored_checksums()
     if stored is None:
-        return
+        raise ChecksumError("data/theta_checksums.json is missing")
     for s, f in theta_c.items():
         key = f"{group}:{p}:{s}"
+        if key not in stored:
+            raise ChecksumError(f"no pinned theta checksum for {key}")
         digest = hashlib.sha256(render(f).encode()).hexdigest()
-        if key in stored and stored[key] != digest:
-            raise ValueError(f"theta checksum mismatch for {key}")
+        if stored[key] != digest:
+            raise ChecksumError(f"theta checksum mismatch for {key}")
 
 
 # -- the printed nonzero structure constants ---------------------------------

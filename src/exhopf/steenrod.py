@@ -8,10 +8,11 @@ formulas enter, which is what makes the completeness sweep possible at
 arbitrary k.
 
 Mode "chern" acts on the abstract restricted Chern ring c_2..c_N: the
-action on a generator c_m is the universal Wu formula specialized by
-c_1 = 0 and c_j = 0 for j > N, extended to products by the Cartan
-formula.  (Odd Steenrod squares vanish identically on these subrings at
-p = 2, so the pure P-Cartan recursion is exact there too.)
+action on a generator c_m is the Wu formula computed in N variables
+(so c_j for j > N never arises), specialized by c_1 = 0 and extended to
+products by the Cartan formula.  (Odd Steenrod squares vanish
+identically on these subrings at p = 2, so the pure P-Cartan recursion
+is exact there too.)
 """
 
 from math import comb
@@ -104,7 +105,8 @@ def _power_weight(k, f, ctx):
 
 
 def _wu_on_generator(k, m, ctx):
-    """P^k c_m in the restricted ring: Wu formula with c_1 = 0, c_{>N} = 0."""
+    """P^k c_m in the restricted ring: the Wu formula in N = rank variables,
+    then c_1 = 0."""
     key = (k, m)
     if key in ctx.wu_cache:
         return ctx.wu_cache[key]
@@ -113,14 +115,11 @@ def _wu_on_generator(k, m, ctx):
     elif k > m:
         result = ctx.ring.zero()
     else:
-        universal = wu_formula(ctx.p, k, m)
-        mapping = {}
-        for name in universal.ring.names:
-            idx = int(name[1:])
-            if idx == 1 or idx > ctx.rank:
-                mapping[name] = ctx.ring.zero()
-            else:
-                mapping[name] = ctx.ring.variable(name)
+        universal = wu_formula(ctx.p, k, m, n=ctx.rank)
+        mapping = {
+            name: ctx.ring.zero() if name == "c1" else ctx.ring.variable(name)
+            for name in universal.ring.names
+        }
         result = universal.substitute(mapping, target_ring=ctx.ring)
     ctx.wu_cache[key] = result
     return result

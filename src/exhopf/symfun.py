@@ -29,6 +29,10 @@ class EliminationError(ArithmeticError):
     """A leading-term elimination step left its leading partition behind."""
 
 
+class KostkaTriangularityError(ArithmeticError):
+    """The Kostka matrix is not upper unitriangular in lex-descending order."""
+
+
 # -- partitions ----------------------------------------------------------
 
 
@@ -109,62 +113,80 @@ def monomial_symmetric_t(lam, ctx):
 # -- the monomial basis machinery -----------------------------------------
 
 
-def _e_times_m(r, mdict):
-    """Multiply by e_r in the monomial-symmetric basis (integer coefficients)."""
+def _e_times_m(r, mdict, n=None):
+    """Multiply by e_r in the monomial-symmetric basis (integer coefficients).
+
+    e_r m_lam is a sum over the ways to raise r parts of lam by one, j_v of
+    the parts equal to v (zero parts included); the resulting m_mu carries
+    prod_v C(mult_mu(v + 1), j_v).  The values are visited in descending
+    order, so mu is built front to back.  With n variables (n=None: enough
+    of them) every m_mu with more than n parts vanishes, so such mu are
+    never built: a branch is cut as soon as the parts still to raise cannot
+    fit in the smaller values and the n - len(lam) zero parts.
+    """
     out = {}
     for lam, coeff in mdict.items():
         mults = Counter(lam)
-        values = sorted(mults)
-        choices = []
+        mults[0] = r if n is None else n - len(lam)
+        values = sorted(mults, reverse=True)
+        # capacity[i]: how many raisings the values from index i on can absorb
+        capacity = [0] * (len(values) + 1)
+        for i in range(len(values) - 1, -1, -1):
+            capacity[i] = capacity[i + 1] + mults[values[i]]
 
-        def rec(idx, remaining, current):
-            if idx == len(values):
-                done = dict(current)
-                done[0] = remaining
-                choices.append(done)
+        def rec(i, remaining, mu, prev, kept, c):
+            # mu: the finished front of the partition; `kept` parts equal
+            # to `prev` (the last value visited) are still to be placed
+            if i == len(values):
+                out[mu] = out.get(mu, 0) + c
                 return
-            v = values[idx]
-            for j in range(min(mults[v], remaining) + 1):
-                current[v] = j
-                rec(idx + 1, remaining - j, current)
-            current.pop(v, None)
+            v = values[i]
+            lo = max(0, remaining - capacity[i + 1])
+            for j in range(lo, min(mults[v], remaining) + 1):
+                if prev == v + 1:
+                    count = kept + j
+                    rec(i + 1, remaining - j, mu + (prev,) * count, v, mults[v] - j,
+                        c * comb(count, j))
+                else:
+                    rec(i + 1, remaining - j, mu + (prev,) * kept + (v + 1,) * j, v,
+                        mults[v] - j, c)
 
-        rec(0, r, {})
-        for j in choices:
-            new_mults = Counter()
-            for v in values:
-                keep = mults[v] - j.get(v, 0)
-                if keep:
-                    new_mults[v] += keep
-            for v, jv in j.items():
-                if jv:
-                    new_mults[v + 1] += jv
-            c = coeff
-            for v, jv in j.items():
-                if jv:
-                    c *= comb(new_mults[v + 1], jv)
-            mu = tuple(sorted(new_mults.elements(), reverse=True))
-            out[mu] = out.get(mu, 0) + c
+        if r <= capacity[0]:
+            rec(0, r, (), None, 0, coeff)
     return {k: v for k, v in out.items() if v}
 
 
+def _binding(n, degree):
+    """n if n variables truncate partitions of `degree`, else None (stable)."""
+    return n if n is not None and n < degree else None
+
+
 @lru_cache(maxsize=None)
-def _e_product_mexp(mu):
-    """Expansion of e_mu = e_{mu_1}...e_{mu_l} in the m-basis, over Z."""
+def _e_product_mexp(mu, n=None):
+    """Expansion of e_mu = e_{mu_1}...e_{mu_l} in the m-basis, over Z.
+
+    In n variables (n=None: at least |mu| of them); callers pass n only
+    when it truncates, so the stable expansions are cached once.
+    """
     if not mu:
         return {(): 1}
-    return _e_times_m(mu[0], _e_product_mexp(mu[1:]))
+    rest = mu[1:]
+    return _e_times_m(mu[0], _e_product_mexp(rest, _binding(n, sum(rest))), n)
 
 
-def m_to_e(mdict, p=None):
-    """Rewrite sum coeff*m_lambda in the elementary basis.
+def m_to_e(mdict, p=None, n=None):
+    """Rewrite sum coeff*m_lambda in the elementary basis of n variables.
 
     Returns a map from an e-index partition mu (meaning prod_i e_{mu_i})
     to its coefficient.  Classical leading-term elimination: the lex-top
     surviving m_lambda is killed by e_{lambda'}, whose expansion is
-    unitriangular with respect to dominance.
+    unitriangular with respect to dominance.  With n variables
+    (n=None: at least the degree) m_lambda = 0 for every lambda with more
+    than n parts, so those are dropped from the input and from every
+    e-expansion; the surviving lambda have lambda'_1 <= n, and the result
+    is exact in c_1..c_n.
     """
-    work = dict(mdict)
+    work = {k: v for k, v in mdict.items() if n is None or len(k) <= n}
     if p is not None:
         work = {k: v % p for k, v in work.items() if v % p}
     out = {}
@@ -174,7 +196,7 @@ def m_to_e(mdict, p=None):
         conj = conjugate(lam)
         out[conj] = out.get(conj, 0) + c
         # e_conj has unit leading coefficient on m_lam, so lam cancels exactly
-        for mu, c2 in _e_product_mexp(conj).items():
+        for mu, c2 in _e_product_mexp(conj, _binding(n, sum(lam))).items():
             v = work.get(mu, 0) - c * c2
             if p is not None:
                 v %= p
@@ -252,18 +274,23 @@ def steenrod_elementary_component(p, k, m):
 def wu_formula(p, k, m, n=None):
     """The unique polynomial in c_1..c_n equal to P^k(c_m) in H*(BU(n); F_p).
 
-    The result is stable in n; any n >= m + k(p-1) gives the same
-    coefficients.  Output lives in the c-ring of a fresh SymContext.
+    Exact for every n >= m.  From n = m + k(p-1) on (the default) the
+    result is stable: any larger n gives the same coefficients.  Below
+    that it is computed in n variables, where every m_lambda with more
+    than n parts vanishes, and equals the stable formula with c_j = 0 for
+    j > n.  Output lives in the c-ring of a fresh SymContext.
     """
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
     minimum = m + k * (p - 1)
     if n is None:
         n = minimum
-    elif n < minimum:
-        raise ValueError(f"n={n} too small; need at least {minimum}")
+    elif n < m:
+        raise ValueError(f"n={n} too small; need at least m={m}")
     ctx = SymContext(p, n)
-    edict = m_to_e(steenrod_elementary_component(p, k, m), p=p)
+    edict = m_to_e(
+        steenrod_elementary_component(p, k, m), p=p, n=_binding(n, minimum)
+    )
     return _e_index_to_c_poly(edict, ctx)
 
 
@@ -328,9 +355,15 @@ def _kostka_inverse_data(n):
     size = len(parts)
     K = [[kostka_number(parts[i], parts[j]) for j in range(size)] for i in range(size)]
     for i in range(size):
-        assert K[i][i] == 1, "Kostka matrix is not unitriangular"
+        if K[i][i] != 1:
+            raise KostkaTriangularityError(
+                f"K[{parts[i]}][{parts[i]}] = {K[i][i]}, not 1"
+            )
         for j in range(i):
-            assert K[i][j] == 0, "Kostka matrix is not triangular in lex order"
+            if K[i][j]:
+                raise KostkaTriangularityError(
+                    f"K[{parts[i]}][{parts[j]}] = {K[i][j]} below the diagonal"
+                )
     X = [[0] * size for _ in range(size)]
     for i in range(size - 1, -1, -1):
         X[i][i] = 1

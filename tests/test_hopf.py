@@ -1,8 +1,9 @@
 import pytest
 
-from exhopf import liedata
+from exhopf import hopf, liedata
 from exhopf.hopf import (
     HopfError,
+    InvariantError,
     TensorElement,
     build_model,
     check_suite,
@@ -243,3 +244,17 @@ def test_e8_p3_sign_diagnostic():
     m2 = build_model("E8", 3, bst_mod.BstTable(table.profile, flipped))
     report = check_suite(m2)
     assert report["pass"], report
+
+
+def test_bockstein_table_without_unit_generator_is_a_typed_error(monkeypatch):
+    # delta(alpha_7) of (F4,3) must be a unit multiple of x_8; a table that
+    # says x_8^2 instead is refused, not silently used
+    monkeypatch.setitem(hopf.BOCKSTEIN_DATA[("F4", 3)], 4, [(-1, {4: 2})])
+    with pytest.raises(InvariantError):
+        build_model("F4", 3)
+
+
+def test_sq_even_rejects_odd_part():
+    m = model("G2", 2)
+    with pytest.raises(InvariantError):
+        m._sq_even(1, m.alpha(3))

@@ -1,9 +1,11 @@
 import pytest
 
+from exhopf import liedata
 from exhopf.ffpoly import parse, render
 from exhopf.liedata import (
     EXAMPLE_58_TEXT,
     SUPPORTED_PAIRS,
+    ChecksumError,
     UnsupportedPair,
     checksum_payload,
     chern_poly,
@@ -217,3 +219,27 @@ def test_lemma22_printed_values():
         (14, 18): 1,
         (20, 24): 1,
     }
+
+
+def test_missing_checksum_file_is_an_error(monkeypatch):
+    theta_c = theta_set("G2", 2).theta_c
+    monkeypatch.setattr(liedata, "_stored_checksums", lambda: None)
+    with pytest.raises(ChecksumError):
+        liedata._verify_checksums("G2", 2, theta_c)
+
+
+def test_missing_checksum_key_is_an_error(monkeypatch):
+    theta_c = theta_set("G2", 2).theta_c
+    stored = dict(_stored_checksums())
+    del stored["G2:2:3"]
+    monkeypatch.setattr(liedata, "_stored_checksums", lambda: stored)
+    with pytest.raises(ChecksumError, match="G2:2:3"):
+        liedata._verify_checksums("G2", 2, theta_c)
+
+
+def test_checksum_mismatch_is_an_error(monkeypatch):
+    theta_c = theta_set("G2", 2).theta_c
+    stored = dict(_stored_checksums(), **{"G2:2:3": "0" * 64})
+    monkeypatch.setattr(liedata, "_stored_checksums", lambda: stored)
+    with pytest.raises(ChecksumError, match="mismatch"):
+        liedata._verify_checksums("G2", 2, theta_c)

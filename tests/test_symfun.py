@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 
 from closed_forms import closed_form, remark52_table
-from exhopf import symfun
+from exhopf import bst, liedata, symfun
 from exhopf.ffpoly import render
 from exhopf.symfun import (
     EliminationError,
+    KostkaTriangularityError,
     NotSymmetricError,
     SymContext,
     as_partition,
@@ -288,6 +289,87 @@ def test_m_to_e_round_trip():
 
 def test_m_to_e_uncancelled_leading_term_is_a_typed_error(monkeypatch):
     # an e-expansion without the unit leading coefficient cannot kill m_lam
-    monkeypatch.setattr(symfun, "_e_product_mexp", lambda mu: {})
+    monkeypatch.setattr(symfun, "_e_product_mexp", lambda mu, n=None: {})
     with pytest.raises(EliminationError):
         m_to_e({(2, 1): 1})
+
+
+def drop_high_chern(f, n):
+    """Oracle truncation: c_j -> 0 for j > n, into the c-ring of n variables."""
+    target = SymContext(f.ring.field.p, n).c_ring
+    mapping = {
+        name: target.zero() if int(name[1:]) > n else target.variable(name)
+        for name in f.ring.names
+    }
+    return f.substitute(mapping, target_ring=target)
+
+
+def check_truncated_wu(p, max_degree):
+    for m in range(1, 9):
+        for k in range(m + 1):
+            top = m + k * (p - 1)
+            if top > max_degree:
+                continue
+            stable = wu_formula(p, k, m)
+            for n in range(m, top + 1):
+                assert wu_formula(p, k, m, n) == drop_high_chern(stable, n), (p, k, m, n)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 16), (3, 24), (5, 16)])
+def test_truncated_wu_equals_stable_with_high_chern_zero(p, max_degree):
+    # every n from m to the stable m + k(p-1), for m <= 8 and k <= m; the
+    # p = 5 formulas of degree above 16 are in the slow tier
+    check_truncated_wu(p, max_degree)
+
+
+@pytest.mark.slow
+def test_truncated_wu_equals_stable_p5_heavy():
+    # degrees 17..24 over every n, then every (k, m) over the Chern ranks
+    # n <= 8 that the restricted rings use (stable degrees up to 40)
+    check_truncated_wu(5, 24)
+    for m in range(1, 9):
+        for k in range(m + 1):
+            if m + 4 * k <= 24:
+                continue
+            stable = wu_formula(5, k, m)
+            for n in range(m, 9):
+                assert wu_formula(5, k, m, n) == drop_high_chern(stable, n), (k, m, n)
+
+
+def test_wu_needs_at_least_m_variables():
+    with pytest.raises(ValueError):
+        wu_formula(3, 1, 4, n=3)
+    assert wu_formula(3, 1, 4, n=4) == drop_high_chern(wu_formula(3, 1, 4), 4)
+
+
+@pytest.mark.parametrize(
+    "group,p", [pair for pair in liedata.SUPPORTED_PAIRS if pair[0] != "G2"]
+)
+def test_wu_on_generator_matches_stable_route(group, p):
+    # every P^k c_m a full table reaches, against the stable Wu formula
+    # with c_1 = 0 and c_j = 0 for j > N substituted afterwards
+    bst.full_table(group, p)
+    ctx = bst._chern_ctx(group, p)
+    assert ctx.wu_cache
+    for (k, m), result in ctx.wu_cache.items():
+        if k == 0 or k > m:
+            continue
+        stable = wu_formula(p, k, m)
+        mapping = {
+            name: ctx.ring.variable(name)
+            if 1 < int(name[1:]) <= ctx.rank
+            else ctx.ring.zero()
+            for name in stable.ring.names
+        }
+        assert result == stable.substitute(mapping, target_ring=ctx.ring), (k, m)
+
+
+def test_non_triangular_kostka_matrix_is_a_typed_error(monkeypatch):
+    # the uncached builder, so the cached matrices stay untouched
+    build = symfun._kostka_inverse_data.__wrapped__
+    monkeypatch.setattr(symfun, "kostka_number", lambda lam, mu: 2 if lam == mu else 0)
+    with pytest.raises(KostkaTriangularityError):
+        build(3)
+    monkeypatch.setattr(symfun, "kostka_number", lambda lam, mu: 1)
+    with pytest.raises(KostkaTriangularityError):
+        build(3)
