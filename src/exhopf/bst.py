@@ -15,7 +15,7 @@ without any reduction.
 from functools import lru_cache
 
 from . import liedata, steenrod
-from .groebner import Ambiguous, NoSolution, buchberger, solve_linear_coefficient
+from .groebner import Ambiguous, buchberger, solve_linear_coefficient
 
 
 class BstError(Exception):

@@ -26,6 +26,24 @@ def _is_prime(n):
     return True
 
 
+def add_into(acc, terms, c, p):
+    """acc += c * terms over F_p, in place, dropping zero coefficients.
+
+    `acc` and `terms` map keys (monomials, basis elements, tensor keys) to
+    residues mod p.  This is the one sparse F_p linear-combination step of
+    the package; it returns `acc` so callers can build and wrap in one go.
+    """
+    c %= p
+    if c:
+        for key, v in terms.items():
+            v = (acc.get(key, 0) + c * v) % p
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+    return acc
+
+
 class RingMismatchError(ValueError):
     """Operands belong to different ring contexts."""
 
@@ -258,14 +276,7 @@ class Polynomial:
             other = self.ring.constant(other)
         self._check(other)
         p = self.ring.field.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, add_into(dict(self.terms), other.terms, 1, p))
 
     __radd__ = __add__
 

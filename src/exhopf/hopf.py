@@ -11,12 +11,22 @@ Sq-action on the x's; odd squares there rewrite through the square table.
 The reduced-power table on the odd generators is the computed b-table
 (the first-principles reconstruction), which by construction satisfies
 the Adem composites that the printed list omits.
+
+Sq^a (p = 2) and P^k (odd p) reach every basis element through one
+Cartan recursion, `HopfModel._cartan`.  It walks the element's
+generators (each x_{2t} as often as its exponent, then the alphas),
+splits the index between the first generator and the rest, and caps the
+first share by instability: Sq^i u = 0 for i > |u| and P^i u = 0 for
+2i > |u|, with |u| the generator's degree.  One cache memoises the
+recursion on (index, generators); elements that share a tail share its
+work.  Every sparse F_p sum goes through `ffpoly.add_into`.
 """
 
 from itertools import product as iproduct
 
 from . import bst as bst_mod
 from . import liedata
+from .ffpoly import add_into
 
 
 class HopfError(Exception):
@@ -176,7 +186,9 @@ SQUARE_ROOT_OF_X = {
 }
 
 
-class AlgebraElement:
+class _Combination:
+    """A sparse F_p combination: `terms` maps keys to nonzero residues."""
+
     __slots__ = ("model", "terms")
 
     def __init__(self, model, terms):
@@ -187,35 +199,35 @@ class AlgebraElement:
         return not self.terms
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.model.one() * other
         if other.model is not self.model:
             raise HopfError("elements of different models")
         p = self.model.p
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            v = (out.get(b, 0) + c) % p
-            if v:
-                out[b] = v
-            else:
-                out.pop(b, None)
-        return AlgebraElement(self.model, out)
+        return type(self)(self.model, add_into(dict(self.terms), other.terms, 1, p))
 
     def __neg__(self):
-        p = self.model.p
-        return AlgebraElement(self.model, {b: p - c for b, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def scale(self, c):
+        return type(self)(self.model, add_into({}, self.terms, c, self.model.p))
+
+    def __eq__(self, other):
+        return self.model is other.model and self.terms == other.terms
+
+
+class AlgebraElement(_Combination):
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.model.one().scale(other)
+        return super().__add__(other)
+
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.model.p
-            if c == 0:
-                return self.model.zero()
-            return AlgebraElement(
-                self.model, {b: (v * c) % self.model.p for b, v in self.terms.items()}
-            )
+            return self.scale(other)
         return self.model.multiply(self, other)
 
     __rmul__ = __mul__
@@ -228,8 +240,8 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.model.one() * other
-        return self.model is other.model and self.terms == other.terms
+            return self == self.model.one().scale(other)
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -246,67 +258,21 @@ class AlgebraElement:
         return f"<{self.model.render_element(self)}>"
 
 
-class TensorElement:
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model, terms):
-        self.model = model
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        p = self.model.p
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = (out.get(k, 0) + c) % p
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return TensorElement(self.model, out)
-
-    def __neg__(self):
-        p = self.model.p
-        return TensorElement(self.model, {k: p - c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c %= self.model.p
-        if c == 0:
-            return TensorElement(self.model, {})
-        return TensorElement(
-            self.model, {k: (v * c) % self.model.p for k, v in self.terms.items()}
-        )
+class TensorElement(_Combination):
+    __slots__ = ()
 
     def multiply(self, other):
         """Product in H ⊗ H with the Koszul sign."""
         model = self.model
         p = model.p
-        out = TensorElement(model, {})
+        out = {}
         for (a, b), c1 in self.terms.items():
             for (c, d), c2 in other.terms.items():
-                sign = 1
-                if p != 2 and model.basis_parity(b) and model.basis_parity(c):
-                    sign = -1
+                sign = -1 if p != 2 and model.basis_parity(b) and model.basis_parity(c) else 1
                 left = model.multiply_basis(a, c)
                 right = model.multiply_basis(b, d)
-                if not left or not right:
-                    continue
-                coeff = (sign * c1 * c2) % p
-                acc = {}
-                for m1, v1 in left.items():
-                    for m2, v2 in right.items():
-                        key = (m1, m2)
-                        acc[key] = (acc.get(key, 0) + coeff * v1 * v2) % p
-                out = out + TensorElement(model, {k: v for k, v in acc.items() if v})
-        return out
-
-    def __eq__(self, other):
-        return self.model is other.model and self.terms == other.terms
+                add_into(out, _outer(left, right), sign * c1 * c2, p)
+        return TensorElement(model, out)
 
     def __repr__(self):
         bits = []
@@ -315,15 +281,15 @@ class TensorElement:
         return "<" + " + ".join(bits) + ">" if bits else "<0>"
 
 
+def _outer(u, v):
+    """The unreduced outer product {(a, b): u[a] * v[b]} of two term dicts."""
+    return {(a, b): c * d for a, c in u.items() for b, d in v.items()}
+
+
 def tensor(model, u, v):
     """Tensor product of two algebra elements (no sign; used on even input
     or where the caller tracks signs)."""
-    out = {}
-    p = model.p
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            out[(m1, m2)] = (out.get((m1, m2), 0) + c1 * c2) % p
-    return TensorElement(model, {k: v for k, v in out.items() if v})
+    return TensorElement(model, add_into({}, _outer(u.terms, v.terms), 1, model.p))
 
 
 class HopfModel:
@@ -340,9 +306,7 @@ class HopfModel:
         self.bst_table = table if table is not None else bst_mod.full_table(group, p)
         self._zero_x = (0,) * len(self.e_list)
         self._mul_cache = {}
-        self._sq_cache = {}
-        self._power_cache = {}
-        self._sq_x_table = None
+        self._op_cache = {}
         self._coproducts = None
         self._even_coproducts = None
 
@@ -460,69 +424,41 @@ class HopfModel:
             return cached
         x1, s1 = b1
         x2, s2 = b2
-        p = self.p
-        result = {}
         xsum = self._mul_even_x(x1, x2)
-        if xsum is not None:
-            common = set(s1) & set(s2)
-            if common and p != 2:
-                pass  # odd classes square to zero at odd p
-            else:
-                inv = sum(1 for u in s1 for v in s2 if u > v)
-                sign = 1 if (p == 2 or inv % 2 == 0) else p - 1
-                merged = tuple(sorted(set(s1) ^ set(s2)))
-                work = {(xsum, merged): sign}
-                if p == 2:
-                    for s in sorted(common):
-                        sq = self.square_table[s]
-                        new = {}
-                        for (xe, od), c in work.items():
-                            for (sxe, _), sc in sq.terms.items():
-                                comb_x = self._mul_even_x(xe, sxe)
-                                if comb_x is None:
-                                    continue
-                                k2 = (comb_x, od)
-                                new[k2] = (new.get(k2, 0) + c * sc) % p
-                        work = {k: v for k, v in new.items() if v}
-                        if not work:
-                            break
-                result = work
+        common = set(s1) & set(s2)
+        if xsum is None or (common and self.p != 2):
+            result = {}  # truncated, or an odd class squared at odd p
+        else:
+            inv = sum(1 for u in s1 for v in s2 if u > v)
+            sign = 1 if (self.p == 2 or inv % 2 == 0) else -1
+            result = {(xsum, tuple(sorted(set(s1) ^ set(s2)))): sign % self.p}
+            for s in sorted(common):  # p = 2: alpha_s^2 from the square table
+                result = self._mul_into({}, result, self.square_table[s].terms)
         self._mul_cache[key] = result
         return result
+
+    def _mul_into(self, acc, u, v):
+        """acc += u * v for two term dicts of this model; returns acc."""
+        for b1, c1 in u.items():
+            for b2, c2 in v.items():
+                add_into(acc, self.multiply_basis(b1, b2), c1 * c2, self.p)
+        return acc
 
     def multiply(self, a, b):
         if a.model is not self or b.model is not self:
             raise HopfError("model mismatch")
-        p = self.p
-        out = {}
-        for b1, c1 in a.terms.items():
-            for b2, c2 in b.terms.items():
-                prod = self.multiply_basis(b1, b2)
-                if not prod:
-                    continue
-                cc = c1 * c2
-                for mon, c in prod.items():
-                    v = (out.get(mon, 0) + cc * c) % p
-                    if v:
-                        out[mon] = v
-                    else:
-                        out.pop(mon, None)
-        return AlgebraElement(self, out)
+        return AlgebraElement(self, self._mul_into({}, a.terms, b.terms))
 
     # -- Bockstein -------------------------------------------------------------
 
     def bockstein(self, elem):
-        out = self.zero()
+        out = {}
         for (xexp, odds), c in elem.terms.items():
             for i, s in enumerate(odds):
-                delta = self.bockstein_table[s]
-                if delta.is_zero():
-                    continue
-                rest = odds[:i] + odds[i + 1 :]
-                sign = c if i % 2 == 0 else (-c) % self.p
-                base = AlgebraElement(self, {(xexp, rest): sign})
-                out = out + base * delta
-        return out
+                rest = (xexp, odds[:i] + odds[i + 1 :])
+                sign = c if i % 2 == 0 else -c
+                self._mul_into(out, {rest: sign}, self.bockstein_table[s].terms)
+        return AlgebraElement(self, out)
 
     # -- reduced powers ----------------------------------------------------------
 
@@ -545,104 +481,80 @@ class HopfModel:
         coeff, t = hit
         return coeff * self.alpha(t)
 
-    def _sq_alpha(self, a, s):
-        """Sq^a alpha_{2s-1} at p = 2 (odd a via Sq^{2i+1} = Sq^1 Sq^{2i})."""
-        if a == 0:
-            return self.alpha(s)
-        if a % 2 == 0:
-            return self._alpha_power_elem(a // 2, s)
-        return self.bockstein(self._alpha_power_elem(a // 2, s))
+    def _on_generator(self, i, gen):
+        """Sq^i (p = 2) or P^i (odd p) of the generator of degree `gen`."""
+        if gen % 2:
+            s = (gen + 1) // 2
+            if self.p == 2:  # Sq^{2j+1} = Sq^1 Sq^{2j}, Sq^{2j} = P^j
+                img = self._alpha_power_elem(i // 2, s)
+                return self.bockstein(img) if i % 2 else img
+            return self._alpha_power_elem(i, s)
+        t = gen // 2
+        if i == 0:
+            return self.x(t)
+        if self.p == 2:
+            return self._sq_x_table.get((t, i), self.zero())
+        if i == t:
+            return self.x(t, self.p)
+        return self._x_action_odd.get((t, i), self.zero())
+
+    def _factors(self, b):
+        """A basis element as its generators, by degree: each x_{2t} as
+        many times as its exponent, then the alphas in order."""
+        xexp, odds = b
+        xs = tuple(2 * t for t, e in zip(self.e_list, xexp) for _ in range(e))
+        return xs + tuple(2 * s - 1 for s in odds)
+
+    def _cartan(self, k, factors):
+        """The operation of index k on the product of `factors`.
+
+        Splits k over the first generator and the rest (Cartan formula),
+        capping the first share by instability.  Memoised on (k, factors):
+        a run of equal factors such as x_6^7 reaches the same (k', tail)
+        along many splits.  Without the memo, `test_deep_sq_on_e8_p2`
+        (Sq^0..Sq^39 on three (E8,2) products) takes about 50 s instead of
+        0.2 s on a 2-core x86-64 VM.
+        """
+        key = (k, factors)
+        hit = self._op_cache.get(key)
+        if hit is not None:
+            return hit
+        if not factors:
+            hit = self.one() if k == 0 else self.zero()
+        else:
+            gen, rest = factors[0], factors[1:]
+            cap = gen if self.p == 2 else gen // 2
+            out = {}
+            for i in range(min(k, cap) + 1):
+                left = self._on_generator(i, gen)
+                if left.terms:
+                    self._mul_into(out, left.terms, self._cartan(k - i, rest).terms)
+            hit = AlgebraElement(self, out)
+        self._op_cache[key] = hit
+        return hit
+
+    def _act(self, k, elem):
+        """Sq^k (p = 2) or P^k (odd p) of an arbitrary element."""
+        out = {}
+        for b, c in elem.terms.items():
+            add_into(out, self._cartan(k, self._factors(b)).terms, c, self.p)
+        return AlgebraElement(self, out)
 
     def _build_sq_x_table(self):
-        """Sq^a x_{2t} for every even generator, from its square root."""
-        table = {}
-        self._sq_x_table = table
+        """Sq^a x_{2t} for every even generator, from its square root w.
+
+        Sq^a (w^2) = (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan
+        terms pair off), so only even a <= 2t are stored.  Each root uses
+        smaller x's only, so filling the table in order of t is enough.
+        """
+        self._sq_x_table = {}
         for t in self.e_list:
-            root_spec = SQUARE_ROOT_OF_X[t]
-            top = 2 * t
-            for a in range(1, 2 * top + 1):
-                if a % 2 == 1:
-                    table[(t, a)] = self.zero()
-                    continue
-                # Sq^a (w^2) = (Sq^{a/2} w)^2 with w the square root
-                w_img = self.zero()
-                for s, xmon in root_spec:
-                    factor = self.x_monomial(xmon)
-                    if factor.is_zero():
-                        continue
-                    # Cartan over the product xmon * alpha_s
-                    half = a // 2
-                    acc = self.zero()
-                    for i in range(half + 1):
-                        left = self._sq_even(i, factor, partial=table)
-                        if left.is_zero():
-                            continue
-                        right = self._sq_alpha(half - i, s)
-                        if right.is_zero():
-                            continue
-                        acc = acc + left * right
-                    w_img = w_img + acc
-                table[(t, a)] = w_img * w_img
-
-    def _sq_x_power(self, a, t, exp, partial=None):
-        """Sq^a (x_{2t}^exp) at p = 2, pairwise Cartan."""
-        table = partial if partial is not None else self._sq_x_table
-        if exp == 0:
-            return self.one() if a == 0 else self.zero()
-        if a == 0:
-            return self.x(t, exp)
-        if exp == 1:
-            if a > 4 * t:
-                return self.zero()
-            return table.get((t, a), self.zero())
-        out = self.zero()
-        for i in range(min(a, 4 * t) + 1):
-            left = self._sq_x_power(i, t, 1, partial)
-            if left.is_zero():
-                continue
-            right = self._sq_x_power(a - i, t, exp - 1, partial)
-            if right.is_zero():
-                continue
-            out = out + left * right
-        return out
-
-    def _sq_even(self, a, elem, partial=None):
-        """Sq^a of a purely even element at p = 2."""
-        out = self.zero()
-        for (xexp, odds), c in elem.terms.items():
-            if odds:
-                raise InvariantError(f"_sq_even got a basis element with odd part {odds}")
-            out = out + c * self._sq_basis_factors(
-                a, [(t, e) for t, e in zip(self.e_list, xexp) if e], (), partial
-            )
-        return out
-
-    def _sq_basis_factors(self, a, xfactors, odds, partial=None):
-        if not xfactors and not odds:
-            return self.one() if a == 0 else self.zero()
-        if xfactors:
-            (t, e), rest_x = xfactors[0], xfactors[1:]
-            out = self.zero()
-            for i in range(min(a, 4 * t * e) + 1):
-                left = self._sq_x_power(i, t, e, partial)
-                if left.is_zero():
-                    continue
-                right = self._sq_basis_factors(a - i, rest_x, odds, partial)
-                if right.is_zero():
-                    continue
-                out = out + left * right
-            return out
-        s, rest = odds[0], odds[1:]
-        out = self.zero()
-        for i in range(min(a, 2 * s - 1) + 1):
-            left = self._sq_alpha(i, s)
-            if left.is_zero():
-                continue
-            right = self._sq_basis_factors(a - i, (), rest, partial)
-            if right.is_zero():
-                continue
-            out = out + left * right
-        return out
+            w = self.zero()
+            for s, xmon in SQUARE_ROOT_OF_X[t]:
+                w = w + self.x_monomial(xmon) * self.alpha(s)
+            for a in range(2, 2 * t + 1, 2):
+                half = self._act(a // 2, w)
+                self._sq_x_table[(t, a)] = half * half
 
     def sq(self, a, elem):
         """Sq^a at p = 2 on an arbitrary element."""
@@ -650,15 +562,7 @@ class HopfModel:
             raise HopfError("Sq is a p = 2 operation")
         if a == 0:
             return elem
-        out = self.zero()
-        for (xexp, odds), c in elem.terms.items():
-            key = (a, xexp, odds)
-            if key not in self._sq_cache:
-                self._sq_cache[key] = self._sq_basis_factors(
-                    a, [(t, e) for t, e in zip(self.e_list, xexp) if e], odds
-                )
-            out = out + c * self._sq_cache[key]
-        return out
+        return self._act(a, elem)
 
     def _build_odd_x_table(self):
         """Intermediate reduced powers on the even generators at odd p.
@@ -709,108 +613,37 @@ class HopfModel:
             )
         return data[0][0] % self.p
 
-    def _power_x(self, k, t, exp):
-        """P^k (x_{2t}^exp) at odd p, by pairwise Cartan on the factors."""
-        if exp == 0:
-            return self.one() if k == 0 else self.zero()
-        if k == 0:
-            return self.x(t, exp)
-        if exp == 1:
-            if k > t:
-                return self.zero()
-            if k == t:
-                return self.x(t, self.p)
-            return self._x_action_odd.get((t, k), self.zero())
-        out = self.zero()
-        for i in range(min(k, t) + 1):
-            left = self._power_x(i, t, 1)
-            if left.is_zero():
-                continue
-            right = self._power_x(k - i, t, exp - 1)
-            if right.is_zero():
-                continue
-            out = out + left * right
-        return out
-
-    def _power_basis(self, k, xfactors, odds):
-        if not xfactors and not odds:
-            return self.one() if k == 0 else self.zero()
-        if xfactors:
-            (t, e), rest_x = xfactors[0], xfactors[1:]
-            out = self.zero()
-            for i in range(min(k, t * e) + 1):
-                left = self._power_x(i, t, e)
-                if left.is_zero():
-                    continue
-                right = self._power_basis(k - i, rest_x, odds)
-                if right.is_zero():
-                    continue
-                out = out + left * right
-            return out
-        s, rest = odds[0], odds[1:]
-        out = self.zero()
-        for i in range(min(k, s) + 1):
-            left = self._alpha_power_elem(i, s)
-            if left.is_zero():
-                continue
-            right = self._power_basis(k - i, (), rest)
-            if right.is_zero():
-                continue
-            out = out + left * right
-        return out
-
     def reduced_power(self, k, elem):
         if k == 0:
             return elem
         if self.p == 2:
             return self.sq(2 * k, elem)
-        out = self.zero()
-        for (xexp, odds), c in elem.terms.items():
-            key = (k, xexp, odds)
-            if key not in self._power_cache:
-                self._power_cache[key] = self._power_basis(
-                    k, [(t, e) for t, e in zip(self.e_list, xexp) if e], odds
-                )
-            out = out + c * self._power_cache[key]
-        return out
+        return self._act(k, elem)
 
     # -- tensor-side operations ----------------------------------------------
 
     def tensor_bockstein(self, tens):
-        out = TensorElement(self, {})
+        out = {}
         for (b1, b2), c in tens.terms.items():
             left = self.bockstein(AlgebraElement(self, {b1: c}))
-            if not left.is_zero():
-                out = out + tensor(self, left, AlgebraElement(self, {b2: 1}))
-            sign = -1 if self.basis_parity(b1) else 1
+            add_into(out, _outer(left.terms, {b2: 1}), 1, self.p)
             right = self.bockstein(AlgebraElement(self, {b2: 1}))
-            if not right.is_zero():
-                out = out + tensor(
-                    self, AlgebraElement(self, {b1: (sign * c) % self.p}), right
-                )
-        return out
+            sign = -c if self.basis_parity(b1) else c
+            add_into(out, _outer({b1: 1}, right.terms), sign, self.p)
+        return TensorElement(self, out)
 
     def tensor_power(self, k, tens):
         """P^k on H ⊗ H (at p = 2 the full Sq-Cartan including odd terms)."""
-        out = TensorElement(self, {})
-        if self.p == 2:
-            splits = [(a, 2 * k - a) for a in range(2 * k + 1)]
-            op = self.sq
-        else:
-            splits = [(i, k - i) for i in range(k + 1)]
-            op = self.reduced_power
+        n, op = (2 * k, self.sq) if self.p == 2 else (k, self.reduced_power)
+        out = {}
         for (b1, b2), c in tens.terms.items():
             e1 = AlgebraElement(self, {b1: c})
             e2 = AlgebraElement(self, {b2: 1})
-            for a, b in splits:
-                left = op(a, e1)
-                if left.is_zero():
-                    continue
-                right = op(b, e2)
-                if right.is_zero():
-                    continue
-                out = out + tensor(self, left, right)
-        return out
+            for i in range(n + 1):
+                left = op(i, e1)
+                if left.terms:
+                    add_into(out, _outer(left.terms, op(n - i, e2).terms), 1, self.p)
+        return TensorElement(self, out)
 
     # -- coproducts ---------------------------------------------------------------
 
@@ -894,46 +727,32 @@ class HopfModel:
             for (b1, b2), c in wmu.terms.items():
                 left = self.multiply_basis(b1, b1)
                 right = self.multiply_basis(b2, b2)
-                for m1, v1 in left.items():
-                    for m2, v2 in right.items():
-                        key = (m1, m2)
-                        sq_terms[key] = (sq_terms.get(key, 0) + c * c * v1 * v2) % 2
-            full = TensorElement(self, {k: v for k, v in sq_terms.items() if v})
+                add_into(sq_terms, _outer(left, right), c * c, 2)
+            full = TensorElement(self, sq_terms)
         else:
             # x_{2t} = unit * delta(alpha_{2t-1}); mu* delta = delta_tensor mu*
             amu = self._mu_of_alpha(t, phi)
             uinv = pow(self._bockstein_unit(t), self.p - 2, self.p)
             full = self.tensor_bockstein(amu).scale(uinv)
-        x_elem = self.x(t)
-        [(xb, _)] = x_elem.terms.items()
-        unit_b = (self._zero_x, ())
-        reduced = dict(full.terms)
-        for key in [(xb, unit_b), (unit_b, xb)]:
-            v = reduced.get(key, 0) - 1
-            if v % self.p:
-                reduced[key] = v % self.p
-            else:
-                reduced.pop(key, None)
-        return TensorElement(self, {k: v for k, v in reduced.items() if v})
+        return full - self._primitive(self.x(t))
+
+    def _primitive(self, elem):
+        """elem ⊗ 1 + 1 ⊗ elem."""
+        return tensor(self, elem, self.one()) + tensor(self, self.one(), elem)
 
     def _mu_of_alpha(self, s, phi):
-        unit = (self._zero_x, ())
-        ab = (self._zero_x, (s,))
-        base = TensorElement(self, {(ab, unit): 1, (unit, ab): 1})
-        return base + phi[s]
+        return self._primitive(self.alpha(s)) + phi[s]
 
     def _mu_of_x(self, t, exp, phi, even_phi):
-        unit = (self._zero_x, ())
-        xb = next(iter(self.x(t).terms))
-        base = TensorElement(self, {(xb, unit): 1, (unit, xb): 1}) + even_phi[t]
-        out = TensorElement(self, {(unit, unit): 1})
+        base = self._primitive(self.x(t)) + even_phi[t]
+        out = tensor(self, self.one(), self.one())
         for _ in range(exp):
             out = out.multiply(base)
         return out
 
     def _mu_of_element(self, elem, phi, even_phi):
         unit = (self._zero_x, ())
-        total = TensorElement(self, {})
+        total = {}
         for (xexp, odds), c in elem.terms.items():
             part = TensorElement(self, {(unit, unit): c})
             for t, e in zip(self.e_list, xexp):
@@ -941,8 +760,8 @@ class HopfModel:
                     part = part.multiply(self._mu_of_x(t, e, phi, even_phi))
             for s in odds:
                 part = part.multiply(self._mu_of_alpha(s, phi))
-            total = total + part
-        return total
+            add_into(total, part.terms, 1, self.p)
+        return TensorElement(self, total)
 
     def mu_star(self, elem):
         """The full coproduct mu* of an arbitrary element."""
@@ -951,17 +770,7 @@ class HopfModel:
 
     def phi(self, elem):
         """Reduced coproduct of an arbitrary element."""
-        unit = (self._zero_x, ())
-        full = self.mu_star(elem)
-        out = dict(full.terms)
-        for b, c in elem.terms.items():
-            for key in [(b, unit), (unit, b)]:
-                v = (out.get(key, 0) - c) % self.p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return TensorElement(self, out)
+        return self.mu_star(elem) - self._primitive(elem)
 
     # -- the indeterminate-coefficient solver ------------------------------------
 
@@ -995,8 +804,6 @@ class HopfModel:
             for key in sorted(keys):
                 row = [te.terms.get(key, 0) % self.p for te in lhs_per_unknown]
                 rows.append((row, rhs.terms.get(key, 0) % self.p))
-
-        unit = (self._zero_x, ())
 
         def unknown_tensor(i):
             xexp, s2 = unknowns[i]
@@ -1035,13 +842,10 @@ class HopfModel:
             add_equations(lhss, rhs)
 
         solution = _solve_mod_p(rows, len(unknowns), self.p)
-        out = TensorElement(self, {})
-        for c, (xexp, s2) in zip(solution, unknowns):
-            if c:
-                out = out + TensorElement(
-                    self, {((xexp, ()), (self._zero_x, (s2,))): c}
-                )
-        return out
+        return TensorElement(self, {
+            ((xexp, ()), (self._zero_x, (s2,))): c
+            for c, (xexp, s2) in zip(solution, unknowns) if c
+        })
 
     # -- zeta basis -----------------------------------------------------------------
 
@@ -1096,7 +900,6 @@ def _solve_mod_p(rows, n, p):
     """Solve the linear system over F_p; unique solution or raise."""
     mat = [list(r) + [v] for r, v in rows if any(r) or v]
     pivots = []
-    col = 0
     r = 0
     for col in range(n):
         pivot = None
@@ -1167,14 +970,10 @@ def check_suite(model):
         left = {}
         right = {}
         for (b1, b2), c in mu.terms.items():
-            for (m1, m2), c2 in model.mu_star(AlgebraElement(model, {b1: c})).terms.items():
-                key = (m1, m2, b2)
-                left[key] = (left.get(key, 0) + c2) % p
-            for (m1, m2), c2 in model.mu_star(AlgebraElement(model, {b2: c})).terms.items():
-                key = (b1, m1, m2)
-                right[key] = (right.get(key, 0) + c2) % p
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
+            mu1 = model.mu_star(AlgebraElement(model, {b1: c})).terms
+            add_into(left, {(m1, m2, b2): v for (m1, m2), v in mu1.items()}, 1, p)
+            mu2 = model.mu_star(AlgebraElement(model, {b2: c})).terms
+            add_into(right, {(b1, m1, m2): v for (m1, m2), v in mu2.items()}, 1, p)
         if left != right:
             coassoc = False
             break

@@ -17,7 +17,7 @@ is exact there too.)
 
 from math import comb
 
-from .ffpoly import Polynomial
+from .ffpoly import Polynomial, add_into
 from . import liedata
 from .symfun import wu_formula
 
@@ -59,24 +59,14 @@ def chern_context(ring):
     return SteenrodContext("chern", ring)
 
 
-def total_steenrod(f, ctx):
-    """The full (inhomogeneous) total operation in weight mode."""
-    if ctx.mode != "weight":
-        raise SteenrodError("total_steenrod is a weight-mode operation")
-    if f.ring != ctx.ring:
-        raise SteenrodError("polynomial does not live in the context ring")
-    R = ctx.ring
-    mapping = {name: R.variable(name) + R.variable(name) ** ctx.p for name in R.names}
-    return f.substitute(mapping, target_ring=R, check_weights=False)
-
-
 def _power_weight(k, f, ctx):
-    R = ctx.ring
     p = ctx.p
     out = {}
     for mon, c in f.terms.items():
-        # distribute k power-raisings over the letters of the monomial
+        # distribute k power-raisings over the letters of the monomial; each
+        # distribution gives a different monomial
         slots = [(i, e) for i, e in enumerate(mon) if e]
+        images = {}
 
         def rec(idx, left, coeff, raised):
             if coeff == 0:
@@ -86,12 +76,7 @@ def _power_weight(k, f, ctx):
                     new = list(mon)
                     for i, j in raised:
                         new[i] += (p - 1) * j
-                    key = tuple(new)
-                    v = (out.get(key, 0) + coeff) % p
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                    images[tuple(new)] = coeff
                 return
             i, e = slots[idx]
             room = sum(s[1] for s in slots[idx + 1 :])
@@ -100,8 +85,9 @@ def _power_weight(k, f, ctx):
                     break
                 rec(idx + 1, left - j, (coeff * comb(e, j)) % p, raised + [(i, j)])
 
-        rec(0, k, c, [])
-    return Polynomial(R, out)
+        rec(0, k, 1, [])
+        add_into(out, images, c, p)
+    return Polynomial(ctx.ring, out)
 
 
 def _wu_on_generator(k, m, ctx):

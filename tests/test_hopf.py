@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from exhopf import hopf, liedata
 from exhopf.hopf import (
+    AlgebraElement,
     HopfError,
     InvariantError,
     TensorElement,
@@ -254,7 +257,49 @@ def test_bockstein_table_without_unit_generator_is_a_typed_error(monkeypatch):
         build_model("F4", 3)
 
 
-def test_sq_even_rejects_odd_part():
-    m = model("G2", 2)
-    with pytest.raises(InvariantError):
-        m._sq_even(1, m.alpha(3))
+def _op(m):
+    """Sq at p = 2 and P at odd p, with the instability cap of a degree."""
+    if m.p == 2:
+        return m.sq, lambda deg: deg
+    return m.reduced_power, lambda deg: deg // 2
+
+
+def _cartan_sum(m, k, u, v):
+    op, _ = _op(m)
+    return sum((op(i, u) * op(k - i, v) for i in range(k + 1)), m.zero())
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_cartan_formula_and_instability_on_products(group, p):
+    m = model(group, p)
+    op, cap = _op(m)
+    rng = random.Random(f"cartan-{group}-{p}")
+    basis = list(m.basis_elements())
+    for _ in range(12):
+        u = AlgebraElement(m, {rng.choice(basis): 1})
+        v = AlgebraElement(m, {rng.choice(basis): 1})
+        du = u.degree()
+        top = cap(du + v.degree())
+        ks = {0, 1, top, top + 1, *rng.sample(range(top + 2), min(4, top + 2))}
+        for k in sorted(ks):
+            assert op(k, u * v) == _cartan_sum(m, k, u, v), (u, v, k)
+        assert op(cap(du) + 1, u).is_zero(), u
+        if p == 2:
+            assert op(du, u) == u * u, u
+        elif du % 2 == 0:
+            assert op(du // 2, u) == u ** p, u
+
+
+def test_deep_sq_on_e8_p2():
+    # long runs of x-factors: the Cartan recursion must share its work
+    # across every Sq^a (without its memo this test takes about 50 s)
+    m = model("E8", 2)
+    x, a = m.x, m.alpha
+    cases = [
+        (x(3, 7), x(5, 3) * a(2)),
+        (x(3, 5) * x(9), a(3) * a(8)),
+        (x(3, 6), x(5, 2) * x(15) * a(5)),
+    ]
+    for u, v in cases:
+        for k in range(40):
+            assert m.sq(k, u * v) == _cartan_sum(m, k, u, v), (u, v, k)

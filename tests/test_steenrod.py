@@ -8,10 +8,10 @@ from exhopf.steenrod import (
     SteenrodError,
     chern_context,
     power,
-    total_steenrod,
     verify_case1,
     weight_context,
 )
+from symfun_oracles import total_steenrod
 
 
 def wring(p, n):
