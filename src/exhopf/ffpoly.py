@@ -12,8 +12,6 @@ Polynomials are immutable value objects; arithmetic always builds fresh
 term dictionaries, so instances can be shared freely across threads.
 """
 
-from functools import reduce
-
 
 def _is_prime(n):
     if n < 2:
@@ -203,9 +201,6 @@ class RingContext:
                 acc.pop(mon, None)
         return Polynomial(self, acc)
 
-    def with_precedence(self, precedence):
-        return RingContext(self.field, list(zip(self.names, self.weights)), precedence)
-
     def parse(self, text):
         return parse(text, self)
 
@@ -371,9 +366,6 @@ class Polynomial:
         inv = self.ring.field.inv(self.leading_coeff())
         return self * inv
 
-    def coeff(self, mon):
-        return self.terms.get(tuple(mon), 0)
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, mapping, target_ring=None, check_weights=True):
@@ -421,12 +413,14 @@ class Polynomial:
                 pow_cache[key] = images[i] ** e
             return pow_cache[key]
 
-        total = target_ring.zero()
+        acc = {}
         for mon, c in self.terms.items():
-            factors = [var_power(i, e) for i, e in enumerate(mon) if e]
-            term = reduce(lambda a, b: a * b, factors, target_ring.constant(c))
-            total = total + term
-        return total
+            term = target_ring.constant(c)
+            for i, e in enumerate(mon):
+                if e:
+                    term = term * var_power(i, e)
+            add_into(acc, term.terms, 1, target_ring.field.p)
+        return Polynomial(target_ring, acc)
 
     # -- text ------------------------------------------------------------------
 

@@ -349,9 +349,6 @@ class ThetaSet:
             self._omega[s] = f
         return self._omega[s]
 
-    def omega_all(self):
-        return {s: self.omega(s) for s in self.profile.r_set}
-
     def __repr__(self):
         return f"ThetaSet({self.profile.group}, p={self.profile.p})"
 

@@ -64,6 +64,65 @@ def test_unused_import_detector_sees_a_dead_name():
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["os", "factorial"]
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dead_private_names(trees):
+    """Private module-level functions and private `self._x` attributes that
+    no code reads; a function's reads of itself do not count."""
+    loads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[node.id] = loads.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads[node.attr] = loads.get(node.attr, 0) + 1
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _private(node.name):
+                own = sum(
+                    1
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and n.id == node.name
+                    and isinstance(n.ctx, ast.Load)
+                )
+                if loads.get(node.name, 0) == own:
+                    dead.append(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and _private(node.attr)
+                    and node.attr not in loads
+                ):
+                    dead.append(f"self.{node.attr}")
+    return sorted(set(dead))
+
+
+def test_no_dead_private_functions_or_attributes():
+    assert _dead_private_names([_tree(path) for path in SOURCES]) == []
+
+
+def test_dead_private_detector_sees_dead_names():
+    module = ast.parse(
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._read = {}\n"
+        "        self._unread = {}\n"
+        "        self.public = {}\n"
+        "    def get(self):\n"
+        "        return self._read\n"
+    )
+    assert _dead_private_names([module]) == ["_dead", "_recursive", "self._unread"]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_console_scripts_resolve():
     import tomllib

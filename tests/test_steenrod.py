@@ -109,19 +109,47 @@ def test_cartan_weight_mode():
             assert lhs == rhs, (p, k)
 
 
+def test_power_is_component_of_total_weight_mode():
+    # P^k f is the weight-(w + k(p-1)) part of the total operation t -> t + t^p
+    rng = random.Random(19)
+    for p in (2, 3, 5):
+        R = wring(p, 3)
+        ctx = weight_context(R)
+        for w in (2, 3, 4):
+            f = random_homogeneous(R, w, rng)
+            comps = total_steenrod(f, ctx).homogeneous_components()
+            for k in range(w + 2):
+                assert power(k, f, ctx) == comps.get(w + k * (p - 1), R.zero()), (p, w, k)
+
+
 def test_cartan_chern_mode():
     rng = random.Random(13)
     for group, p in (("F4", 3), ("E8", 5)):
         R = liedata.restricted_ring(group, p)
         ctx = chern_context(R)
-        f = random_homogeneous(R, 6, rng, terms=3)
-        g = random_homogeneous(R, 5, rng, terms=3)
-        for k in (1, 2):
-            lhs = power(k, f * g, ctx)
-            rhs = R.zero()
-            for i in range(k + 1):
-                rhs = rhs + power(i, f, ctx) * power(k - i, g, ctx)
-            assert lhs == rhs, (group, p, k)
+        c2, c3 = R.variable("c2"), R.variable("c3")
+        pairs = [
+            (random_homogeneous(R, 6, rng, terms=3), random_homogeneous(R, 5, rng, terms=3)),
+            # pure powers c_m^e, e >= 2, go through the e > 1 slot of the recursion
+            (c2 ** 2, c2 ** 3),
+            (c3 ** 2, c2 ** 2),
+        ]
+        for f, g in pairs:
+            for k in (1, 2):
+                lhs = power(k, f * g, ctx)
+                rhs = R.zero()
+                for i in range(k + 1):
+                    rhs = rhs + power(i, f, ctx) * power(k - i, g, ctx)
+                assert lhs == rhs, (group, p, f, g, k)
+
+
+def test_chern_context_validates_names():
+    for variables in ([("c", 1)], [("cx", 2)]):
+        with pytest.raises(SteenrodError):
+            chern_context(RingContext(PrimeField(3), variables))
+    # a ring without variables holds only constants, killed by P^k for k > 0
+    R = RingContext(PrimeField(3), [])
+    assert power(1, R.one(), chern_context(R)).is_zero()
 
 
 def test_adem_p1p1_equals_2p2():
