@@ -82,12 +82,47 @@ def test_bockstein_examples():
     assert m85.bockstein(m85.alpha(12)) == -m85.x(6, 2)
 
 
+def _adem_defect(m, e):
+    """R(e) for R = P^1P^1 - 2P^2, at odd p."""
+    return m.reduced_power(1, m.reduced_power(1, e)) - 2 * m.reduced_power(2, e)
+
+
+def _factor_pair(m, rng, basis):
+    """Basis elements u, v whose product is +-1 times a random basis element."""
+    xexp, odds = rng.choice(basis)
+    x1 = tuple(rng.randint(0, e) for e in xexp)
+    left = [rng.random() < 0.5 for _ in odds]
+    u = (x1, tuple(s for s, keep in zip(odds, left) if keep))
+    x2 = tuple(e - a for e, a in zip(xexp, x1))
+    v = (x2, tuple(s for s, keep in zip(odds, left) if not keep))
+    return AlgebraElement(m, {u: 1}), AlgebraElement(m, {v: 1})
+
+
 def test_bockstein_is_derivation():
     m = model("E8", 3)
     a, b = m.alpha(4), m.alpha(10)
     lhs = m.bockstein(a * b)
     rhs = m.bockstein(a) * b - a * m.bockstein(b)  # |a| odd
     assert lhs == rhs
+    # the generator-level delta^2 and Adem items of check_suite rest on
+    # delta and R = P^1P^1 - 2P^2 being derivations on every product
+    for group, p in liedata.SUPPORTED_PAIRS:
+        m = model(group, p)
+        rng = random.Random(f"derivation-{group}-{p}")
+        basis = list(m.basis_elements())
+        for i in range(16):
+            # mostly factorisations of one basis element, whose product is
+            # never truncated away; every fourth pair is drawn independently
+            u, v = _factor_pair(m, rng, basis) if i % 4 else (
+                AlgebraElement(m, {rng.choice(basis): 1}),
+                AlgebraElement(m, {rng.choice(basis): 1}),
+            )
+            sign = -1 if u.degree() % 2 else 1
+            rhs = m.bockstein(u) * v + sign * (u * m.bockstein(v))
+            assert m.bockstein(u * v) == rhs, (group, p, u, v)
+            if p != 2:
+                rhs = _adem_defect(m, u) * v + u * _adem_defect(m, v)
+                assert _adem_defect(m, u * v) == rhs, (group, p, u, v)
 
 
 def test_reduced_power_examples():
@@ -231,6 +266,47 @@ def test_check_suite_all_pairs(group, p):
         assert bad == ["delta_compatibility"], (group, p, bad)
     else:
         assert report["pass"], (group, p, bad)
+
+
+def _delta_squared_sweep(m):
+    return all(
+        m.bockstein(m.bockstein(AlgebraElement(m, {b: 1}))).is_zero()
+        for b in m.basis_elements()
+    )
+
+
+def _adem_sweep(m):
+    return all(
+        _adem_defect(m, AlgebraElement(m, {b: 1})).is_zero() for b in m.basis_elements()
+    )
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_generator_checks_agree_with_basis_sweeps(group, p):
+    # check_suite decides delta^2 = 0 and P^1P^1 = 2P^2 on generators; the
+    # sweeps over every basis element are the oracles
+    m = model(group, p)
+    report = check_suite(m)
+    assert (report["delta_squared_zero"], _delta_squared_sweep(m)) == (True, True)
+    if p != 2:
+        assert (report["adem_p1p1_2p2"], _adem_sweep(m)) == (True, True)
+
+
+def test_adem_check_fails_on_a_broken_table():
+    # (E7,3) with P^2 alpha_11 = 0 while P^1P^1 alpha_11 = b_{6,8} b_{8,10}
+    # alpha_19 != 0: both the generator check and the sweep must see it
+    from exhopf import bst as bst_mod
+
+    table = bst_mod.full_table("E7", 3)
+    entry = table.entries[(6, 10)]
+    assert entry.value and table.value(6, 8) * table.value(8, 10) % 3
+    broken = dict(table.entries)
+    broken[(6, 10)] = bst_mod.BstEntry(6, 10, entry.k, 0, "mutant")
+    m = build_model("E7", 3, bst_mod.BstTable(table.profile, broken))
+    report = check_suite(m)
+    assert report["adem_p1p1_2p2"] is False
+    assert not _adem_sweep(m)
+    assert report["pass"] is False
 
 
 def test_e8_p3_sign_diagnostic():
