@@ -86,13 +86,8 @@ def _check_pair(prof, s, t):
 
 
 @lru_cache(maxsize=None)
-def _weight_ctx(group, p):
-    return steenrod.weight_context(liedata.weight_ring(group, p))
-
-
-@lru_cache(maxsize=None)
-def _chern_ctx(group, p):
-    return steenrod.chern_context(liedata.restricted_ring(group, p))
+def _context(ring):
+    return steenrod.SteenrodContext(ring)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +111,7 @@ def compute_bst_method1(group, p, s, t):
     k = _check_pair(prof, s, t)
     ts = liedata.theta_set(group, p)
     gb = _gb_method1(group, p, t)
-    lhs = steenrod.power(k, ts.omega(s), _weight_ctx(group, p))
+    lhs = steenrod.power(k, ts.omega(s), _context(ts.weight_ring))
     return solve_linear_coefficient(lhs, ts.omega(t), gb)
 
 
@@ -131,7 +126,7 @@ def compute_bst_method2(group, p, s, t):
     if pivot.is_zero():
         raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
     gb = _gb_method2(group, p, t)
-    lhs = steenrod.power(k, ts.theta_restricted[s], _chern_ctx(group, p))
+    lhs = steenrod.power(k, ts.theta_restricted[s], _context(ts.restricted_ring))
     return solve_linear_coefficient(lhs, pivot, gb)
 
 
@@ -146,17 +141,20 @@ def _case1_values(group, p):
 def full_table(group, p, strategy="auto"):
     """Every admissible entry of the pair, by the requested strategy.
 
-    Strategies: "method1", "method2" (Case 1 identities fill the p=2, t=9
-    column), "both" (run both and require agreement), "auto" (method2,
-    Method I for G2 which has no Chern layer).
+    "auto" takes each entry downstairs by Method II, falls back to Method I
+    where the pivot degenerates in the restricted ideal, and lets the Case 1
+    identities fill the p = 2, t = 9 column; G2, which has no Chern layer,
+    runs Method I throughout.  "method1" runs Method I on every entry.
+    "both" is "auto" that also runs Method I on every Method II entry and
+    requires agreement.  Every entry records the method that decided it.
     """
-    if strategy not in ("auto", "method1", "method2", "both"):
+    if strategy not in ("auto", "method1", "both"):
         raise BstError(f"unknown strategy {strategy!r}")
     prof = liedata.profile(group, p)
-    if strategy == "auto":
-        strategy = "method1" if group == "G2" else "method2"
-    if group == "G2" and strategy in ("method2", "both"):
-        raise BstError("G2 supports Method I only")
+    if group == "G2":
+        if strategy == "both":
+            raise BstError("G2 supports Method I only")
+        strategy = "method1"
     entries = {}
     for s, t, k in admissible_pairs(prof):
         if k >= s:

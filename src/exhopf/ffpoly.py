@@ -5,8 +5,9 @@ variable.  Every variable carries a positive integer weight (its
 half-topological degree: a degree-2 class has weight 1, a Chern-type
 class c_k has weight k) and all grading is by weighted degree.  The term
 order is graded reverse lexicographic: weighted degree first, ties broken
-reverse-lexicographically along a precedence permutation of the
-variables (declaration order by default, first variable smallest).
+reverse-lexicographically along the declaration order of the variables
+(the first variable is the smallest).  To order the variables otherwise,
+declare them in another order.
 
 Polynomials are immutable value objects; arithmetic always builds fresh
 term dictionaries, so instances can be shared freely across threads.
@@ -91,12 +92,12 @@ class PrimeField:
 class RingContext:
     """A graded polynomial ring F_p[v_1,...,v_n] with per-variable weights.
 
-    `precedence` is a permutation of variable indices listed from the
-    smallest to the largest variable; it only affects the reverse-lex
-    tie-break of the monomial order, never the grading.
+    `variables` lists (name, weight) pairs from the smallest variable to
+    the largest; the declaration order is the reverse-lex tie-break of the
+    monomial order and never affects the grading.
     """
 
-    def __init__(self, field, variables, precedence=None):
+    def __init__(self, field, variables):
         if isinstance(field, int):
             field = PrimeField(field)
         self.field = field
@@ -110,13 +111,6 @@ class RingContext:
         self.weights = weights
         self.nvars = len(names)
         self.index = {name: i for i, name in enumerate(names)}
-        if precedence is None:
-            precedence = tuple(range(self.nvars))
-        else:
-            precedence = tuple(precedence)
-            if sorted(precedence) != list(range(self.nvars)):
-                raise ValueError("precedence must be a permutation of variable indices")
-        self.precedence = precedence
         self._zero_mon = (0,) * self.nvars
 
     # -- monomial helpers ------------------------------------------------
@@ -126,7 +120,7 @@ class RingContext:
 
     def order_key(self, mon):
         """Sort key realizing weighted grevlex (larger key = larger monomial)."""
-        return (self.wdeg(mon), tuple(-mon[i] for i in self.precedence))
+        return (self.wdeg(mon), tuple(-e for e in mon))
 
     def descending_key(self, mon):
         """The reverse of `order_key`: larger key = smaller monomial.
@@ -134,7 +128,7 @@ class RingContext:
         Every component of `order_key` is negated, so ascending keys list
         monomials from the largest down and a min-heap pops the leading one.
         """
-        return (-self.wdeg(mon), tuple(mon[i] for i in self.precedence))
+        return (-self.wdeg(mon), mon)
 
     def mon_mul(self, m1, m2):
         return tuple(a + b for a, b in zip(m1, m2))
@@ -210,11 +204,10 @@ class RingContext:
             and other.field == self.field
             and other.names == self.names
             and other.weights == self.weights
-            and other.precedence == self.precedence
         )
 
     def __hash__(self):
-        return hash((self.field, self.names, self.weights, self.precedence))
+        return hash((self.field, self.names, self.weights))
 
     def __repr__(self):
         vs = ",".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))

@@ -49,21 +49,14 @@ class ReductionResult:
 
 
 class GroebnerBasis:
-    def __init__(self, ring, generators, truncation, basis):
+    def __init__(self, ring, truncation, basis):
         self.ring = ring
-        self.generators = list(generators)
         self.truncation = truncation
         self.basis = list(basis)
         self._lms = [g.leading_monomial() for g in self.basis]
 
     def __len__(self):
         return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def reduce(self, f):
-        return normal_form(f, self).remainder
 
 
 def _reduce_terms(terms, basis, lms, ring, quotients=None):
@@ -193,10 +186,10 @@ def buchberger(gens, truncation=None, ring=None):
         if rem:
             add(Polynomial(ring, rem))
 
-    return _finalize(ring, gens, truncation, basis, lms)
+    return _finalize(ring, truncation, basis, lms)
 
 
-def _finalize(ring, gens, truncation, basis, lms):
+def _finalize(ring, truncation, basis, lms):
     # drop redundant leading monomials deterministically
     order = sorted(range(len(basis)), key=lambda i: (basis[i].weight(), ring.order_key(lms[i])))
     kept = []
@@ -217,7 +210,7 @@ def _finalize(ring, gens, truncation, basis, lms):
             raise DegenerateBasis("minimal basis element reduced to zero")
         reduced.append(h.monic())
     reduced.sort(key=lambda f: (f.weight(), ring.order_key(f.leading_monomial())))
-    return GroebnerBasis(ring, gens, truncation, reduced)
+    return GroebnerBasis(ring, truncation, reduced)
 
 
 def normal_form(f, gb, with_quotients=False):

@@ -1,23 +1,26 @@
-"""Reduced-power engines on the two polynomial models.
+"""Reduced powers P^k on the weight ring and the restricted Chern ring.
 
-Both modes compute P^k of a monomial by one Cartan recursion, `_cartan`:
+`power` computes P^k of a monomial by one Cartan recursion, `_cartan`:
 it splits k between the monomial's first slot v_i^e and the rest, and
-instability (P^j x = 0 for j above the weight of x) caps each share.  Only
-the action on one slot, `_on_slot`, depends on the mode:
+instability (P^j x = 0 for j above the weight of x) caps each share.  The
+action on one slot, `_on_slot`, is fixed by the variable itself:
 
-- "weight": rings generated in topological degree 2 (every variable of
-  weight 1).  The total operation t -> t + t^p is multiplicative, so
-  P^j(v^e) = C(e, j) v^(e + j(p-1)).  No Wu formulas enter, which is what
-  makes the completeness sweep possible at arbitrary k.
-- "chern": the abstract restricted Chern ring c_2..c_N.  P^j c_m is the
-  Wu formula computed in N variables (so c_j for j > N never arises),
-  specialized by c_1 = 0 and cached on the context; P^j(c_m^e) for e > 1
-  is the same recursion on c_m * c_m^(e-1).  (Odd Steenrod squares vanish
-  identically on these subrings at p = 2, so the pure P-Cartan recursion
-  is exact there too.)
+- a variable of weight 1 is a class of topological degree 2, so the
+  total operation t -> t + t^p gives P^j(v^e) = C(e, j) v^(e + j(p-1)).
+  No Wu formulas enter, which is what makes the completeness sweep
+  possible at arbitrary k.
+- a variable of weight m >= 2 must be the Chern class c_m (named `c<m>`).
+  P^j c_m is the Wu formula computed in N variables, N the largest weight
+  of the ring (so c_j for j > N never arises), specialized by c_1 = 0 and
+  cached on the context; P^j(c_m^e) for e > 1 is the same recursion on
+  c_m * c_m^(e-1).  (Odd Steenrod squares vanish identically on these
+  subrings at p = 2, so the pure P-Cartan recursion is exact there too.)
+
+A ring with variables of both kinds is refused: it does not say what
+c_1 maps to, and the Wu formulas need that image.
 
 The recursion is memoised on (k, slots) for one `power` call.  On the
-weight-mode calls of the `tables` benchmark workload the memo halves the
+weight-ring calls of the `tables` benchmark workload the memo halves the
 polynomial products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A
 memo kept on the context saved only 1-14% more products and raised the
 peak RSS of both workloads by about 1 MB, so it does not outlive the call.
@@ -35,31 +38,21 @@ class SteenrodError(ValueError):
 
 
 class SteenrodContext:
-    def __init__(self, mode, ring):
-        if mode not in ("weight", "chern"):
-            raise SteenrodError(f"unknown mode {mode!r}")
-        self.mode = mode
+    """The reduced-power action on one ring, read off its variables."""
+
+    def __init__(self, ring):
+        for name, w in zip(ring.names, ring.weights):
+            if w > 1 and name != f"c{w}":
+                raise SteenrodError(f"variable {name} of weight {w} must be named c{w}")
+        if 1 in ring.weights and any(w > 1 for w in ring.weights):
+            raise SteenrodError("a ring mixing degree-2 and Chern variables has no c_1 image")
         self.ring = ring
         self.p = ring.field.p
-        if mode == "weight":
-            if any(w != 1 for w in ring.weights):
-                raise SteenrodError("weight mode needs every variable in degree 2")
-        else:
-            if any(name != f"c{w}" for name, w in zip(ring.names, ring.weights)):
-                raise SteenrodError("chern mode needs variables c_k of weight k")
-            self.rank = max(ring.weights, default=0)
-            self.wu_cache = {}
+        self.rank = max(ring.weights, default=0)
+        self.wu_cache = {}
 
     def __repr__(self):
-        return f"SteenrodContext({self.mode}, F{self.p}, {self.ring.names})"
-
-
-def weight_context(ring):
-    return SteenrodContext("weight", ring)
-
-
-def chern_context(ring):
-    return SteenrodContext("chern", ring)
+        return f"SteenrodContext(F{self.p}, {self.ring.names})"
 
 
 def _wu_on_generator(k, m, ctx):
@@ -84,13 +77,14 @@ def _wu_on_generator(k, m, ctx):
 
 
 def _on_slot(j, i, e, ctx, memo):
-    """P^j (v_i^e), the one place where the two modes differ."""
-    if ctx.mode == "weight":
+    """P^j (v_i^e), by the rule of the variable v_i."""
+    m = ctx.ring.weights[i]
+    if m == 1:
         mon = [0] * ctx.ring.nvars
         mon[i] = e + j * (ctx.p - 1)
         return ctx.ring.monomial(mon, comb(e, j))
     if e == 1:
-        return _wu_on_generator(j, ctx.ring.weights[i], ctx)
+        return _wu_on_generator(j, m, ctx)
     return _cartan(j, ((i, 1), (i, e - 1)), ctx, memo)
 
 
@@ -159,7 +153,7 @@ def verify_case1(group, p):
         raise SteenrodError(f"case 1 only occurs for p=2, G=E6/E7/E8, not ({group},{p})")
     ts = liedata.theta_set(group, p)
     R = ts.weight_ring
-    ctx = weight_context(R)
+    ctx = SteenrodContext(R)
     th = {s: ts.omega(s) for s in (2, 3, 5, 8, 9)}
     w2 = R.variable("w2")
 

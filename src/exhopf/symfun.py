@@ -44,25 +44,6 @@ def conjugate(lam):
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
 
 
-# -- contexts --------------------------------------------------------------
-
-
-class SymContext:
-    """n degree-1 variables t_1..t_n and the companion Chern ring c_1..c_n."""
-
-    def __init__(self, p, n):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.p = p
-        self.n = n
-        field = PrimeField(p)
-        self.t_ring = RingContext(field, [(f"t{i}", 1) for i in range(1, n + 1)])
-        self.c_ring = RingContext(field, [(f"c{i}", i) for i in range(1, n + 1)])
-
-    def __repr__(self):
-        return f"SymContext(p={self.p}, n={self.n})"
-
-
 # -- the monomial basis machinery -----------------------------------------
 
 
@@ -162,16 +143,18 @@ def m_to_e(mdict, p=None, n=None):
     return {k: v for k, v in out.items() if v}
 
 
-def _e_index_to_c_poly(edict, ctx):
+def _e_index_to_c_poly(edict, ring):
+    """sum coeff * prod_i e_{mu_i} as a polynomial in the c_i of `ring`."""
+    n = ring.nvars
     terms = []
     for mu, coeff in edict.items():
-        mon = [0] * ctx.n
+        mon = [0] * n
         for i in mu:
-            if i > ctx.n:
-                raise ValueError(f"e_{i} does not exist with n={ctx.n}")
+            if i > n:
+                raise ValueError(f"e_{i} does not exist with n={n}")
             mon[i - 1] += 1
         terms.append((tuple(mon), coeff))
-    return ctx.c_ring.from_terms(terms)
+    return ring.from_terms(terms)
 
 
 # -- Wu formulas ------------------------------------------------------------
@@ -199,7 +182,7 @@ def wu_formula(p, k, m, n=None):
     result is stable: any larger n gives the same coefficients.  Below
     that it is computed in n variables, where every m_lambda with more
     than n parts vanishes, and equals the stable formula with c_j = 0 for
-    j > n.  Output lives in the c-ring of a fresh SymContext.
+    j > n.  Output lives in F_p[c_1..c_n], c_i of weight i.
     """
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
@@ -208,8 +191,8 @@ def wu_formula(p, k, m, n=None):
         n = minimum
     elif n < m:
         raise ValueError(f"n={n} too small; need at least m={m}")
-    ctx = SymContext(p, n)
     edict = m_to_e(
         steenrod_elementary_component(p, k, m), p=p, n=_binding(n, minimum)
     )
-    return _e_index_to_c_poly(edict, ctx)
+    ring = RingContext(PrimeField(p), [(f"c{i}", i) for i in range(1, n + 1)])
+    return _e_index_to_c_poly(edict, ring)

@@ -4,9 +4,10 @@ These are the independent routes that the tests hold the library against:
 elementary polynomials and orbit sums in explicit t-variables, rewriting a
 symmetric t-polynomial in the c_i = e_i, tableau-counted Kostka numbers
 and their exact inverse, Giambelli determinants, and the inhomogeneous
-total Steenrod operation in weight mode.  The library's own route is
-`exhopf.symfun.wu_formula` and `exhopf.steenrod.power`; nothing in the
-package calls these.
+total Steenrod operation on a ring of degree-2 classes.  `SymContext`
+holds the explicit t-ring and its companion c-ring.  The library's own
+route is `exhopf.symfun.wu_formula` and `exhopf.steenrod.power`; nothing
+in the package calls these.
 """
 
 from collections import Counter
@@ -14,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import factorial
 
-from exhopf.ffpoly import Polynomial
+from exhopf.ffpoly import Polynomial, PrimeField, RingContext
 from exhopf.steenrod import SteenrodError
 from exhopf.symfun import _e_index_to_c_poly, as_partition, conjugate, m_to_e
 
@@ -25,6 +26,22 @@ class NotSymmetricError(ValueError):
 
 class KostkaTriangularityError(ArithmeticError):
     """The Kostka matrix is not upper unitriangular in lex-descending order."""
+
+
+class SymContext:
+    """n degree-1 variables t_1..t_n and the companion Chern ring c_1..c_n."""
+
+    def __init__(self, p, n):
+        if n < 1:
+            raise ValueError("need at least one variable")
+        self.p = p
+        self.n = n
+        field = PrimeField(p)
+        self.t_ring = RingContext(field, [(f"t{i}", 1) for i in range(1, n + 1)])
+        self.c_ring = RingContext(field, [(f"c{i}", i) for i in range(1, n + 1)])
+
+    def __repr__(self):
+        return f"SymContext(p={self.p}, n={self.n})"
 
 
 # -- explicit symmetric polynomials ----------------------------------------
@@ -96,7 +113,7 @@ def rewrite_in_elementary(f, ctx):
             )
         mdict[lam] = coeffs.pop()
     edict = m_to_e(mdict, p=ctx.p)
-    return _e_index_to_c_poly(edict, ctx)
+    return _e_index_to_c_poly(edict, ctx.c_ring)
 
 
 def embed_c_poly(f, target_ring):
@@ -249,9 +266,9 @@ def schur_giambelli(lam, ctx):
 
 
 def total_steenrod(f, ctx):
-    """The full (inhomogeneous) total operation in weight mode."""
-    if ctx.mode != "weight":
-        raise SteenrodError("total_steenrod is a weight-mode operation")
+    """The full (inhomogeneous) total operation on a ring of degree-2 classes."""
+    if any(w != 1 for w in ctx.ring.weights):
+        raise SteenrodError("total_steenrod needs every variable of weight 1")
     if f.ring != ctx.ring:
         raise SteenrodError("polynomial does not live in the context ring")
     R = ctx.ring

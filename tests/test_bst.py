@@ -29,7 +29,9 @@ def test_g2_method1():
     with pytest.raises(BstError):
         compute_bst_method2("G2", 2, 2, 3)
     with pytest.raises(BstError):
-        full_table("G2", 2, strategy="method2")
+        full_table("G2", 2, strategy="both")
+    with pytest.raises(BstError):
+        full_table("F4", 2, strategy="method2")
 
 
 def test_e8_p5_method2_entries():
@@ -70,7 +72,7 @@ def test_both_strategy_agreement_small_pairs():
 
 def _assert_both_matches_method2(group, p):
     table = full_table(group, p, strategy="both")
-    assert table.nonzero() == full_table(group, p, strategy="method2").nonzero()
+    assert table.nonzero() == full_table(group, p).nonzero()
     return table
 
 
@@ -91,7 +93,7 @@ def test_eq24_witness_f4_p3():
     ts = liedata.theta_set("F4", 3)
     gb = bst._gb_method1("F4", 3, 4)
     lhs = __import__("exhopf.steenrod", fromlist=["power"]).power(
-        1, ts.omega(2), bst._weight_ctx("F4", 3)
+        1, ts.omega(2), bst._context(ts.weight_ring)
     )
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1

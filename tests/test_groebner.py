@@ -18,9 +18,14 @@ from exhopf.groebner import (
 
 
 def ring(p=2, names=("w1", "w2"), weights=None, precedence=None):
+    """`precedence` lists variable indices from the smallest variable to the
+    largest; the ring realizes it by declaring the variables in that order."""
     if weights is None:
         weights = (1,) * len(names)
-    return RingContext(PrimeField(p), list(zip(names, weights)), precedence)
+    variables = list(zip(names, weights))
+    if precedence is not None:
+        variables = [variables[i] for i in precedence]
+    return RingContext(PrimeField(p), variables)
 
 
 def test_principal_monomial_ideal():
@@ -168,7 +173,7 @@ def test_determinism():
 
 
 def test_solve_independent_of_precedence():
-    # the same linear coefficient under two precedence permutations
+    # the same linear coefficient under two declaration orders
     for prec in [None, (1, 0)]:
         R = ring(2, ("w1", "w2"), precedence=prec)
         theta2 = R.parse("w1^2+w1*w2+w2^2")
@@ -215,7 +220,7 @@ def test_heap_division_matches_rescan_oracle(p, precedence):
 def test_heap_division_matches_rescan_oracle_e6_method1():
     prof = liedata.profile("E6", 2)
     ts = liedata.theta_set("E6", 2)
-    ctx = bst._weight_ctx("E6", 2)
+    ctx = bst._context(liedata.weight_ring("E6", 2))
     for s, t, k in bst.admissible_pairs(prof):
         if k >= s:
             continue
@@ -237,6 +242,6 @@ def test_degenerate_basis_is_a_typed_error(monkeypatch):
     gens = [R.parse("x^2+y^2"), R.parse("x*y")]
     monkeypatch.setattr(groebner, "_reduce_terms", lambda terms, *args, **kwargs: {})
     with pytest.raises(DegenerateBasis) as info:
-        groebner._finalize(R, gens, None, [g.monic() for g in gens],
+        groebner._finalize(R, None, [g.monic() for g in gens],
                            [g.leading_monomial() for g in gens])
     assert isinstance(info.value, GroebnerError)

@@ -281,15 +281,43 @@ def _adem_sweep(m):
     )
 
 
+def _census_sweep(m):
+    """The degree census of the basis equals the Poincare polynomial."""
+    census = {}
+    for b in m.basis_elements():
+        d = m.basis_degree(b)
+        census[d] = census.get(d, 0) + 1
+    poincare = m.poincare_polynomial()
+    return (
+        len(poincare) - 1 == max(census)
+        and all(census.get(d, 0) == c for d, c in enumerate(poincare))
+        and sum(census.values()) == m.basis_dimension()
+    )
+
+
 @pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
 def test_generator_checks_agree_with_basis_sweeps(group, p):
-    # check_suite decides delta^2 = 0 and P^1P^1 = 2P^2 on generators; the
-    # sweeps over every basis element are the oracles
+    # check_suite decides delta^2 = 0 and P^1P^1 = 2P^2 on generators and
+    # the graded dimension on the Poincare polynomial; the sweeps over
+    # every basis element are the oracles
     m = model(group, p)
     report = check_suite(m)
     assert (report["delta_squared_zero"], _delta_squared_sweep(m)) == (True, True)
+    assert (report["graded_dimension"], _census_sweep(m)) == (True, True)
     if p != 2:
         assert (report["adem_p1p1_2p2"], _adem_sweep(m)) == (True, True)
+
+
+def test_graded_dimension_fails_on_a_wrong_truncation_height():
+    # (E7,3) with x_8^2 = 0 instead of x_8^3 = 0: the census reads k_list on
+    # both sides and still agrees, Poincare duality for dim E7 = 133 does not
+    m = model("E7", 3)
+    assert m.k_list == (3,)
+    m.k_list = (2,)
+    assert _census_sweep(m)
+    report = check_suite(m)
+    assert report["graded_dimension"] is False
+    assert report["pass"] is False
 
 
 def test_adem_check_fails_on_a_broken_table():

@@ -134,3 +134,19 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (name, target)
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    # the traced benchmark wraps library names from outside (bench/spans.py);
+    # a refactor that drops one of them fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert patched
+    for owner, attr, orig in patched:
+        assert owner.__dict__[attr] is orig, (owner, attr)

@@ -4,13 +4,7 @@ import pytest
 
 from exhopf import liedata
 from exhopf.ffpoly import PrimeField, RingContext
-from exhopf.steenrod import (
-    SteenrodError,
-    chern_context,
-    power,
-    verify_case1,
-    weight_context,
-)
+from exhopf.steenrod import SteenrodContext, SteenrodError, power, verify_case1
 from symfun_oracles import total_steenrod
 
 
@@ -45,14 +39,14 @@ def random_homogeneous(ring, weight, rng, terms=4):
 
 def test_total_on_degree_two_class():
     R = wring(2, 1)
-    ctx = weight_context(R)
+    ctx = SteenrodContext(R)
     w = R.variable("w1")
     assert total_steenrod(w, ctx) == w + w * w
 
 
 def test_total_multiplicative_example():
     R = wring(2, 2)
-    ctx = weight_context(R)
+    ctx = SteenrodContext(R)
     f = R.parse("w1*w2")
     assert total_steenrod(f, ctx) == R.parse("w1*w2+w1^2*w2+w1*w2^2+w1^2*w2^2")
 
@@ -60,7 +54,7 @@ def test_total_multiplicative_example():
 def test_g2_power_extracts_component():
     ts = liedata.theta_set("G2", 2)
     R = ts.weight_ring
-    ctx = weight_context(R)
+    ctx = SteenrodContext(R)
     theta2 = ts.theta_c[2]
     total = total_steenrod(theta2, ctx)
     comp = total.homogeneous_components()[3]
@@ -71,7 +65,7 @@ def test_g2_power_extracts_component():
 def test_instability_on_single_weight():
     for p in (2, 3, 5):
         R = wring(p, 1)
-        ctx = weight_context(R)
+        ctx = SteenrodContext(R)
         w = R.variable("w1")
         assert power(1, w, ctx) == w ** p
         assert power(2, w, ctx).is_zero()
@@ -81,7 +75,7 @@ def test_instability_random():
     rng = random.Random(3)
     for p in (2, 3):
         R = wring(p, 3)
-        ctx = weight_context(R)
+        ctx = SteenrodContext(R)
         f = random_homogeneous(R, 4, rng)
         assert power(4, f, ctx) == f ** p
         assert power(5, f, ctx).is_zero()
@@ -89,7 +83,7 @@ def test_instability_random():
 
 def test_inhomogeneous_rejected():
     R = wring(2, 2)
-    ctx = weight_context(R)
+    ctx = SteenrodContext(R)
     with pytest.raises(SteenrodError):
         power(1, R.parse("w1+w1^2"), ctx)
 
@@ -98,7 +92,7 @@ def test_cartan_weight_mode():
     rng = random.Random(11)
     for p in (2, 3, 5):
         R = wring(p, 3)
-        ctx = weight_context(R)
+        ctx = SteenrodContext(R)
         f = random_homogeneous(R, 3, rng)
         g = random_homogeneous(R, 2, rng)
         for k in (1, 2, 3):
@@ -114,7 +108,7 @@ def test_power_is_component_of_total_weight_mode():
     rng = random.Random(19)
     for p in (2, 3, 5):
         R = wring(p, 3)
-        ctx = weight_context(R)
+        ctx = SteenrodContext(R)
         for w in (2, 3, 4):
             f = random_homogeneous(R, w, rng)
             comps = total_steenrod(f, ctx).homogeneous_components()
@@ -126,7 +120,7 @@ def test_cartan_chern_mode():
     rng = random.Random(13)
     for group, p in (("F4", 3), ("E8", 5)):
         R = liedata.restricted_ring(group, p)
-        ctx = chern_context(R)
+        ctx = SteenrodContext(R)
         c2, c3 = R.variable("c2"), R.variable("c3")
         pairs = [
             (random_homogeneous(R, 6, rng, terms=3), random_homogeneous(R, 5, rng, terms=3)),
@@ -144,23 +138,36 @@ def test_cartan_chern_mode():
 
 
 def test_chern_context_validates_names():
-    for variables in ([("c", 1)], [("cx", 2)]):
+    # a variable of weight m >= 2 must be c_m; a ring mixing degree-2 and
+    # Chern variables does not say what c_1 maps to
+    for variables in ([("cx", 2)], [("c3", 2)], [("w1", 1), ("c2", 2)]):
         with pytest.raises(SteenrodError):
-            chern_context(RingContext(PrimeField(3), variables))
+            SteenrodContext(RingContext(PrimeField(3), variables))
     # a ring without variables holds only constants, killed by P^k for k > 0
     R = RingContext(PrimeField(3), [])
-    assert power(1, R.one(), chern_context(R)).is_zero()
+    assert power(1, R.one(), SteenrodContext(R)).is_zero()
+
+
+def test_weight_one_variable_is_a_degree_two_class():
+    # the rule follows the weight, not the name: P^1 c = c^p, P^2 c = 0
+    for p in (2, 3, 5):
+        R = RingContext(PrimeField(p), [("c", 1)])
+        ctx = SteenrodContext(R)
+        c = R.variable("c")
+        assert power(1, c, ctx) == c ** p
+        assert power(2, c, ctx).is_zero()
+        assert power(1, c ** 2, ctx) == 2 * c ** (p + 1)
 
 
 def test_adem_p1p1_equals_2p2():
     rng = random.Random(17)
     for p in (3, 5):
         R = wring(p, 3)
-        ctx = weight_context(R)
+        ctx = SteenrodContext(R)
         f = random_homogeneous(R, 4, rng)
         assert power(1, power(1, f, ctx), ctx) == 2 * power(2, f, ctx)
     R = liedata.restricted_ring("E8", 3)
-    ctx = chern_context(R)
+    ctx = SteenrodContext(R)
     f = random_homogeneous(R, 8, rng, terms=3)
     assert power(1, power(1, f, ctx), ctx) == 2 * power(2, f, ctx)
 
@@ -169,7 +176,7 @@ def test_mode_b_worked_reductions_all_four():
     # P^1 kappa*theta_s = sum_j q_j kappa*theta_j at (E8,5), term-exact
     ts = liedata.theta_set("E8", 5)
     R = ts.restricted_ring
-    ctx = chern_context(R)
+    ctx = SteenrodContext(R)
     for s, quots in liedata.METHOD2_WORKED_REDUCTIONS.items():
         lhs = power(1, ts.theta_restricted[s], ctx)
         rhs = R.zero()
@@ -182,7 +189,7 @@ def test_restricted_wu_formula_of_example58():
     # on F_5[c2..c8]: P^1 c_m = (m+4)c_{m+4} - 2c2 c_{m+2} + 2c3 c_{m+1}
     #                          + (2c2^2 + c4) c_m, indices above 8 vanishing
     R = liedata.restricted_ring("E8", 5)
-    ctx = chern_context(R)
+    ctx = SteenrodContext(R)
 
     def c(i):
         return R.variable(f"c{i}") if 2 <= i <= 8 else R.zero()
@@ -230,9 +237,9 @@ def cross_engine_agrees(group, p, s, k):
             mapping[name] = img.substitute(kill, target_ring=W)
         return g.substitute(mapping, target_ring=W) if not g.is_zero() else W.zero()
 
-    via_b = expand_and_restrict(power(k, f, chern_context(R)))
+    via_b = expand_and_restrict(power(k, f, SteenrodContext(R)))
     expanded = expand_and_restrict(f)
-    via_a = power(k, expanded, weight_context(W)).substitute(kill, target_ring=W)
+    via_a = power(k, expanded, SteenrodContext(W)).substitute(kill, target_ring=W)
     return via_a == via_b
 
 
