@@ -1,4 +1,7 @@
-"""Sparse multivariate polynomial arithmetic over small prime fields.
+"""Sparse multivariate polynomial arithmetic over a small prime field F_p.
+
+A ring's `RingContext` carries its prime p; coefficients are canonical
+residues 0..p-1, and `inverse` is the one modular inverse of the package.
 
 A monomial is a dense tuple of non-negative exponents, one slot per ring
 variable.  Every variable carries a positive integer weight (its
@@ -23,6 +26,14 @@ def _is_prime(n):
             return False
         d += 1
     return True
+
+
+def inverse(a, p):
+    """The inverse of a in F_p; raises ZeroDivisionError when a = 0 mod p."""
+    a %= p
+    if a == 0:
+        raise ZeroDivisionError(f"0 has no inverse in F_{p}")
+    return pow(a, p - 2, p)
 
 
 def add_into(acc, terms, c, p):
@@ -55,52 +66,24 @@ class ParseError(ValueError):
         self.position = position
 
 
-class PrimeField:
-    """The field F_p for a prime p < 2**8, canonical residues 0..p-1."""
+class RingContext:
+    """A graded polynomial ring F_p[v_1,...,v_n] with per-variable weights.
 
-    __slots__ = ("p",)
+    `p` must be a prime below 2**8.  Every (G, p) pair with p-torsion has
+    p <= 5, so the bound only turns away moduli that no computation here
+    uses; it keeps residues one byte wide and the trial-division primality
+    check trivial.  `variables` lists (name, weight) pairs from
+    the smallest variable to the largest; the declaration order is the
+    reverse-lex tie-break of the monomial order and never affects the
+    grading.
+    """
 
-    def __init__(self, p):
+    def __init__(self, p, variables):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         if p >= 256:
             raise ValueError(f"modulus {p} too large (need p < 2**8)")
         self.p = p
-
-    def normalize(self, a):
-        return a % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
-class RingContext:
-    """A graded polynomial ring F_p[v_1,...,v_n] with per-variable weights.
-
-    `variables` lists (name, weight) pairs from the smallest variable to
-    the largest; the declaration order is the reverse-lex tie-break of the
-    monomial order and never affects the grading.
-    """
-
-    def __init__(self, field, variables):
-        if isinstance(field, int):
-            field = PrimeField(field)
-        self.field = field
         names = tuple(name for name, _ in variables)
         weights = tuple(int(w) for _, w in variables)
         if len(set(names)) != len(names):
@@ -153,7 +136,7 @@ class RingContext:
         return self.constant(1)
 
     def constant(self, c):
-        c = self.field.normalize(c)
+        c %= self.p
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {self._zero_mon: c})
@@ -178,7 +161,7 @@ class RingContext:
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent tuple has wrong length")
-        c = self.field.normalize(coeff)
+        c = coeff % self.p
         if c == 0:
             return self.zero()
         return Polynomial(self, {exps: c})
@@ -188,7 +171,7 @@ class RingContext:
         acc = {}
         for mon, c in terms:
             mon = tuple(mon)
-            c = (acc.get(mon, 0) + c) % self.field.p
+            c = (acc.get(mon, 0) + c) % self.p
             if c:
                 acc[mon] = c
             else:
@@ -201,17 +184,17 @@ class RingContext:
     def __eq__(self, other):
         return (
             isinstance(other, RingContext)
-            and other.field == self.field
+            and other.p == self.p
             and other.names == self.names
             and other.weights == self.weights
         )
 
     def __hash__(self):
-        return hash((self.field, self.names, self.weights))
+        return hash((self.p, self.names, self.weights))
 
     def __repr__(self):
         vs = ",".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
-        return f"RingContext(F{self.field.p}; {vs})"
+        return f"RingContext(F{self.p}; {vs})"
 
 
 class Polynomial:
@@ -263,13 +246,13 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.constant(other)
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         return Polynomial(self.ring, add_into(dict(self.terms), other.terms, 1, p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.field.p
+        p = self.ring.p
         return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -282,15 +265,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = self.ring.field.normalize(other)
+            p = self.ring.p
+            c = other % p
             if c == 0:
                 return self.ring.zero()
             if c == 1:
                 return self
-            p = self.ring.field.p
             return Polynomial(self.ring, {m: (a * c) % p for m, a in self.terms.items()})
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         out = {}
         small, big = self.terms, other.terms
         if len(small) > len(big):
@@ -356,8 +339,7 @@ class Polynomial:
     def monic(self):
         if not self.terms:
             return self
-        inv = self.ring.field.inv(self.leading_coeff())
-        return self * inv
+        return self * inverse(self.leading_coeff(), self.ring.p)
 
     # -- substitution --------------------------------------------------------
 
@@ -412,7 +394,7 @@ class Polynomial:
             for i, e in enumerate(mon):
                 if e:
                     term = term * var_power(i, e)
-            add_into(acc, term.terms, 1, target_ring.field.p)
+            add_into(acc, term.terms, 1, target_ring.p)
         return Polynomial(target_ring, acc)
 
     # -- text ------------------------------------------------------------------
@@ -424,7 +406,7 @@ class Polynomial:
         return render(self)
 
     def __repr__(self):
-        return f"<{render(self)} over F{self.ring.field.p}>"
+        return f"<{render(self)} over F{self.ring.p}>"
 
 
 # -- canonical text form -----------------------------------------------------
@@ -441,7 +423,7 @@ class Polynomial:
 
 def render(f):
     ring = f.ring
-    p = ring.field.p
+    p = ring.p
     if not f.terms:
         return "0"
     chunks = []

@@ -19,7 +19,7 @@ identical inputs always produce bit-identical bases and remainders.
 
 import heapq
 
-from .ffpoly import Polynomial
+from .ffpoly import Polynomial, inverse
 
 
 class GroebnerError(Exception):
@@ -39,13 +39,16 @@ class DegenerateBasis(GroebnerError):
 
 
 class ReductionResult:
-    """Remainder of a division, with the quotients when they were tracked."""
+    """The remainder of a division by a basis.
 
-    __slots__ = ("remainder", "quotients")
+    Division tracks no quotient: the pipeline only ever asks for the
+    remainder, and the traced benchmark sizes `normal_form` by it.
+    """
 
-    def __init__(self, remainder, quotients=None):
+    __slots__ = ("remainder",)
+
+    def __init__(self, remainder):
         self.remainder = remainder
-        self.quotients = quotients
 
 
 class GroebnerBasis:
@@ -59,7 +62,7 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def _reduce_terms(terms, basis, lms, ring, quotients=None):
+def _reduce_terms(terms, basis, lms, ring):
     """Full division of a term dict by a monic basis; returns the remainder dict.
 
     Each step divides the leading term of `work` by the first basis element
@@ -69,7 +72,7 @@ def _reduce_terms(terms, basis, lms, ring, quotients=None):
     popped monomial never returns, and one that cancelled before its pop is
     simply skipped.
     """
-    p = ring.field.p
+    p = ring.p
     key = ring.descending_key
     work = dict(terms)
     heap = [(key(m), m) for m in work]
@@ -81,10 +84,9 @@ def _reduce_terms(terms, basis, lms, ring, quotients=None):
         c = work.pop(m, 0)
         if not c:
             continue  # cancelled after it was pushed
-        for bi, lm in enumerate(lms):
+        for lm, g in zip(lms, basis):
             if ring.mon_divides(lm, m):
                 shift = ring.mon_div(m, lm)
-                g = basis[bi]
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
@@ -97,9 +99,6 @@ def _reduce_terms(terms, basis, lms, ring, quotients=None):
                             heapq.heappush(heap, (key(mm), mm))
                     else:
                         work.pop(mm, None)
-                if quotients is not None:
-                    qd = quotients[bi]
-                    qd[shift] = (qd.get(shift, 0) + c) % p
                 break
         else:
             remainder[m] = c
@@ -213,7 +212,7 @@ def _finalize(ring, truncation, basis, lms):
     return GroebnerBasis(ring, truncation, reduced)
 
 
-def normal_form(f, gb, with_quotients=False):
+def normal_form(f, gb):
     """Remainder of f on division by the basis (unique for the ring order)."""
     if f.ring != gb.ring:
         raise ValueError("polynomial and basis live in different rings")
@@ -223,14 +222,8 @@ def normal_form(f, gb, with_quotients=False):
                 raise ValueError(
                     f"input weight {gb.ring.wdeg(m)} exceeds truncation {gb.truncation}"
                 )
-    quotients = [{} for _ in gb.basis] if with_quotients else None
-    rem = _reduce_terms(f.terms, gb.basis, gb._lms, gb.ring, quotients)
-    result = Polynomial(gb.ring, rem)
-    if with_quotients:
-        return ReductionResult(
-            result, [Polynomial(gb.ring, q) for q in quotients]
-        )
-    return ReductionResult(result)
+    rem = _reduce_terms(f.terms, gb.basis, gb._lms, gb.ring)
+    return ReductionResult(Polynomial(gb.ring, rem))
 
 
 def solve_linear_coefficient(lhs, pivot, gb):
@@ -245,7 +238,6 @@ def solve_linear_coefficient(lhs, pivot, gb):
             raise ValueError("lhs and pivot must be homogeneous of equal weight")
     r1 = normal_form(lhs, gb).remainder
     r2 = normal_form(pivot, gb).remainder
-    field = gb.ring.field
     if r2.is_zero():
         if r1.is_zero():
             raise Ambiguous("pivot reduces to zero; solution is not unique")
@@ -256,7 +248,8 @@ def solve_linear_coefficient(lhs, pivot, gb):
     m2 = r2.leading_monomial()
     if m1 != m2:
         raise NoSolution("residues are not proportional")
-    a = (r1.terms[m1] * field.inv(r2.terms[m2])) % field.p
+    p = gb.ring.p
+    a = (r1.terms[m1] * inverse(r2.terms[m2], p)) % p
     if r1 - a * r2 != gb.ring.zero():
         raise NoSolution("residues are not proportional")
     return a

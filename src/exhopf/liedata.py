@@ -7,9 +7,13 @@ restriction kappa*, and the nonzero structure-constant table that the
 whole computation reproduces.
 
 The theta tables were transcribed once from the printed propositions; a
-checksum file pins the transcription, and every load re-checks weighted
-homogeneity and the three-way consistency between the printed mixed
-presentation, its full weight-ring expansion, and the kappa-restriction.
+checksum file pins the transcription.  Every load re-checks the theta
+indices against r(G,p) and the weighted homogeneity of each theta, and
+each weight-ring expansion is homogeneity-checked when first computed.
+The three-way consistency between the printed mixed presentation, its
+full weight-ring expansion and the kappa-restriction is not re-checked at
+load: a test (`test_three_way_consistency_light_pairs`) checks it on
+every pair except (E8,3) and (E8,5), whose top expansions are too large.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .ffpoly import PrimeField, RingContext, render
+from .ffpoly import RingContext, render
 
 GROUP_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 GROUP_DIM = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
@@ -93,7 +97,7 @@ def profile(group, p):
 @lru_cache(maxsize=None)
 def weight_ring(group, p):
     n = GROUP_RANK[group]
-    return RingContext(PrimeField(p), [(f"w{i}", 1) for i in range(1, n + 1)])
+    return RingContext(p, [(f"w{i}", 1) for i in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +107,7 @@ def mixed_ring(group, p):
     if r is None:
         return weight_ring(group, p)
     nvars = [(f"w{r}", 1)] + [(f"c{k}", k) for k in range(2, CHERN_COUNT[group] + 1)]
-    return RingContext(PrimeField(p), nvars)
+    return RingContext(p, nvars)
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +115,7 @@ def restricted_ring(group, p):
     """The abstract Chern ring downstairs: kappa* kills omega_r and c_1."""
     if group == "G2":
         raise UnsupportedPair("G2 has no Chern presentation")
-    return RingContext(
-        PrimeField(p), [(f"c{k}", k) for k in range(2, CHERN_COUNT[group] + 1)]
-    )
+    return RingContext(p, [(f"c{k}", k) for k in range(2, CHERN_COUNT[group] + 1)])
 
 
 # -- the weight substitution and the Chern polynomials -----------------------
@@ -283,7 +285,8 @@ EXAMPLE_58_TEXT = {
 #   P^1 kappa*theta_s = sum_j q_j * kappa*theta_j
 # (a handful of printed quotient signs do not survive recomputation; the
 # values below are the computation-verified ones, and PRINTED_SIGN_FIXES
-# records exactly which displayed quotients had their sign corrected)
+# records exactly which displayed quotient coefficients had their sign
+# corrected)
 METHOD2_WORKED_REDUCTIONS = {
     2: {6: "1", 2: "-c4+2*c2^2"},
     8: {
@@ -314,8 +317,8 @@ METHOD2_WORKED_REDUCTIONS = {
     },
 }
 
-# displayed quotients whose sign had to be flipped to make the reduction
-# identities hold term-exact (the leading kappa*theta_{s+4} coefficients,
+# displayed quotient coefficients whose sign had to be flipped to make the
+# reduction identities hold term-exact (the leading kappa*theta_{s+4} coefficients,
 # i.e. the b-values, are unaffected)
 PRINTED_SIGN_FIXES = {2: (2,), 8: (2,), 14: (8, 6), 20: (12, 8, 6)}
 

@@ -47,7 +47,7 @@ class SteenrodContext:
         if 1 in ring.weights and any(w > 1 for w in ring.weights):
             raise SteenrodError("a ring mixing degree-2 and Chern variables has no c_1 image")
         self.ring = ring
-        self.p = ring.field.p
+        self.p = ring.p
         self.rank = max(ring.weights, default=0)
         self.wu_cache = {}
 

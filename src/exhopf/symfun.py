@@ -18,7 +18,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .ffpoly import PrimeField, RingContext
+from .ffpoly import RingContext
 
 
 class EliminationError(ArithmeticError):
@@ -194,5 +194,5 @@ def wu_formula(p, k, m, n=None):
     edict = m_to_e(
         steenrod_elementary_component(p, k, m), p=p, n=_binding(n, minimum)
     )
-    ring = RingContext(PrimeField(p), [(f"c{i}", i) for i in range(1, n + 1)])
+    ring = RingContext(p, [(f"c{i}", i) for i in range(1, n + 1)])
     return _e_index_to_c_poly(edict, ring)

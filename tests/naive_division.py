@@ -9,22 +9,18 @@ library never imports it.
 
 
 def naive_reduce(terms, basis, ring):
-    """Divide a term dict by a monic basis; returns (remainder, quotients).
-
-    Both are term dicts; `quotients` has one entry per basis element.
-    """
-    p = ring.field.p
+    """Divide a term dict by a monic basis; returns the remainder term dict."""
+    p = ring.p
     lms = [g.leading_monomial() for g in basis]
-    quotients = [{} for _ in basis]
     work = dict(terms)
     remainder = {}
     while work:
         m = max(work, key=ring.order_key)
         c = work.pop(m)
-        for bi, lm in enumerate(lms):
+        for lm, g in zip(lms, basis):
             if ring.mon_divides(lm, m):
                 shift = ring.mon_div(m, lm)
-                for gm, gc in basis[bi].terms.items():
+                for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
                     mm = ring.mon_mul(gm, shift)
@@ -33,9 +29,7 @@ def naive_reduce(terms, basis, ring):
                         work[mm] = v
                     else:
                         work.pop(mm, None)
-                qd = quotients[bi]
-                qd[shift] = (qd.get(shift, 0) + c) % p
                 break
         else:
             remainder[m] = c
-    return remainder, quotients
+    return remainder

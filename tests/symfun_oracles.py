@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import factorial
 
-from exhopf.ffpoly import Polynomial, PrimeField, RingContext
+from exhopf.ffpoly import Polynomial, RingContext
 from exhopf.steenrod import SteenrodError
 from exhopf.symfun import _e_index_to_c_poly, as_partition, conjugate, m_to_e
 
@@ -36,9 +36,8 @@ class SymContext:
             raise ValueError("need at least one variable")
         self.p = p
         self.n = n
-        field = PrimeField(p)
-        self.t_ring = RingContext(field, [(f"t{i}", 1) for i in range(1, n + 1)])
-        self.c_ring = RingContext(field, [(f"c{i}", i) for i in range(1, n + 1)])
+        self.t_ring = RingContext(p, [(f"t{i}", 1) for i in range(1, n + 1)])
+        self.c_ring = RingContext(p, [(f"c{i}", i) for i in range(1, n + 1)])
 
     def __repr__(self):
         return f"SymContext(p={self.p}, n={self.n})"

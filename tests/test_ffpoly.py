@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from exhopf.ffpoly import (
     ParseError,
     Polynomial,
-    PrimeField,
     RingContext,
     RingMismatchError,
+    inverse,
     parse,
     render,
 )
@@ -15,25 +15,27 @@ from exhopf.ffpoly import (
 def ring(p=2, names=("w1", "w2"), weights=None):
     if weights is None:
         weights = (1,) * len(names)
-    return RingContext(PrimeField(p), list(zip(names, weights)))
+    return RingContext(p, list(zip(names, weights)))
 
 
 def test_prime_field_validation():
-    PrimeField(2)
-    PrimeField(251)
-    with pytest.raises(ValueError):
-        PrimeField(4)
-    with pytest.raises(ValueError):
-        PrimeField(1)
-    with pytest.raises(ValueError):
-        PrimeField(257)
+    assert RingContext(2, []).p == 2
+    assert RingContext(251, []).p == 251
+    for bad in (4, 1, 257, 3.0, "3"):
+        with pytest.raises(ValueError):
+            RingContext(bad, [])
 
 
 def test_field_canonical_residues():
-    F = PrimeField(5)
-    assert F.normalize(-1) == 4
-    assert F.neg(1) == 4
-    assert F.inv(2) == 3
+    R = RingContext(5, [("x", 1)])
+    assert R.constant(-1).terms == {(0,): 4}
+    assert (-R.one()).terms == {(0,): 4}
+    assert inverse(2, 5) == 3
+    assert inverse(-1, 5) == 4
+    assert all(a * inverse(a, 251) % 251 == 1 for a in range(1, 251))
+    for zero in (0, 5, -10):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero, 5)
 
 
 def test_additive_inverse_cancels():
@@ -178,7 +180,7 @@ fields = st.sampled_from([2, 3, 5])
 def ring_and_polys(draw, count=2, max_vars=6, max_weight=12):
     p = draw(fields)
     nvars = draw(st.integers(1, max_vars))
-    R = RingContext(PrimeField(p), [(f"x{i+1}", 1) for i in range(nvars)])
+    R = RingContext(p, [(f"x{i+1}", 1) for i in range(nvars)])
     polys = []
     for _ in range(count):
         nterms = draw(st.integers(0, 5))
@@ -207,7 +209,7 @@ def test_ring_axioms(data):
 @given(ring_and_polys(count=2))
 def test_frobenius(data):
     R, f, g = data
-    p = R.field.p
+    p = R.p
     assert (f + g) ** p == f ** p + g ** p
 
 

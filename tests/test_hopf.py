@@ -7,7 +7,6 @@ from exhopf.hopf import (
     AlgebraElement,
     HopfError,
     InvariantError,
-    TensorElement,
     build_model,
     check_suite,
     tensor,
@@ -39,6 +38,13 @@ def test_e8_p2_dimension():
     # Pi k_t * 2^{|r|} = (8*4*2*2) * 2^8
     assert m.basis_dimension() == 8 * 4 * 2 * 2 * 256 == 32768
     assert len(m.poincare_polynomial()) - 1 == 248
+
+
+def test_poincare_polynomial_counts_the_basis():
+    # both sides come to 2^|r| prod k_t, so check_suite does not test this
+    for group, p in liedata.SUPPORTED_PAIRS:
+        m = model(group, p)
+        assert sum(m.poincare_polynomial()) == m.basis_dimension(), (group, p)
 
 
 def test_truncation_in_product():
@@ -358,6 +364,14 @@ def test_bockstein_table_without_unit_generator_is_a_typed_error(monkeypatch):
     # says x_8^2 instead is refused, not silently used
     monkeypatch.setitem(hopf.BOCKSTEIN_DATA[("F4", 3)], 4, [(-1, {4: 2})])
     with pytest.raises(InvariantError):
+        build_model("F4", 3)
+
+
+def test_bockstein_table_with_zero_unit_is_a_typed_error(monkeypatch):
+    # delta(alpha_7) = 3 x_8 is 0 mod 3: the model is refused at build time,
+    # not built with an empty P-action on x_8
+    monkeypatch.setitem(hopf.BOCKSTEIN_DATA[("F4", 3)], 4, [(3, {4: 1})])
+    with pytest.raises(InvariantError, match="not a unit multiple"):
         build_model("F4", 3)
 
 

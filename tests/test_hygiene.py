@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "exhopf").glob("*.py"))
+# bench/ is left out: its worker imports modules it never names, on purpose
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path):
@@ -50,7 +52,9 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=lambda p: p.name if p in SOURCES else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     tree = _tree(path)
     used = _used_names(tree)

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from exhopf import liedata
-from exhopf.ffpoly import PrimeField, RingContext
+from exhopf.ffpoly import RingContext
 from exhopf.steenrod import SteenrodContext, SteenrodError, power, verify_case1
 from symfun_oracles import total_steenrod
 
 
 def wring(p, n):
-    return RingContext(PrimeField(p), [(f"w{i}", 1) for i in range(1, n + 1)])
+    return RingContext(p, [(f"w{i}", 1) for i in range(1, n + 1)])
 
 
 def _monomials_of_weight(ring, weight):
@@ -32,7 +32,7 @@ def random_homogeneous(ring, weight, rng, terms=4):
     pool = _monomials_of_weight(ring, weight)
     out = ring.zero()
     for mon in rng.sample(pool, min(terms, len(pool))):
-        c = rng.randrange(1, ring.field.p) if ring.field.p > 2 else 1
+        c = rng.randrange(1, ring.p) if ring.p > 2 else 1
         out = out + ring.monomial(mon, c)
     return out
 
@@ -142,16 +142,16 @@ def test_chern_context_validates_names():
     # Chern variables does not say what c_1 maps to
     for variables in ([("cx", 2)], [("c3", 2)], [("w1", 1), ("c2", 2)]):
         with pytest.raises(SteenrodError):
-            SteenrodContext(RingContext(PrimeField(3), variables))
+            SteenrodContext(RingContext(3, variables))
     # a ring without variables holds only constants, killed by P^k for k > 0
-    R = RingContext(PrimeField(3), [])
+    R = RingContext(3, [])
     assert power(1, R.one(), SteenrodContext(R)).is_zero()
 
 
 def test_weight_one_variable_is_a_degree_two_class():
     # the rule follows the weight, not the name: P^1 c = c^p, P^2 c = 0
     for p in (2, 3, 5):
-        R = RingContext(PrimeField(p), [("c", 1)])
+        R = RingContext(p, [("c", 1)])
         ctx = SteenrodContext(R)
         c = R.variable("c")
         assert power(1, c, ctx) == c ** p
@@ -183,6 +183,27 @@ def test_mode_b_worked_reductions_all_four():
         for j, text in quots.items():
             rhs = rhs + R.parse(text) * ts.theta_restricted[j]
         assert lhs == rhs, s
+
+
+def test_printed_quotient_sign_fixes():
+    # the printed quotients are the stored ones with the listed q_j negated;
+    # only the stored ones make P^1 kappa*theta_s = sum_j q_j kappa*theta_j hold
+    ts = liedata.theta_set("E8", 5)
+    R = ts.restricted_ring
+    ctx = SteenrodContext(R)
+    assert set(liedata.PRINTED_SIGN_FIXES) == set(liedata.METHOD2_WORKED_REDUCTIONS)
+    for s, flipped in liedata.PRINTED_SIGN_FIXES.items():
+        quots = liedata.METHOD2_WORKED_REDUCTIONS[s]
+        assert set(flipped) <= set(quots), s
+        lhs = power(1, ts.theta_restricted[s], ctx)
+        stored = R.zero()
+        printed = R.zero()
+        for j, text in quots.items():
+            term = R.parse(text) * ts.theta_restricted[j]
+            stored = stored + term
+            printed = printed + (-term if j in flipped else term)
+        assert lhs == stored, s
+        assert lhs != printed, s
 
 
 def test_restricted_wu_formula_of_example58():

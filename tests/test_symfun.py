@@ -1,11 +1,9 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from closed_forms import closed_form, remark52_table
 from exhopf import bst, liedata, symfun
-from exhopf.ffpoly import render
 from exhopf.symfun import (
     EliminationError,
     as_partition,
@@ -299,7 +297,7 @@ def test_m_to_e_uncancelled_leading_term_is_a_typed_error(monkeypatch):
 
 def drop_high_chern(f, n):
     """Oracle truncation: c_j -> 0 for j > n, into the c-ring of n variables."""
-    target = SymContext(f.ring.field.p, n).c_ring
+    target = SymContext(f.ring.p, n).c_ring
     mapping = {
         name: target.zero() if int(name[1:]) > n else target.variable(name)
         for name in f.ring.names
