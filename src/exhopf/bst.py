@@ -101,7 +101,6 @@ def _gb_method1(group, p, t):
 def _gb_method2(group, p, t):
     ts = liedata.theta_set(group, p)
     gens = [ts.theta_restricted[j] for j in ts.profile.r_set if j < t]
-    gens = [g for g in gens if not g.is_zero()]
     return buchberger(gens, truncation=t, ring=ts.restricted_ring)
 
 

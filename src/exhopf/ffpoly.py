@@ -141,26 +141,18 @@ class RingContext:
             return Polynomial(self, {})
         return Polynomial(self, {self._zero_mon: c})
 
-    def variable(self, which):
-        if isinstance(which, str):
-            if which not in self.index:
-                raise ValueError(f"unknown variable {which!r}")
-            which = self.index[which]
+    def variable(self, name):
+        if name not in self.index:
+            raise ValueError(f"unknown variable {name!r}")
         mon = [0] * self.nvars
-        mon[which] = 1
+        mon[self.index[name]] = 1
         return Polynomial(self, {tuple(mon): 1})
 
     def monomial(self, exps, coeff=1):
-        """Build coeff * prod(v^e) from a name->exponent mapping or tuple."""
-        if isinstance(exps, dict):
-            mon = [0] * self.nvars
-            for name, e in exps.items():
-                mon[self.index[name]] = e
-            exps = tuple(mon)
-        else:
-            exps = tuple(exps)
-            if len(exps) != self.nvars:
-                raise ValueError("exponent tuple has wrong length")
+        """Build coeff * prod(v^e) from an exponent tuple."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent tuple has wrong length")
         c = coeff % self.p
         if c == 0:
             return self.zero()
@@ -346,7 +338,7 @@ class Polynomial:
     def substitute(self, mapping, target_ring=None, check_weights=True):
         """Apply the ring homomorphism sending each variable to its image.
 
-        `mapping` maps variable names (or indices) of this ring to
+        `mapping` maps variable names of this ring to
         Polynomials in a common target ring; every variable occurring in
         the polynomial must be mapped, and each image must be zero or
         homogeneous of the variable's weight.  Pass check_weights=False
@@ -354,9 +346,10 @@ class Polynomial:
         Steenrod operation.
         """
         images = [None] * self.ring.nvars
-        for key, img in mapping.items():
-            idx = self.ring.index[key] if isinstance(key, str) else key
-            images[idx] = img
+        for name, img in mapping.items():
+            if name not in self.ring.index:
+                raise ValueError(f"unknown variable {name!r}")
+            images[self.ring.index[name]] = img
         for img in images:
             if img is not None and target_ring is None:
                 target_ring = img.ring

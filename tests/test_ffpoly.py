@@ -119,6 +119,14 @@ def test_substitute_errors():
         f.substitute({"w1": R.parse("w1^2"), "w2": R.variable("w2")})
 
 
+def test_unknown_variable_names_raise_value_error():
+    R = RingContext(3, [("x", 1)])
+    with pytest.raises(ValueError, match="unknown variable 'zz'"):
+        R.parse("x").substitute({"zz": R.variable("x")})
+    with pytest.raises(ValueError, match="unknown variable 'zz'"):
+        R.variable("zz")
+
+
 def test_parse_render_examples():
     R = ring(2)
     assert render(R.parse("w2^3")) == "w2^3"

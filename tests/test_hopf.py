@@ -274,6 +274,41 @@ def test_check_suite_all_pairs(group, p):
         assert report["pass"], (group, p, bad)
 
 
+def _relation_defects(m):
+    """The generators whose relation mu* fails to send to zero: x_{2t}^{k_t}
+    = 0, and alpha^2 = `square_table` at p = 2 or alpha^2 = 0 at odd p."""
+
+    def power(u, n):
+        out = tensor(m, m.one(), m.one())
+        for _ in range(n):
+            out = out.multiply(u)
+        return out
+
+    bad = []
+    for t, k in zip(m.e_list, m.k_list):
+        if not power(m.mu_star(m.x(t)), k).is_zero():
+            bad.append(f"x_{2*t}")
+    for s in m.r_list:
+        square = m.square_table[s] if m.p == 2 else m.zero()
+        if power(m.mu_star(m.alpha(s)), 2) != m.mu_star(square):
+            bad.append(f"alpha_{2*s-1}")
+    return bad
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_mu_star_respects_the_relations(group, p):
+    # mu* extends its generator values as a ring map of the free
+    # graded-commutative algebra; it is well defined on the model, as
+    # check_suite assumes, only if it kills every relation there
+    assert _relation_defects(model(group, p)) == []
+
+
+def test_relation_check_fails_on_a_broken_square(monkeypatch):
+    # (E8,2) with alpha_15^2 = x_30 instead of x_30 + x_6^2 x_18
+    monkeypatch.setitem(hopf.SQUARE_DATA["E8"], 8, [(1, {15: 1})])
+    assert _relation_defects(model("E8", 2)) == ["alpha_15"]
+
+
 def _delta_squared_sweep(m):
     return all(
         m.bockstein(m.bockstein(AlgebraElement(m, {b: 1}))).is_zero()

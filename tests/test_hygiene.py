@@ -72,26 +72,29 @@ def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
+def _loaded_names(node):
+    """Every name read below `node`, as a bare name or an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
 def _dead_private_names(trees):
-    """Private module-level functions and private `self._x` attributes that
-    no code reads; a function's reads of itself do not count."""
+    """Private module-level functions, private methods of module-level
+    classes and private `self._x` attributes that no code reads; a
+    function's reads of itself do not count."""
     loads = {}
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loads[node.id] = loads.get(node.id, 0) + 1
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loads[node.attr] = loads.get(node.attr, 0) + 1
+        for name in _loaded_names(tree):
+            loads[name] = loads.get(name, 0) + 1
     dead = []
     for tree in trees:
-        for node in tree.body:
+        methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in tree.body + methods:
             if isinstance(node, ast.FunctionDef) and _private(node.name):
-                own = sum(
-                    1
-                    for n in ast.walk(node)
-                    if isinstance(n, ast.Name) and n.id == node.name
-                    and isinstance(n.ctx, ast.Load)
-                )
+                own = sum(1 for name in _loaded_names(node) if name == node.name)
                 if loads.get(node.name, 0) == own:
                     dead.append(node.name)
         for node in ast.walk(tree):
@@ -122,9 +125,15 @@ def test_dead_private_detector_sees_dead_names():
         "        self._unread = {}\n"
         "        self.public = {}\n"
         "    def get(self):\n"
-        "        return self._read\n"
+        "        return self._read, self._called()\n"
+        "    def _called(self):\n"
+        "        return 1\n"
+        "    def _uncalled(self, n):\n"
+        "        return self._uncalled(n - 1) if n else 0\n"
     )
-    assert _dead_private_names([module]) == ["_dead", "_recursive", "self._unread"]
+    assert _dead_private_names([module]) == [
+        "_dead", "_recursive", "_uncalled", "self._unread"
+    ]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
