@@ -13,6 +13,14 @@ first enters the working polynomial, and a term that cancels is skipped
 when its stale heap entry surfaces.  A division step therefore costs a
 logarithm in the number of live terms instead of a rescan of all of them.
 
+A heap key is (-wdeg(m), m), which is `descending_key(m)`.  Each divisor
+is stored as its leading monomial lm and a tail of (gm, gc, offset)
+triples, offset = wdeg(gm) - wdeg(lm), built once per basis element
+(`_divisor`).  The term gm * (m / lm) that a step adds has weight
+wdeg(m) + offset, so its key is the popped key minus the offset: the
+loop never sums a weight, and the keys stay exact when a divisor or the
+dividend is inhomogeneous.
+
 Bases are completed to reduced form (monic, inter-reduced, sorted), so
 identical inputs always produce bit-identical bases and remainders.
 """
@@ -56,47 +64,54 @@ class GroebnerBasis:
         self.ring = ring
         self.truncation = truncation
         self.basis = list(basis)
-        self._lms = [g.leading_monomial() for g in self.basis]
+        self._divisors = [_divisor(g, ring) for g in self.basis]
 
     def __len__(self):
         return len(self.basis)
 
 
-def _reduce_terms(terms, basis, lms, ring):
-    """Full division of a term dict by a monic basis; returns the remainder dict.
+def _divisor(g, ring):
+    """A monic g as division reads it: (lm, [(gm, gc, wdeg(gm) - wdeg(lm))])."""
+    lm = g.leading_monomial()
+    w = ring.wdeg(lm)
+    return lm, [(gm, gc, ring.wdeg(gm) - w) for gm, gc in g.terms.items() if gm != lm]
 
-    Each step divides the leading term of `work` by the first basis element
-    whose leading monomial divides it.  Leading terms come off a min-heap of
-    `descending_key`s.  A monomial is pushed only when it first enters
-    `work`: every term a step adds is smaller than the term it divides, so a
-    popped monomial never returns, and one that cancelled before its pop is
-    simply skipped.
+
+def _reduce_terms(terms, divisors, ring):
+    """Full division of a term dict by monic `_divisor`s; returns the remainder dict.
+
+    Each step divides the leading term of `work` by the first divisor whose
+    leading monomial divides it.  Leading terms come off a min-heap of
+    `descending_key`s, (-wdeg(m), m).  A monomial is pushed only when it
+    first enters `work`: every term a step adds is smaller than the term it
+    divides, so a popped monomial never returns, and one that cancelled
+    before its pop is simply skipped.  A pushed term gm * (m / lm) has
+    weight wdeg(m) plus the tail offset of gm, so its key is found by one
+    subtraction and no weight is summed inside the loop.
     """
     p = ring.p
-    key = ring.descending_key
+    divides, div, mul = ring.mon_divides, ring.mon_div, ring.mon_mul
     work = dict(terms)
-    heap = [(key(m), m) for m in work]
+    heap = [ring.descending_key(m) for m in work]
     heapq.heapify(heap)
     pushed = set(work)
     remainder = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        negw, m = heapq.heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue  # cancelled after it was pushed
-        for lm, g in zip(lms, basis):
-            if ring.mon_divides(lm, m):
-                shift = ring.mon_div(m, lm)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    mm = ring.mon_mul(gm, shift)
+        for lm, tail in divisors:
+            if divides(lm, m):
+                shift = div(m, lm)
+                for gm, gc, offset in tail:
+                    mm = mul(gm, shift)
                     v = (work.get(mm, 0) - c * gc) % p
                     if v:
                         work[mm] = v
                         if mm not in pushed:
                             pushed.add(mm)
-                            heapq.heappush(heap, (key(mm), mm))
+                            heapq.heappush(heap, (negw - offset, mm))
                     else:
                         work.pop(mm, None)
                 break
@@ -131,27 +146,27 @@ def buchberger(gens, truncation=None, ring=None):
 
     key = ring.order_key
     basis = []
-    lms = []
+    divisors = []  # (lm, tail) of each basis element, see `_divisor`
     pair_heap = []
     processed = set()
 
     def push_pairs(j):
-        lmj = lms[j]
-        wj = basis[j].weight()
+        lmj = divisors[j][0]
         for i in range(j):
-            lcm = ring.mon_lcm(lms[i], lmj)
+            lcm = ring.mon_lcm(divisors[i][0], lmj)
             w = ring.wdeg(lcm)
             if truncation is not None and w > truncation:
                 continue
             heapq.heappush(pair_heap, (w, key(lcm), i, j))
 
     def add(h):
-        basis.append(h.monic())
-        lms.append(h.leading_monomial())
+        h = h.monic()
+        basis.append(h)
+        divisors.append(_divisor(h, ring))
         push_pairs(len(basis) - 1)
 
     for g in sorted(gens, key=lambda f: (f.weight(), key(f.leading_monomial()))):
-        rem = _reduce_terms(g.terms, basis, lms, ring)
+        rem = _reduce_terms(g.terms, divisors, ring)
         if rem:
             add(Polynomial(ring, rem))
 
@@ -160,7 +175,7 @@ def buchberger(gens, truncation=None, ring=None):
         if (i, j) in processed:
             continue
         processed.add((i, j))
-        lmi, lmj = lms[i], lms[j]
+        lmi, lmj = divisors[i][0], divisors[j][0]
         lcm = ring.mon_lcm(lmi, lmj)
         if lcm == ring.mon_mul(lmi, lmj):
             continue  # coprime leading monomials (product criterion)
@@ -168,7 +183,7 @@ def buchberger(gens, truncation=None, ring=None):
         for k2 in range(len(basis)):
             if k2 in (i, j):
                 continue
-            if ring.mon_divides(lms[k2], lcm):
+            if ring.mon_divides(divisors[k2][0], lcm):
                 a = (min(i, k2), max(i, k2))
                 b = (min(j, k2), max(j, k2))
                 if a in processed and b in processed:
@@ -181,29 +196,27 @@ def buchberger(gens, truncation=None, ring=None):
         fj = Polynomial(ring, basis[j].terms)
         si = fi * ring.monomial(ring.mon_div(lcm, lmi))
         sj = fj * ring.monomial(ring.mon_div(lcm, lmj))
-        rem = _reduce_terms((si - sj).terms, basis, lms, ring)
+        rem = _reduce_terms((si - sj).terms, divisors, ring)
         if rem:
             add(Polynomial(ring, rem))
 
-    return _finalize(ring, truncation, basis, lms)
+    return _finalize(ring, truncation, basis, divisors)
 
 
-def _finalize(ring, truncation, basis, lms):
+def _finalize(ring, truncation, basis, divisors):
     # drop redundant leading monomials deterministically
+    lms = [lm for lm, _ in divisors]
     order = sorted(range(len(basis)), key=lambda i: (basis[i].weight(), ring.order_key(lms[i])))
     kept = []
-    kept_lms = []
     for i in order:
-        if any(ring.mon_divides(lm, lms[i]) for lm in kept_lms):
+        if any(ring.mon_divides(lms[j], lms[i]) for j in kept):
             continue
-        kept.append(basis[i])
-        kept_lms.append(lms[i])
+        kept.append(i)
     # inter-reduce tails against the other elements
     reduced = []
-    for i, b in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        other_lms = kept_lms[:i] + kept_lms[i + 1 :]
-        rem = _reduce_terms(b.terms, others, other_lms, ring)
+    for n, i in enumerate(kept):
+        others = [divisors[j] for j in kept[:n] + kept[n + 1 :]]
+        rem = _reduce_terms(basis[i].terms, others, ring)
         h = Polynomial(ring, rem)
         if h.is_zero():
             raise DegenerateBasis("minimal basis element reduced to zero")
@@ -222,7 +235,7 @@ def normal_form(f, gb):
                 raise ValueError(
                     f"input weight {gb.ring.wdeg(m)} exceeds truncation {gb.truncation}"
                 )
-    rem = _reduce_terms(f.terms, gb.basis, gb._lms, gb.ring)
+    rem = _reduce_terms(f.terms, gb._divisors, gb.ring)
     return ReductionResult(Polynomial(gb.ring, rem))
 
 

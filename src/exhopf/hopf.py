@@ -337,14 +337,16 @@ class HopfModel:
         return AlgebraElement(self, {(self._zero_x, (s,)): 1})
 
     def x(self, t, exp=1):
-        if t not in self.e_list:
-            raise HopfError(f"no generator x_{2*t} in ({self.group},{self.p})")
         return self.x_monomial({t: exp})
 
     def x_monomial(self, xmon):
+        k_map = self.profile.k_map
+        if not xmon.keys() <= k_map.keys():
+            t = min(xmon.keys() - k_map.keys())
+            raise HopfError(f"no generator x_{2*t} in ({self.group},{self.p})")
         mon = list(self._zero_x)
         for t, e in xmon.items():
-            if e >= self.profile.k_map[t]:
+            if e >= k_map[t]:
                 return self.zero()
             mon[self.e_list.index(t)] = e
         return AlgebraElement(self, {(tuple(mon), ()): 1})

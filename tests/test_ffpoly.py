@@ -79,6 +79,21 @@ def test_ring_mismatch():
         ring(2).one() + ring(3).one()
 
 
+def test_equal_rings_built_apart_combine():
+    R = ring(3, ("x", "y"), (1, 2))
+    S = ring(3, ("x", "y"), (1, 2))
+    assert R is not S
+    assert R == S and hash(R) == hash(S)
+    f = R.parse("x^2+y") * S.parse("x-y")
+    assert f == S.parse("x^3+x*y-x^2*y-y^2")
+    for other in (ring(3, ("x", "z"), (1, 2)), ring(3, ("x", "y"), (1, 1))):
+        assert R != other
+        with pytest.raises(RingMismatchError):
+            R.variable("x") + other.variable("x")
+        with pytest.raises(RingMismatchError):
+            R.variable("x") * other.variable("x")
+
+
 def test_weight_and_homogeneity():
     R = ring(2, ("w1", "w2", "c4"), (1, 1, 4))
     f = R.parse("w1^4+c4")
@@ -200,6 +215,31 @@ def ring_and_polys(draw, count=2, max_vars=6, max_weight=12):
             terms.append((mon, draw(st.integers(1, p - 1)) if p > 2 else 1))
         polys.append(R.from_terms(terms))
     return (R, *polys)
+
+
+@st.composite
+def monomial_pairs(draw, max_vars=8):
+    weights = draw(st.lists(st.integers(1, 9), min_size=0, max_size=max_vars))
+    exps = st.tuples(*[st.integers(0, 6) for _ in weights])
+    return weights, draw(exps), draw(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs())
+def test_monomial_kernel_matches_elementwise_definitions(data):
+    weights, m1, m2 = data
+    R = RingContext(3, [(f"v{i}", w) for i, w in enumerate(weights)])
+    prod = tuple(a + b for a, b in zip(m1, m2))
+    assert R.wdeg(m1) == sum(e * w for e, w in zip(m1, weights))
+    assert R.mon_mul(m1, m2) == prod
+    assert R.mon_div(prod, m2) == m1
+    assert R.mon_divides(m1, m2) == all(a <= b for a, b in zip(m1, m2))
+    assert R.mon_divides(m2, prod)
+    assert R.mon_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
+    assert R.order_key(m1) == (R.wdeg(m1), tuple(-e for e in m1))
+    assert R.descending_key(m1) == (-R.wdeg(m1), m1)
+    for m in (R.mon_mul(m1, m2), R.mon_div(prod, m2), R.mon_lcm(m1, m2)):
+        assert type(m) is tuple
 
 
 @settings(max_examples=60, deadline=None)

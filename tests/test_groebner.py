@@ -198,7 +198,30 @@ def test_heap_division_matches_rescan_oracle(p, precedence):
         # division by a generating set that is not a Groebner basis
         divisors = [g.monic() for g in gens]
         f = _random_homogeneous(R, 8, rng, density=0.7)
-        rem = groebner._reduce_terms(f.terms, divisors, [g.leading_monomial() for g in divisors], R)
+        rem = groebner._reduce_terms(f.terms, [groebner._divisor(g, R) for g in divisors], R)
+        assert list(rem.items()) == list(naive_reduce(f.terms, divisors, R).items())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_inhomogeneous_division_matches_rescan_oracle(p):
+    """Divisors whose tails sit at other weights than their leading terms, and
+    dividends spread over several weights: each pushed term's heap key comes
+    from its tail offset, which this pins against the rescan."""
+    rng = random.Random(77 + p)
+    R = ring(p, ("x", "y", "z", "t"), weights=(1, 2, 3, 1), precedence=(3, 0, 2, 1))
+
+    def mixed(weights, density):
+        terms = {}
+        for w in weights:
+            mons = _monomials(R, w)
+            terms.update((m, rng.randrange(1, p)) for m in mons if rng.random() < density)
+            terms[rng.choice(mons)] = rng.randrange(1, p)  # every weight occurs
+        return R.from_terms(terms.items())
+
+    for _ in range(8):
+        divisors = [mixed(ws, 0.4).monic() for ws in ((3, 2, 0), (4, 1), (5, 3, 2))]
+        f = mixed((7, 6, 4, 1), 0.6)
+        rem = groebner._reduce_terms(f.terms, [groebner._divisor(g, R) for g in divisors], R)
         assert list(rem.items()) == list(naive_reduce(f.terms, divisors, R).items())
 
 
@@ -226,7 +249,7 @@ def test_degenerate_basis_is_a_typed_error(monkeypatch):
     R = ring(2, ("x", "y"))
     gens = [R.parse("x^2+y^2"), R.parse("x*y")]
     monkeypatch.setattr(groebner, "_reduce_terms", lambda terms, *args, **kwargs: {})
+    basis = [g.monic() for g in gens]
     with pytest.raises(DegenerateBasis) as info:
-        groebner._finalize(R, None, [g.monic() for g in gens],
-                           [g.leading_monomial() for g in gens])
+        groebner._finalize(R, None, basis, [groebner._divisor(g, R) for g in basis])
     assert isinstance(info.value, GroebnerError)

@@ -47,6 +47,16 @@ def test_poincare_polynomial_counts_the_basis():
         assert sum(m.poincare_polynomial()) == m.basis_dimension(), (group, p)
 
 
+def test_unknown_x_generator_is_a_hopf_error():
+    m = model("G2", 2)
+    for build in (lambda: m.x(99), lambda: m.x_monomial({99: 1}),
+                  lambda: m.x_monomial({3: 5, 99: 1})):
+        with pytest.raises(HopfError):
+            build()
+    assert m.x_monomial({3: 5}) == m.zero()  # x_6^2 = 0 in G2 at p = 2
+    assert m.x_monomial({3: 1}) == m.x(3)
+
+
 def test_truncation_in_product():
     m = model("G2", 2)
     assert (m.x(3) * m.x(3)).is_zero()  # x_6^2 = 0, k_3 = 2
