@@ -10,11 +10,13 @@ action on one slot, `_on_slot`, is fixed by the variable itself:
   No Wu formulas enter, which is what makes the completeness sweep
   possible at arbitrary k.
 - a variable of weight m >= 2 must be the Chern class c_m (named `c<m>`).
-  P^j c_m is the Wu formula computed in N variables, N the largest weight
-  of the ring (so c_j for j > N never arises), specialized by c_1 = 0 and
-  cached on the context; P^j(c_m^e) for e > 1 is the same recursion on
-  c_m * c_m^(e-1).  (Odd Steenrod squares vanish identically on these
-  subrings at p = 2, so the pure P-Cartan recursion is exact there too.)
+  P^j c_m is `symfun.wu_formula` in N variables, N the largest weight of
+  the ring (so c_j for j > N never arises): one coefficient of the
+  resultant that `symfun` keeps for F_p[c_1..c_N].  `_wu_on_generator`
+  specializes it by c_1 = 0 and caches it on the context; P^j(c_m^e) for
+  e > 1 is the same recursion on c_m * c_m^(e-1).  (Odd Steenrod squares
+  vanish identically on these subrings at p = 2, so the pure P-Cartan
+  recursion is exact there too.)
 
 A ring with variables of both kinds is refused: it does not say what
 c_1 maps to, and the Wu formulas need that image.

@@ -3,29 +3,28 @@ from fractions import Fraction
 import pytest
 
 from closed_forms import closed_form, remark52_table
-from exhopf import bst, liedata, symfun
-from exhopf.symfun import (
-    EliminationError,
-    as_partition,
-    conjugate,
-    m_to_e,
-    steenrod_elementary_component,
-    wu_formula,
-)
+from exhopf import bst, liedata
+from exhopf.symfun import wu_formula
 import symfun_oracles
 from symfun_oracles import (
+    EliminationError,
     KostkaTriangularityError,
     NotSymmetricError,
     SymContext,
+    as_partition,
+    conjugate,
     elementary,
     embed_c_poly,
     kostka_inverse,
     kostka_matrix,
     kostka_number,
+    m_to_e,
     monomial_symmetric_t,
     partitions_of,
     rewrite_in_elementary,
     schur_giambelli,
+    steenrod_elementary_component,
+    wu_formula_by_elimination,
 )
 
 
@@ -290,7 +289,7 @@ def test_m_to_e_round_trip():
 
 def test_m_to_e_uncancelled_leading_term_is_a_typed_error(monkeypatch):
     # an e-expansion without the unit leading coefficient cannot kill m_lam
-    monkeypatch.setattr(symfun, "_e_product_mexp", lambda mu, n=None: {})
+    monkeypatch.setattr(symfun_oracles, "_e_product_mexp", lambda mu, n=None: {})
     with pytest.raises(EliminationError):
         m_to_e({(2, 1): 1})
 
@@ -335,6 +334,16 @@ def test_truncated_wu_equals_stable_p5_heavy():
             stable = wu_formula(5, k, m)
             for n in range(m, 9):
                 assert wu_formula(5, k, m, n) == drop_high_chern(stable, n), (k, m, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_wu_resultant_matches_elimination_oracle(p):
+    # every P^k c_m in n <= 8 variables, and one stable formula beyond them;
+    # a wrong sign in f or in a cofactor cannot show at p = 2, where -1 = 1
+    cases = [(k, m, n) for n in range(1, 9) for m in range(1, n + 1) for k in range(m + 1)]
+    cases.append({2: (6, 8, None), 3: (5, 7, None), 5: (2, 3, None)}[p])
+    for k, m, n in cases:
+        assert wu_formula(p, k, m, n) == wu_formula_by_elimination(p, k, m, n), (k, m, n)
 
 
 def test_wu_needs_at_least_m_variables():
