@@ -13,21 +13,40 @@ first enters the working polynomial, and a term that cancels is skipped
 when its stale heap entry surfaces.  A division step therefore costs a
 logarithm in the number of live terms instead of a rescan of all of them.
 
-A heap key is (-wdeg(m), m), which is `descending_key(m)`.  Each divisor
-is stored as its leading monomial lm and a tail of (gm, gc, offset)
-triples, offset = wdeg(gm) - wdeg(lm), built once per basis element
-(`_divisor`).  The term gm * (m / lm) that a step adds has weight
-wdeg(m) + offset, so its key is the popped key minus the offset: the
-loop never sums a weight, and the keys stay exact when a divisor or the
-dividend is inhomogeneous.
+Each monomial of an n-variable ring is keyed by one int.  Variable i
+owns the 16-bit field n-1-i of the packed exponent vector, and
+
+    key(m) = sum_i e_i * (2^(16(n-1-i)) - w_i * 2^(16n))
+           = packed(m) - wdeg(m) * 2^(16n),
+
+so ascending keys run from the largest monomial down (weight first, then
+the reverse-lex tie-break), a min-heap pops the leading term, and
+wdeg(m) = -(key >> 16n).  The key is linear in m, so the term
+gm * (m / lm) that a division step adds has key(m) + key(gm) - key(lm):
+each divisor stores those deltas once (`_divisor`), and a step costs one
+int add per tail term, with no monomial tuple built.  lm divides m when
+no field of ((key(m) | G) - packed(lm)) borrows from the guard bit, the
+top bit of its field: (... & G) == G, with G the guard bits of all
+fields.  The guard bit caps every exponent below 2^15.  Weights are at
+least 1 and no step raises a weight, so the largest weight of the
+dividend or of a divisor's leading monomial bounds every exponent that
+division meets; at 2^15 or more, division raises `ExponentOverflow`
+instead of letting a field spill into its neighbour.  Terms are packed
+once on the way in and unpacked once, in pop order, on the way out.
 
 Bases are completed to reduced form (monic, inter-reduced, sorted), so
 identical inputs always produce bit-identical bases and remainders.
 """
 
 import heapq
+import struct
+from functools import lru_cache
+from operator import mul
 
 from .ffpoly import Polynomial, inverse
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # exponents stay below the guard bit
 
 
 class GroebnerError(Exception):
@@ -46,17 +65,24 @@ class DegenerateBasis(GroebnerError):
     """A minimal basis element reduced to zero against the others."""
 
 
+class ExponentOverflow(GroebnerError):
+    """A weight of 2^15 or more: an exponent could spill out of its packed field."""
+
+
 class ReductionResult:
     """The remainder of a division by a basis.
 
     Division tracks no quotient: the pipeline only ever asks for the
     remainder, and the traced benchmark sizes `normal_form` by it.
+    `weights` is the (lowest, highest) weight of the dividend's terms, read
+    off their packed keys, or None for a zero dividend.
     """
 
-    __slots__ = ("remainder",)
+    __slots__ = ("remainder", "weights")
 
-    def __init__(self, remainder):
+    def __init__(self, remainder, weights):
         self.remainder = remainder
+        self.weights = weights
 
 
 class GroebnerBasis:
@@ -70,54 +96,97 @@ class GroebnerBasis:
         return len(self.basis)
 
 
+class _Packing:
+    """Packed int keys for the monomials of one weight vector (module docstring)."""
+
+    def __init__(self, weights):
+        n = len(weights)
+        self.shift = FIELD_BITS * n
+        top = 1 << self.shift
+        self.coeffs = tuple(
+            (1 << FIELD_BITS * (n - 1 - i)) - w * top for i, w in enumerate(weights)
+        )
+        self.mask = top - 1
+        self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * j for j in range(n))
+        self._fields = struct.Struct(f">{n}H")
+
+    def key(self, mon):
+        return sum(map(mul, mon, self.coeffs))
+
+    def pack(self, terms):
+        """A term dict re-keyed by packed key (insertion order kept)."""
+        coeffs = self.coeffs
+        return {sum(map(mul, m, coeffs)): c for m, c in terms.items()}
+
+    def wdeg(self, key):
+        return -(key >> self.shift)
+
+    def monomial(self, key):
+        """The exponent tuple of a key whose weight is below 2^15."""
+        return self._fields.unpack((key & self.mask).to_bytes(self._fields.size, "big"))
+
+
+@lru_cache(maxsize=32)
+def _packing(weights):
+    return _Packing(weights)
+
+
 def _divisor(g, ring):
-    """A monic g as division reads it: (lm, [(gm, gc, wdeg(gm) - wdeg(lm))])."""
+    """A monic g as division reads it: (lm, packed(lm), [(key(gm) - key(lm), gc)])."""
+    pk = _packing(ring.weights)
     lm = g.leading_monomial()
-    w = ring.wdeg(lm)
-    return lm, [(gm, gc, ring.wdeg(gm) - w) for gm, gc in g.terms.items() if gm != lm]
+    base = pk.key(lm)
+    if pk.wdeg(base) >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"divisor leading weight {pk.wdeg(base)} is 2^15 or more")
+    tail = [(pk.key(gm) - base, gc) for gm, gc in g.terms.items() if gm != lm]
+    return lm, base & pk.mask, tail
 
 
 def _reduce_terms(terms, divisors, ring):
-    """Full division of a term dict by monic `_divisor`s; returns the remainder dict.
+    """Full division of a term dict by monic `_divisor`s; returns the remainder dict."""
+    pk = _packing(ring.weights)
+    return _divide(pk.pack(terms), divisors, pk, ring.p)
+
+
+def _divide(work, divisors, pk, p):
+    """Divide `work`, a packed term dict that this consumes; the remainder dict.
 
     Each step divides the leading term of `work` by the first divisor whose
     leading monomial divides it.  Leading terms come off a min-heap of
-    `descending_key`s, (-wdeg(m), m).  A monomial is pushed only when it
-    first enters `work`: every term a step adds is smaller than the term it
-    divides, so a popped monomial never returns, and one that cancelled
-    before its pop is simply skipped.  A pushed term gm * (m / lm) has
-    weight wdeg(m) plus the tail offset of gm, so its key is found by one
-    subtraction and no weight is summed inside the loop.
+    packed keys.  A key is pushed only when it first enters `work`: every
+    term a step adds is smaller than the term it divides, so a popped key
+    never returns, and one that cancelled before its pop is simply skipped.
     """
-    p = ring.p
-    divides, div, mul = ring.mon_divides, ring.mon_div, ring.mon_mul
-    work = dict(terms)
-    heap = [ring.descending_key(m) for m in work]
+    heap = list(work)
     heapq.heapify(heap)
+    if heap and pk.wdeg(heap[0]) >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"dividend weight {pk.wdeg(heap[0])} is 2^15 or more")
+    guard = pk.guard
     pushed = set(work)
-    remainder = {}
+    remainder = []
     while heap:
-        negw, m = heapq.heappop(heap)
-        c = work.pop(m, 0)
+        k = heapq.heappop(heap)
+        c = work.pop(k, 0)
         if not c:
             continue  # cancelled after it was pushed
-        for lm, tail in divisors:
-            if divides(lm, m):
-                shift = div(m, lm)
-                for gm, gc, offset in tail:
-                    mm = mul(gm, shift)
-                    v = (work.get(mm, 0) - c * gc) % p
+        probe = k | guard
+        for _, lm, tail in divisors:
+            if (probe - lm) & guard == guard:
+                for delta, gc in tail:
+                    kk = k + delta
+                    v = (work.get(kk, 0) - c * gc) % p
                     if v:
-                        work[mm] = v
-                        if mm not in pushed:
-                            pushed.add(mm)
-                            heapq.heappush(heap, (negw - offset, mm))
+                        work[kk] = v
+                        if kk not in pushed:
+                            pushed.add(kk)
+                            heapq.heappush(heap, kk)
                     else:
-                        work.pop(mm, None)
+                        work.pop(kk, None)
                 break
         else:
-            remainder[m] = c
-    return remainder
+            remainder.append((k, c))
+    monomial = pk.monomial
+    return {monomial(k): c for k, c in remainder}
 
 
 def buchberger(gens, truncation=None, ring=None):
@@ -146,7 +215,7 @@ def buchberger(gens, truncation=None, ring=None):
 
     key = ring.order_key
     basis = []
-    divisors = []  # (lm, tail) of each basis element, see `_divisor`
+    divisors = []  # (lm, packed lm, tail) of each basis element, see `_divisor`
     pair_heap = []
     processed = set()
 
@@ -205,7 +274,7 @@ def buchberger(gens, truncation=None, ring=None):
 
 def _finalize(ring, truncation, basis, divisors):
     # drop redundant leading monomials deterministically
-    lms = [lm for lm, _ in divisors]
+    lms = [d[0] for d in divisors]
     order = sorted(range(len(basis)), key=lambda i: (basis[i].weight(), ring.order_key(lms[i])))
     kept = []
     for i in order:
@@ -227,16 +296,16 @@ def _finalize(ring, truncation, basis, divisors):
 
 def normal_form(f, gb):
     """Remainder of f on division by the basis (unique for the ring order)."""
-    if f.ring != gb.ring:
+    ring = gb.ring
+    if f.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    if gb.truncation is not None:
-        for m in f.terms:
-            if gb.ring.wdeg(m) > gb.truncation:
-                raise ValueError(
-                    f"input weight {gb.ring.wdeg(m)} exceeds truncation {gb.truncation}"
-                )
-    rem = _reduce_terms(f.terms, gb._divisors, gb.ring)
-    return ReductionResult(Polynomial(gb.ring, rem))
+    pk = _packing(ring.weights)
+    work = pk.pack(f.terms)
+    weights = (pk.wdeg(max(work)), pk.wdeg(min(work))) if work else None
+    if weights and gb.truncation is not None and weights[1] > gb.truncation:
+        raise ValueError(f"input weight {weights[1]} exceeds truncation {gb.truncation}")
+    rem = _divide(work, gb._divisors, pk, ring.p)
+    return ReductionResult(Polynomial(ring, rem), weights)
 
 
 def solve_linear_coefficient(lhs, pivot, gb):
@@ -245,12 +314,12 @@ def solve_linear_coefficient(lhs, pivot, gb):
     Implemented as two reductions and a proportionality solve; raises
     NoSolution when no scalar works and Ambiguous when the pivot itself
     reduces to zero (it then lies in the ideal and a is undetermined).
+    Homogeneity is read off the weights that `normal_form` reports.
     """
-    if not lhs.is_zero() and not pivot.is_zero():
-        if lhs.weight() != pivot.weight():
-            raise ValueError("lhs and pivot must be homogeneous of equal weight")
-    r1 = normal_form(lhs, gb).remainder
-    r2 = normal_form(pivot, gb).remainder
+    n1, n2 = normal_form(lhs, gb), normal_form(pivot, gb)
+    if n1.weights and n2.weights and len({*n1.weights, *n2.weights}) > 1:
+        raise ValueError("lhs and pivot must be homogeneous of equal weight")
+    r1, r2 = n1.remainder, n2.remainder
     if r2.is_zero():
         if r1.is_zero():
             raise Ambiguous("pivot reduces to zero; solution is not unique")

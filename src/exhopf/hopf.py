@@ -642,16 +642,19 @@ class HopfModel:
         return TensorElement(self, out)
 
     def tensor_power(self, k, tens):
-        """P^k on H ⊗ H (at p = 2 the full Sq-Cartan including odd terms)."""
-        n, op = (2 * k, self.sq) if self.p == 2 else (k, self.reduced_power)
+        """P^k on H ⊗ H (at p = 2 the full Sq-Cartan including odd terms).
+
+        Each side's operations come from the memoised `_cartan`, which is
+        exact at index 0, so each tensor key walks its factors once.
+        """
+        n = 2 * k if self.p == 2 else k
         out = {}
         for (b1, b2), c in tens.terms.items():
-            e1 = AlgebraElement(self, {b1: c})
-            e2 = AlgebraElement(self, {b2: 1})
+            f1, f2 = self._factors(b1), self._factors(b2)
             for i in range(n + 1):
-                left = op(i, e1)
-                if left.terms:
-                    add_into(out, _outer(left.terms, op(n - i, e2).terms), 1, self.p)
+                left = self._cartan(i, f1).terms
+                if left:
+                    add_into(out, _outer(left, self._cartan(n - i, f2).terms), c, self.p)
         return TensorElement(self, out)
 
     # -- coproducts ---------------------------------------------------------------

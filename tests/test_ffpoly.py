@@ -237,7 +237,6 @@ def test_monomial_kernel_matches_elementwise_definitions(data):
     assert R.mon_divides(m2, prod)
     assert R.mon_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
     assert R.order_key(m1) == (R.wdeg(m1), tuple(-e for e in m1))
-    assert R.descending_key(m1) == (-R.wdeg(m1), m1)
     for m in (R.mon_mul(m1, m2), R.mon_div(prod, m2), R.mon_lcm(m1, m2)):
         assert type(m) is tuple
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from naive_division import naive_reduce
 
 from exhopf import bst, groebner, liedata, steenrod
@@ -147,8 +148,22 @@ def test_truncation_soundness_small():
 def test_weight_beyond_truncation_rejected():
     R = ring(2, ("x", "y"))
     gb = buchberger([R.parse("x^2")], truncation=3)
-    with pytest.raises(ValueError):
-        normal_form(R.parse("x^4"), gb)
+    with pytest.raises(ValueError, match="input weight 4 exceeds truncation 3"):
+        normal_form(R.parse("x^4+y^2"), gb)
+
+
+def test_solve_rejects_unequal_or_inhomogeneous_weights():
+    R = ring(2, ("x", "y"))
+    gb = buchberger([R.parse("x^2")], truncation=3)
+    msg = "lhs and pivot must be homogeneous of equal weight"
+    with pytest.raises(ValueError, match=msg):
+        solve_linear_coefficient(R.parse("x*y"), R.parse("y^3"), gb)
+    with pytest.raises(ValueError, match=msg):
+        solve_linear_coefficient(R.parse("x*y+y^3"), R.parse("y^3"), gb)
+    with pytest.raises(ValueError, match=msg):
+        solve_linear_coefficient(R.parse("y^3"), R.parse("x*y+y^3"), gb)
+    assert normal_form(R.parse("x*y+y^3"), gb).weights == (2, 3)
+    assert normal_form(R.zero(), gb).weights is None
 
 
 def test_determinism():
@@ -205,8 +220,8 @@ def test_heap_division_matches_rescan_oracle(p, precedence):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_inhomogeneous_division_matches_rescan_oracle(p):
     """Divisors whose tails sit at other weights than their leading terms, and
-    dividends spread over several weights: each pushed term's heap key comes
-    from its tail offset, which this pins against the rescan."""
+    dividends spread over several weights: each pushed term's packed key is
+    the popped key plus a tail delta, which this pins against the rescan."""
     rng = random.Random(77 + p)
     R = ring(p, ("x", "y", "z", "t"), weights=(1, 2, 3, 1), precedence=(3, 0, 2, 1))
 
@@ -237,12 +252,70 @@ def test_heap_division_matches_rescan_oracle_e6_method1():
 
 
 @pytest.mark.parametrize("precedence", [None, (3, 1, 0, 2)])
-def test_descending_key_reverses_order_key(precedence):
+def test_packed_key_reverses_order_key(precedence):
     rng = random.Random(11)
     R = ring(3, ("a", "b", "c", "d"), weights=(1, 2, 2, 3), precedence=precedence)
     mons = list({tuple(rng.randrange(4) for _ in range(4)) for _ in range(300)})
     rng.shuffle(mons)
-    assert sorted(mons, key=R.descending_key) == sorted(mons, key=R.order_key, reverse=True)
+    key = groebner._packing(R.weights).key
+    assert sorted(mons, key=key) == sorted(mons, key=R.order_key, reverse=True)
+
+
+@st.composite
+def weighted_monomials(draw, max_vars=8):
+    """Random weights with two monomials whose product stays below 2^15."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=0, max_size=max_vars))
+    top = (groebner.EXPONENT_LIMIT - 1) // (2 * max(1, sum(weights)))
+    exps = st.tuples(*[st.integers(0, top) for _ in weights])
+    return weights, draw(exps), draw(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_monomials())
+def test_packed_key_properties(data):
+    weights, a, b = data
+    R = RingContext(3, [(f"v{i}", w) for i, w in enumerate(weights)])
+    pk = groebner._packing(R.weights)
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pk.key(ab) == pk.key(a) + pk.key(b)
+    for m in (a, b, ab):
+        assert pk.monomial(pk.key(m)) == m
+        assert pk.wdeg(pk.key(m)) == R.wdeg(m)
+    # the guard-bit test inside the division loop: a monomial divisor
+    # cancels m exactly when it divides m
+    for lm, m in ((a, b), (b, a), (a, ab)):
+        rem = groebner._reduce_terms({m: 1}, [groebner._divisor(R.monomial(lm), R)], R)
+        assert (rem == {}) == R.mon_divides(lm, m)
+        assert rem in ({}, {m: 1})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.data())
+def test_exponent_at_guard_bit_is_a_typed_error(weights, data):
+    R = RingContext(2, [(f"v{i}", w) for i, w in enumerate(weights)])
+    i = data.draw(st.integers(0, len(weights) - 1))
+    big = [0] * len(weights)
+    big[i] = groebner.EXPONENT_LIMIT
+    big = tuple(big)
+    small = tuple(1 if j != i else 0 for j in range(len(weights)))
+    divisor = groebner._divisor(R.monomial(small), R)
+    with pytest.raises(groebner.ExponentOverflow):
+        groebner._reduce_terms({big: 1, small: 1}, [divisor], R)
+    with pytest.raises(groebner.ExponentOverflow):
+        groebner._divisor(R.monomial(big), R)
+    gb = buchberger([R.monomial(small)], ring=R)
+    with pytest.raises(groebner.ExponentOverflow):
+        normal_form(R.monomial(big), gb)
+
+
+def test_exponent_below_guard_bit_divides():
+    R = ring(2, ("x", "y"))
+    top = groebner.EXPONENT_LIMIT - 1
+    gb = buchberger([R.parse("x+y")], ring=R)
+    # y leads x + y, so y^top steps down to x^top, one field over, and
+    # x^top is already reduced
+    assert normal_form(R.monomial((0, top)), gb).remainder == R.monomial((top, 0))
+    assert normal_form(R.monomial((top, 0)), gb).remainder == R.monomial((top, 0))
 
 
 def test_degenerate_basis_is_a_typed_error(monkeypatch):
