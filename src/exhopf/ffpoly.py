@@ -3,31 +3,47 @@
 A ring's `RingContext` carries its prime p; coefficients are canonical
 residues 0..p-1, and `inverse` is the one modular inverse of the package.
 
-A monomial is a dense tuple of non-negative exponents, one slot per ring
-variable.  Every variable carries a positive integer weight (its
-half-topological degree: a degree-2 class has weight 1, a Chern-type
-class c_k has weight k) and all grading is by weighted degree.  The term
-order is graded reverse lexicographic: weighted degree first, ties broken
+Every variable carries a positive integer weight (its half-topological
+degree: a degree-2 class has weight 1, a Chern-type class c_k has weight
+k) and all grading is by weighted degree.  The term order is graded
+reverse lexicographic: weighted degree first, ties broken
 reverse-lexicographically along the declaration order of the variables
 (the first variable is the smallest).  To order the variables otherwise,
 declare them in another order.
 
-The monomial kernel is the set of `RingContext` methods `wdeg`,
-`order_key`, `mon_mul`, `mon_div`, `mon_divides` and `mon_lcm`, plus the
-product monomials of `Polynomial.__mul__`.  Each is one `map` of an
-`operator` function over the exponent tuples, so the per-slot loop runs
-in C instead of as Python generator steps, and `RingContext.__eq__`
-answers for the same object before it compares any field.  A 1x1 product
-in an 8-variable ring went from about 4.1 to 3.0 us with this kernel
-(interleaved timeit, 2-core VM, Python 3.11).  Division does not use the
-tuple kernel in its loop: `groebner` packs each monomial into one int
-key, once on the way in, and divides on those ints.
+A monomial is one int key, the packed-exponent-vector idea of Monagan and
+Pearce (CASC 2007).  In an n-variable ring variable i owns the 16-bit
+field n-1-i of the packed exponent vector, and
+
+    key(m) = sum_i e_i * (2^(16(n-1-i)) - w_i * 2^(16n))
+           = packed(m) - wdeg(m) * 2^(16n).
+
+- Order: ascending keys run from the largest monomial down (weight
+  first, then the reverse-lex tie-break), so `min(terms)` is the leading
+  monomial and wdeg(m) = -(key >> 16n).  `order_key` is -key.
+- Linearity: key(m1 * m2) = key(m1) + key(m2), so a product step is one
+  int add and the constant monomial has key 0.  m1 divides m2 when no
+  field of ((key(m2) | G) - packed(m1)) borrows from its guard bit, the
+  top bit of the field (G: the guard bits of all fields).
+- Invariant: no key of any `Polynomial` has weight 2^15 or more.  Weights
+  are at least 1, so no exponent reaches its guard bit and no field
+  spills into its neighbour.  `key` refuses such a monomial and
+  `Polynomial.__mul__` such a product, with `ExponentOverflow`; division
+  never raises a weight.
+
+Exponent tuples exist only at the boundary: `RingContext.key` and
+`RingContext.exponents` convert, and construction (`monomial`,
+`from_terms`), `parse`, `render` and `substitute` go through them.
 
 Polynomials are immutable value objects; arithmetic always builds fresh
 term dictionaries, so instances can be shared freely across threads.
 """
 
-from operator import add, le, mul, neg, sub
+import struct
+from operator import mul
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # weights and exponents stay below the guard bit
 
 
 def _is_prime(n):
@@ -71,6 +87,10 @@ class RingMismatchError(ValueError):
     """Operands belong to different ring contexts."""
 
 
+class ExponentOverflow(ValueError):
+    """A weight of 2^15 or more: an exponent could spill out of its packed field."""
+
+
 class ParseError(ValueError):
     """Polynomial text does not conform to the grammar."""
 
@@ -107,30 +127,50 @@ class RingContext:
         self.weights = weights
         self.nvars = len(names)
         self.index = {name: i for i, name in enumerate(names)}
-        self._zero_mon = (0,) * self.nvars
+        # the packed keys of the module docstring; coeffs[i] is the key of variable i
+        n = self.nvars
+        self.shift = FIELD_BITS * n
+        top = 1 << self.shift
+        self.coeffs = tuple(
+            (1 << FIELD_BITS * (n - 1 - i)) - w * top for i, w in enumerate(weights)
+        )
+        self.mask = top - 1
+        self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * j for j in range(n))
+        self._fields = struct.Struct(f">{n}H")
 
-    # -- monomial helpers ------------------------------------------------
+    # -- monomial keys ---------------------------------------------------
 
-    def wdeg(self, mon):
-        return sum(map(mul, mon, self.weights))
+    def key(self, exps):
+        """The key of the monomial with exponent tuple `exps`."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent tuple has wrong length")
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        w = sum(map(mul, exps, self.weights))
+        if w >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"monomial {exps} has weight {w}, 2^15 or more")
+        return sum(map(mul, exps, self.coeffs))
 
-    def order_key(self, mon):
+    def exponents(self, key):
+        """The exponent tuple of a key."""
+        return self._fields.unpack((key & self.mask).to_bytes(self._fields.size, "big"))
+
+    def wdeg(self, key):
+        return -(key >> self.shift)
+
+    def order_key(self, key):
         """Sort key realizing weighted grevlex (larger key = larger monomial)."""
-        return (self.wdeg(mon), tuple(map(neg, mon)))
+        return -key
 
-    def mon_mul(self, m1, m2):
-        return tuple(map(add, m1, m2))
+    def mon_divides(self, k1, k2):
+        """True when the monomial of k1 divides that of k2."""
+        return ((k2 | self.guard) - (k1 & self.mask)) & self.guard == self.guard
 
-    def mon_divides(self, m1, m2):
-        """True when m1 divides m2."""
-        return all(map(le, m1, m2))
-
-    def mon_div(self, m1, m2):
-        """m1 / m2, assuming divisibility."""
-        return tuple(map(sub, m1, m2))
-
-    def mon_lcm(self, m1, m2):
-        return tuple(map(max, m1, m2))
+    def mon_lcm(self, k1, k2):
+        """The key of the lcm.  It is no term of a `Polynomial`, so its weight
+        may reach 2^15: a product that would hold it raises instead."""
+        return sum(map(mul, map(max, self.exponents(k1), self.exponents(k2)), self.coeffs))
 
     # -- element constructors --------------------------------------------
 
@@ -144,35 +184,31 @@ class RingContext:
         c %= self.p
         if c == 0:
             return Polynomial(self, {})
-        return Polynomial(self, {self._zero_mon: c})
+        return Polynomial(self, {0: c})
 
     def variable(self, name):
         if name not in self.index:
             raise ValueError(f"unknown variable {name!r}")
-        mon = [0] * self.nvars
-        mon[self.index[name]] = 1
-        return Polynomial(self, {tuple(mon): 1})
+        return Polynomial(self, {self.coeffs[self.index[name]]: 1})
 
     def monomial(self, exps, coeff=1):
         """Build coeff * prod(v^e) from an exponent tuple."""
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
+        key = self.key(exps)
         c = coeff % self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, {exps: c})
+        return Polynomial(self, {key: c})
 
     def from_terms(self, terms):
-        """Build a polynomial from an iterable of (monomial, coeff) pairs."""
+        """Build a polynomial from an iterable of (exponent tuple, coeff) pairs."""
         acc = {}
-        for mon, c in terms:
-            mon = tuple(mon)
-            c = (acc.get(mon, 0) + c) % self.p
+        for exps, c in terms:
+            key = self.key(exps)
+            c = (acc.get(key, 0) + c) % self.p
             if c:
-                acc[mon] = c
+                acc[key] = c
             else:
-                acc.pop(mon, None)
+                acc.pop(key, None)
         return Polynomial(self, acc)
 
     def parse(self, text):
@@ -197,7 +233,7 @@ class RingContext:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map monomial -> nonzero residue."""
+    """Immutable sparse polynomial: a map monomial key -> nonzero residue."""
 
     __slots__ = ("ring", "terms")
 
@@ -210,27 +246,32 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
+    def _weight_range(self):
+        """(lowest, highest) weight of the terms: the largest and the smallest key."""
+        wdeg = self.ring.wdeg
+        return wdeg(max(self.terms)), wdeg(min(self.terms))
+
     def is_homogeneous(self):
-        it = iter(self.terms)
-        try:
-            w = self.ring.wdeg(next(it))
-        except StopIteration:
+        if not self.terms:
             return True
-        return all(self.ring.wdeg(m) == w for m in it)
+        lo, hi = self._weight_range()
+        return lo == hi
 
     def weight(self):
         """Weighted degree of a homogeneous polynomial (0 for the zero poly)."""
         if not self.terms:
             return 0
-        ws = {self.ring.wdeg(m) for m in self.terms}
-        if len(ws) > 1:
-            raise ValueError(f"polynomial is not homogeneous (weights {sorted(ws)})")
-        return ws.pop()
+        lo, hi = self._weight_range()
+        if lo != hi:
+            ws = sorted({self.ring.wdeg(m) for m in self.terms})
+            raise ValueError(f"polynomial is not homogeneous (weights {ws})")
+        return hi
 
     def homogeneous_components(self):
         comps = {}
+        wdeg = self.ring.wdeg
         for m, c in self.terms.items():
-            comps.setdefault(self.ring.wdeg(m), {})[m] = c
+            comps.setdefault(wdeg(m), {})[m] = c
         return {w: Polynomial(self.ring, d) for w, d in sorted(comps.items())}
 
     # -- ring operations ---------------------------------------------------
@@ -272,20 +313,26 @@ class Polynomial:
                 return self
             return Polynomial(self.ring, {m: (a * c) % p for m, a in self.terms.items()})
         self._check(other)
-        p = self.ring.p
-        out = {}
+        ring = self.ring
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
+        if not small:
+            return Polynomial(ring, {})
+        # refuse top weights that sum to 2^15 or more (a key's weight is -(key >> shift))
+        if (min(small) >> ring.shift) + (min(big) >> ring.shift) <= -EXPONENT_LIMIT:
+            raise ExponentOverflow("product weight is 2^15 or more")
+        p = ring.p
+        out = {}
         for m1, c1 in small.items():
             for m2, c2 in big.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 v = (out.get(m, 0) + c1 * c2) % p
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(ring, out)
 
     __rmul__ = __mul__
 
@@ -372,12 +419,8 @@ class Polynomial:
                     f"image of {self.ring.names[i]} is not homogeneous of weight "
                     f"{self.ring.weights[i]}"
                 )
-        used = set()
-        for mon in self.terms:
-            for i, e in enumerate(mon):
-                if e:
-                    used.add(i)
-        for i in sorted(used):
+        monos = [(self.ring.exponents(m), c) for m, c in self.terms.items()]
+        for i in sorted({i for mon, _ in monos for i, e in enumerate(mon) if e}):
             if images[i] is None:
                 raise ValueError(f"variable {self.ring.names[i]} is not mapped")
         pow_cache = {}
@@ -389,12 +432,14 @@ class Polynomial:
             return pow_cache[key]
 
         acc = {}
-        for mon, c in self.terms.items():
-            term = target_ring.constant(c)
+        one = target_ring.one()
+        for mon, c in monos:
+            term = one
             for i, e in enumerate(mon):
                 if e:
-                    term = term * var_power(i, e)
-            add_into(acc, term.terms, 1, target_ring.p)
+                    # the first factor is taken as it is; c is applied in add_into
+                    term = var_power(i, e) if term is one else term * var_power(i, e)
+            add_into(acc, term.terms, c, target_ring.p)
         return Polynomial(target_ring, acc)
 
     # -- text ------------------------------------------------------------------
@@ -427,10 +472,10 @@ def render(f):
     if not f.terms:
         return "0"
     chunks = []
-    for mon, c in f.items_sorted():
+    for key, c in f.items_sorted():
         negative = p > 2 and c == p - 1
         factors = []
-        for i, e in enumerate(mon):
+        for i, e in enumerate(ring.exponents(key)):
             if e == 0:
                 continue
             factors.append(ring.names[i] if e == 1 else f"{ring.names[i]}^{e}")

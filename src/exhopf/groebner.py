@@ -8,45 +8,24 @@ weight first) with the product and chain criteria.
 
 Division picks each next leading term from a heap, as in Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors" (CASC 2007): every monomial is keyed once, when it
+exponent vectors" (CASC 2007): every monomial is pushed once, when it
 first enters the working polynomial, and a term that cancels is skipped
 when its stale heap entry surfaces.  A division step therefore costs a
 logarithm in the number of live terms instead of a rescan of all of them.
 
-Each monomial of an n-variable ring is keyed by one int.  Variable i
-owns the 16-bit field n-1-i of the packed exponent vector, and
-
-    key(m) = sum_i e_i * (2^(16(n-1-i)) - w_i * 2^(16n))
-           = packed(m) - wdeg(m) * 2^(16n),
-
-so ascending keys run from the largest monomial down (weight first, then
-the reverse-lex tie-break), a min-heap pops the leading term, and
-wdeg(m) = -(key >> 16n).  The key is linear in m, so the term
-gm * (m / lm) that a division step adds has key(m) + key(gm) - key(lm):
-each divisor stores those deltas once (`_divisor`), and a step costs one
-int add per tail term, with no monomial tuple built.  lm divides m when
-no field of ((key(m) | G) - packed(lm)) borrows from the guard bit, the
-top bit of its field: (... & G) == G, with G the guard bits of all
-fields.  The guard bit caps every exponent below 2^15.  Weights are at
-least 1 and no step raises a weight, so the largest weight of the
-dividend or of a divisor's leading monomial bounds every exponent that
-division meets; at 2^15 or more, division raises `ExponentOverflow`
-instead of letting a field spill into its neighbour.  Terms are packed
-once on the way in and unpacked once, in pop order, on the way out.
+Monomials are the int keys of `ffpoly`, linear in the exponents, so the
+term gm * (m / lm) that a division step adds has key m + gm - lm: each
+divisor stores those deltas once (`_divisor`), and a step costs one int
+add per tail term.  lm divides m when the guard-bit test of
+`RingContext.mon_divides` passes, which the loop inlines.
 
 Bases are completed to reduced form (monic, inter-reduced, sorted), so
 identical inputs always produce bit-identical bases and remainders.
 """
 
 import heapq
-import struct
-from functools import lru_cache
-from operator import mul
 
 from .ffpoly import Polynomial, inverse
-
-FIELD_BITS = 16
-EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # exponents stay below the guard bit
 
 
 class GroebnerError(Exception):
@@ -65,17 +44,13 @@ class DegenerateBasis(GroebnerError):
     """A minimal basis element reduced to zero against the others."""
 
 
-class ExponentOverflow(GroebnerError):
-    """A weight of 2^15 or more: an exponent could spill out of its packed field."""
-
-
 class ReductionResult:
     """The remainder of a division by a basis.
 
     Division tracks no quotient: the pipeline only ever asks for the
     remainder, and the traced benchmark sizes `normal_form` by it.
     `weights` is the (lowest, highest) weight of the dividend's terms, read
-    off their packed keys, or None for a zero dividend.
+    off their keys, or None for a zero dividend.
     """
 
     __slots__ = ("remainder", "weights")
@@ -96,74 +71,29 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-class _Packing:
-    """Packed int keys for the monomials of one weight vector (module docstring)."""
-
-    def __init__(self, weights):
-        n = len(weights)
-        self.shift = FIELD_BITS * n
-        top = 1 << self.shift
-        self.coeffs = tuple(
-            (1 << FIELD_BITS * (n - 1 - i)) - w * top for i, w in enumerate(weights)
-        )
-        self.mask = top - 1
-        self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * j for j in range(n))
-        self._fields = struct.Struct(f">{n}H")
-
-    def key(self, mon):
-        return sum(map(mul, mon, self.coeffs))
-
-    def pack(self, terms):
-        """A term dict re-keyed by packed key (insertion order kept)."""
-        coeffs = self.coeffs
-        return {sum(map(mul, m, coeffs)): c for m, c in terms.items()}
-
-    def wdeg(self, key):
-        return -(key >> self.shift)
-
-    def monomial(self, key):
-        """The exponent tuple of a key whose weight is below 2^15."""
-        return self._fields.unpack((key & self.mask).to_bytes(self._fields.size, "big"))
-
-
-@lru_cache(maxsize=32)
-def _packing(weights):
-    return _Packing(weights)
-
-
 def _divisor(g, ring):
-    """A monic g as division reads it: (lm, packed(lm), [(key(gm) - key(lm), gc)])."""
-    pk = _packing(ring.weights)
+    """A monic g as division reads it: (lm, packed(lm), [(gm - lm, gc)])."""
     lm = g.leading_monomial()
-    base = pk.key(lm)
-    if pk.wdeg(base) >= EXPONENT_LIMIT:
-        raise ExponentOverflow(f"divisor leading weight {pk.wdeg(base)} is 2^15 or more")
-    tail = [(pk.key(gm) - base, gc) for gm, gc in g.terms.items() if gm != lm]
-    return lm, base & pk.mask, tail
+    tail = [(gm - lm, gc) for gm, gc in g.terms.items() if gm != lm]
+    return lm, lm & ring.mask, tail
 
 
-def _reduce_terms(terms, divisors, ring):
-    """Full division of a term dict by monic `_divisor`s; returns the remainder dict."""
-    pk = _packing(ring.weights)
-    return _divide(pk.pack(terms), divisors, pk, ring.p)
+def _divide(terms, divisors, ring):
+    """Full division of a term dict by monic `_divisor`s; the remainder dict.
 
-
-def _divide(work, divisors, pk, p):
-    """Divide `work`, a packed term dict that this consumes; the remainder dict.
-
-    Each step divides the leading term of `work` by the first divisor whose
-    leading monomial divides it.  Leading terms come off a min-heap of
-    packed keys.  A key is pushed only when it first enters `work`: every
-    term a step adds is smaller than the term it divides, so a popped key
-    never returns, and one that cancelled before its pop is simply skipped.
+    Each step divides the leading term of the working copy of `terms` by
+    the first divisor whose leading monomial divides it.  Leading terms
+    come off a min-heap of keys.  A key is pushed only when it first
+    enters the working dict: every term a step adds is smaller than the
+    term it divides, so a popped key never returns, and one that cancelled
+    before its pop is simply skipped.  The remainder is in pop order.
     """
+    work = dict(terms)
     heap = list(work)
     heapq.heapify(heap)
-    if heap and pk.wdeg(heap[0]) >= EXPONENT_LIMIT:
-        raise ExponentOverflow(f"dividend weight {pk.wdeg(heap[0])} is 2^15 or more")
-    guard = pk.guard
+    guard, p = ring.guard, ring.p
     pushed = set(work)
-    remainder = []
+    remainder = {}
     while heap:
         k = heapq.heappop(heap)
         c = work.pop(k, 0)
@@ -184,9 +114,8 @@ def _divide(work, divisors, pk, p):
                         work.pop(kk, None)
                 break
         else:
-            remainder.append((k, c))
-    monomial = pk.monomial
-    return {monomial(k): c for k, c in remainder}
+            remainder[k] = c
+    return remainder
 
 
 def buchberger(gens, truncation=None, ring=None):
@@ -235,7 +164,7 @@ def buchberger(gens, truncation=None, ring=None):
         push_pairs(len(basis) - 1)
 
     for g in sorted(gens, key=lambda f: (f.weight(), key(f.leading_monomial()))):
-        rem = _reduce_terms(g.terms, divisors, ring)
+        rem = _divide(g.terms, divisors, ring)
         if rem:
             add(Polynomial(ring, rem))
 
@@ -246,7 +175,7 @@ def buchberger(gens, truncation=None, ring=None):
         processed.add((i, j))
         lmi, lmj = divisors[i][0], divisors[j][0]
         lcm = ring.mon_lcm(lmi, lmj)
-        if lcm == ring.mon_mul(lmi, lmj):
+        if lcm == lmi + lmj:
             continue  # coprime leading monomials (product criterion)
         skip = False
         for k2 in range(len(basis)):
@@ -261,11 +190,9 @@ def buchberger(gens, truncation=None, ring=None):
         if skip:
             continue
         # both basis elements are monic
-        fi = Polynomial(ring, basis[i].terms)
-        fj = Polynomial(ring, basis[j].terms)
-        si = fi * ring.monomial(ring.mon_div(lcm, lmi))
-        sj = fj * ring.monomial(ring.mon_div(lcm, lmj))
-        rem = _reduce_terms((si - sj).terms, divisors, ring)
+        si = basis[i] * Polynomial(ring, {lcm - lmi: 1})
+        sj = basis[j] * Polynomial(ring, {lcm - lmj: 1})
+        rem = _divide((si - sj).terms, divisors, ring)
         if rem:
             add(Polynomial(ring, rem))
 
@@ -285,7 +212,7 @@ def _finalize(ring, truncation, basis, divisors):
     reduced = []
     for n, i in enumerate(kept):
         others = [divisors[j] for j in kept[:n] + kept[n + 1 :]]
-        rem = _reduce_terms(basis[i].terms, others, ring)
+        rem = _divide(basis[i].terms, others, ring)
         h = Polynomial(ring, rem)
         if h.is_zero():
             raise DegenerateBasis("minimal basis element reduced to zero")
@@ -299,12 +226,11 @@ def normal_form(f, gb):
     ring = gb.ring
     if f.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    pk = _packing(ring.weights)
-    work = pk.pack(f.terms)
-    weights = (pk.wdeg(max(work)), pk.wdeg(min(work))) if work else None
+    terms = f.terms
+    weights = (ring.wdeg(max(terms)), ring.wdeg(min(terms))) if terms else None
     if weights and gb.truncation is not None and weights[1] > gb.truncation:
         raise ValueError(f"input weight {weights[1]} exceeds truncation {gb.truncation}")
-    rem = _divide(work, gb._divisors, pk, ring.p)
+    rem = _divide(terms, gb._divisors, ring)
     return ReductionResult(Polynomial(ring, rem), weights)
 
 

@@ -12,8 +12,10 @@ indices against r(G,p) and the weighted homogeneity of each theta, and
 each weight-ring expansion is homogeneity-checked when first computed.
 The three-way consistency between the printed mixed presentation, its
 full weight-ring expansion and the kappa-restriction is not re-checked at
-load: a test (`test_three_way_consistency_light_pairs`) checks it on
-every pair except (E8,3) and (E8,5), whose top expansions are too large.
+load.  The tests check it on every degree of the eight light pairs, on
+(E8,3) up to s = 14 and on (E8,5) up to s = 12; `pytest -m slow` adds
+(E8,3) s = 18 and (E8,5) s = 14.  The degrees above those stay unchecked:
+their expansions are too large.
 """
 
 import hashlib

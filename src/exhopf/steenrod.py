@@ -28,13 +28,10 @@ memo kept on the context saved only 1-14% more products and raised the
 peak RSS of both workloads by about 1 MB, so it does not outlive the call.
 
 Almost every product the recursion makes is 1x1, so what it costs is the
-fixed cost of one `Polynomial.__mul__`: the ring check and the building
-of one product monomial.  That overhead is why folding the weight and
-Chern engines into this one recursion cost +4.7% on `tables` and +7.7% on
-`crosscheck`.  With the `map`-based monomial kernel of `ffpoly` the
-traced `steenrod.power` self time on `tables` fell from 0.110-0.142 s to
-0.071-0.085 s (two traced 10 s runs each, 2-core VM); the workload's
-count of `Polynomial` products stayed at 11,152.
+fixed cost of one `Polynomial.__mul__`: the ring check, the weight
+check and one product monomial, which on the int keys of `ffpoly` is one
+int add.  Exponent tuples appear only where `power` splits a monomial
+into its slots and where `_on_slot` builds v_i^(e + j(p-1)).
 """
 
 from math import comb
@@ -140,7 +137,7 @@ def power(k, f, ctx):
         return f ** ctx.p
     acc, memo = {}, {}
     for mon, c in f.terms.items():
-        slots = tuple((i, e) for i, e in enumerate(mon) if e)
+        slots = tuple((i, e) for i, e in enumerate(ctx.ring.exponents(mon)) if e)
         add_into(acc, _cartan(k, slots, ctx, memo).terms, c, ctx.p)
     return Polynomial(ctx.ring, acc)
 

@@ -60,7 +60,8 @@ class WuTable:
                     dict(vec[p - 1]), {(i + 1, j): c for (i, j), c in top.items()}, 1, p
                 )
             reduced.append(vec)
-        unit = [(0,) * n] + [tuple(int(i == l) for i in range(n)) for l in range(n)]
+        # the keys of c_0 = 1, c_1, .., c_n (a variable's key is its coefficient)
+        unit = [0, *self.ring.coeffs]
         self.matrix = []
         for row in range(p):
             entries = []

@@ -3,9 +3,10 @@
 Each step takes the largest surviving monomial, found by `max` over the
 whole working dict, and divides it by the first basis element whose
 leading monomial divides it.  This is quadratic in the number of terms,
-but it shares no code with `groebner._reduce_terms` or with the
-`RingContext` monomial kernel: the term order and the exponent arithmetic
-are written out here with `zip`, and the library never imports it.
+but it shares no code with `groebner._divide` or with the `RingContext`
+monomial keys: it reads each key's exponent tuple once through
+`ring.exponents`, the term order and the exponent arithmetic are written
+out here with `zip`, and the library never imports it.
 """
 
 
@@ -14,20 +15,26 @@ def _order_key(mon, weights):
     return (sum(e * w for e, w in zip(mon, weights)), tuple(-e for e in mon))
 
 
+def _tuple_terms(terms, ring):
+    return {ring.exponents(k): c for k, c in terms.items()}
+
+
 def naive_reduce(terms, basis, ring):
-    """Divide a term dict by a monic basis; returns the remainder term dict."""
+    """Divide a key-keyed term dict by a monic basis; returns the remainder
+    as a dict keyed by exponent tuples."""
     p = ring.p
     weights = ring.weights
-    lms = [max(g.terms, key=lambda m: _order_key(m, weights)) for g in basis]
-    work = dict(terms)
+    basis_terms = [_tuple_terms(g.terms, ring) for g in basis]
+    lms = [max(g, key=lambda m: _order_key(m, weights)) for g in basis_terms]
+    work = _tuple_terms(terms, ring)
     remainder = {}
     while work:
         m = max(work, key=lambda m: _order_key(m, weights))
         c = work.pop(m)
-        for lm, g in zip(lms, basis):
+        for lm, g in zip(lms, basis_terms):
             if all(a <= b for a, b in zip(lm, m)):
                 shift = [b - a for a, b in zip(lm, m)]
-                for gm, gc in g.terms.items():
+                for gm, gc in g.items():
                     if gm == lm:
                         continue
                     mm = tuple(a + b for a, b in zip(gm, shift))

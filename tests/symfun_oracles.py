@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from exhopf.ffpoly import Polynomial, RingContext
+from exhopf.ffpoly import RingContext
 from exhopf.steenrod import SteenrodError
 
 
@@ -249,14 +249,13 @@ def elementary(k, ctx):
     """The k-th elementary symmetric polynomial in t_1..t_n; e_0 = 1."""
     if k < 0 or k > ctx.n:
         raise ValueError(f"k={k} out of range 0..{ctx.n}")
-    ring = ctx.t_ring
-    terms = {}
+    terms = []
     for subset in combinations(range(ctx.n), k):
         mon = [0] * ctx.n
         for i in subset:
             mon[i] = 1
-        terms[tuple(mon)] = 1
-    return Polynomial(ring, terms)
+        terms.append((mon, 1))
+    return ctx.t_ring.from_terms(terms)
 
 
 def monomial_symmetric_t(lam, ctx):
@@ -265,7 +264,7 @@ def monomial_symmetric_t(lam, ctx):
     if len(lam) > ctx.n:
         return ctx.t_ring.zero()
     base = lam + (0,) * (ctx.n - len(lam))
-    return Polynomial(ctx.t_ring, {mon: 1 for mon in set(permutations(base))})
+    return ctx.t_ring.from_terms((mon, 1) for mon in set(permutations(base)))
 
 
 def rewrite_in_elementary(f, ctx):
@@ -278,7 +277,8 @@ def rewrite_in_elementary(f, ctx):
         raise ValueError("polynomial does not live in the t-ring of this context")
     n = ctx.n
     orbits = {}
-    for mon, c in f.terms.items():
+    for key, c in f.terms.items():
+        mon = f.ring.exponents(key)
         lam = tuple(sorted((e for e in mon if e), reverse=True))
         if sum(lam) > n:
             raise ValueError(f"degree {sum(lam)} exceeds variable count {n}")

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from naive_division import _order_key
 
 from exhopf.ffpoly import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     ParseError,
     Polynomial,
     RingContext,
@@ -10,6 +13,7 @@ from exhopf.ffpoly import (
     parse,
     render,
 )
+from exhopf.groebner import buchberger, normal_form
 
 
 def ring(p=2, names=("w1", "w2"), weights=None):
@@ -28,8 +32,8 @@ def test_prime_field_validation():
 
 def test_field_canonical_residues():
     R = RingContext(5, [("x", 1)])
-    assert R.constant(-1).terms == {(0,): 4}
-    assert (-R.one()).terms == {(0,): 4}
+    assert R.constant(-1).terms == {R.key((0,)): 4}
+    assert (-R.one()).terms == {R.key((0,)): 4}
     assert inverse(2, 5) == 3
     assert inverse(-1, 5) == 4
     assert all(a * inverse(a, 251) % 251 == 1 for a in range(1, 251))
@@ -100,7 +104,7 @@ def test_weight_and_homogeneity():
     assert f.is_homogeneous() and f.weight() == 4
     g = R.parse("w1+c4")
     assert not g.is_homogeneous()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not homogeneous \(weights \[1, 4\]\)"):
         g.weight()
     comps = g.homogeneous_components()
     assert set(comps) == {1, 4}
@@ -219,8 +223,11 @@ def ring_and_polys(draw, count=2, max_vars=6, max_weight=12):
 
 @st.composite
 def monomial_pairs(draw, max_vars=8):
+    """Random weights (0 variables included) with two monomials whose
+    product stays below weight 2^15."""
     weights = draw(st.lists(st.integers(1, 9), min_size=0, max_size=max_vars))
-    exps = st.tuples(*[st.integers(0, 6) for _ in weights])
+    top = (EXPONENT_LIMIT - 1) // (2 * max(1, sum(weights)))
+    exps = st.tuples(*[st.integers(0, top) for _ in weights])
     return weights, draw(exps), draw(exps)
 
 
@@ -230,15 +237,69 @@ def test_monomial_kernel_matches_elementwise_definitions(data):
     weights, m1, m2 = data
     R = RingContext(3, [(f"v{i}", w) for i, w in enumerate(weights)])
     prod = tuple(a + b for a, b in zip(m1, m2))
-    assert R.wdeg(m1) == sum(e * w for e, w in zip(m1, weights))
-    assert R.mon_mul(m1, m2) == prod
-    assert R.mon_div(prod, m2) == m1
-    assert R.mon_divides(m1, m2) == all(a <= b for a, b in zip(m1, m2))
-    assert R.mon_divides(m2, prod)
-    assert R.mon_lcm(m1, m2) == tuple(max(a, b) for a, b in zip(m1, m2))
-    assert R.order_key(m1) == (R.wdeg(m1), tuple(-e for e in m1))
-    for m in (R.mon_mul(m1, m2), R.mon_div(prod, m2), R.mon_lcm(m1, m2)):
-        assert type(m) is tuple
+    k1, k2, kp = R.key(m1), R.key(m2), R.key(prod)
+    assert kp == k1 + k2
+    for m, k in ((m1, k1), (m2, k2), (prod, kp)):
+        assert R.exponents(k) == m
+        assert R.wdeg(k) == sum(e * w for e, w in zip(m, weights))
+    assert R.mon_divides(k1, k2) == all(a <= b for a, b in zip(m1, m2))
+    assert R.mon_divides(k2, kp) and R.mon_divides(k1, kp)
+    assert R.exponents(R.mon_lcm(k1, k2)) == tuple(max(a, b) for a, b in zip(m1, m2))
+    assert R.key((0,) * len(weights)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=0, max_size=6), st.data())
+def test_order_key_matches_naive_order(weights, data):
+    R = RingContext(3, [(f"v{i}", w) for i, w in enumerate(weights)])
+    exps = st.tuples(*[st.integers(0, 5) for _ in weights])
+    mons = data.draw(st.lists(exps, min_size=1, max_size=30, unique=True))
+    by_key = sorted(mons, key=lambda m: R.order_key(R.key(m)))
+    assert by_key == sorted(mons, key=lambda m: _order_key(m, R.weights))
+
+
+def test_exponent_at_limit_is_refused_at_every_entry():
+    R = ring(3, ("x", "y"), (1, 2))
+    for exps in ((EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT // 2)):
+        with pytest.raises(ExponentOverflow):
+            R.monomial(exps)
+        with pytest.raises(ExponentOverflow):
+            R.from_terms([((1, 0), 1), (exps, 2)])
+    with pytest.raises(ExponentOverflow):
+        R.parse(f"x*y+x^{EXPONENT_LIMIT}")
+    with pytest.raises(ExponentOverflow):
+        R.parse(f"y^{EXPONENT_LIMIT // 2}")
+    with pytest.raises(ExponentOverflow):
+        R.key((EXPONENT_LIMIT - 1, 1))
+
+
+def test_negative_or_misshapen_exponents_are_value_errors():
+    R = ring(3, ("x", "y"))
+    for exps in ((-1, 0), (0, -3), (1,), (1, 2, 3)):
+        for build in (R.key, R.monomial, lambda e: R.from_terms([(e, 1)])):
+            with pytest.raises(ValueError) as info:
+                build(exps)
+            assert not isinstance(info.value, ExponentOverflow)
+
+
+def test_product_weight_at_limit_overflows():
+    R = ring(2, ("x", "y"))
+    half = 1 << 14
+    x = R.variable("x")
+    with pytest.raises(ExponentOverflow):
+        x ** half * x ** half
+    with pytest.raises(ExponentOverflow):
+        R.monomial((half, 0)) * R.monomial((0, half))
+    with pytest.raises(ExponentOverflow):
+        (x + R.variable("y")) ** (2 * half)
+    # one below the limit still multiplies, and still divides
+    f = R.monomial((half - 1, 0)) * R.monomial((half, 0))
+    assert f == R.monomial((EXPONENT_LIMIT - 1, 0))
+    assert R.exponents(f.leading_monomial()) == (EXPONENT_LIMIT - 1, 0)
+    g = R.monomial((0, half - 1)) * R.monomial((0, half))
+    gb = buchberger([R.parse("x+y")], ring=R)
+    assert normal_form(g, gb).remainder == f
+    assert normal_form(f, gb).remainder == f
 
 
 @settings(max_examples=60, deadline=None)

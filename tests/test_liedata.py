@@ -123,6 +123,29 @@ def test_theta_homogeneity_all_pairs():
                 assert f.is_zero() or f.weight() == s
 
 
+def _assert_three_way(ts, s):
+    """kappa* after the full omega-expansion == expansion of the restriction."""
+    g, p = ts.profile.group, ts.profile.p
+    r = ts.profile.distinguished_weight
+    W = ts.weight_ring
+    killed = {f"w{r}": W.zero()}
+    for name in W.names:
+        if name != f"w{r}":
+            killed[name] = W.variable(name)
+    lhs = ts.omega(s).substitute(killed, target_ring=W)
+    restricted = ts.theta_restricted[s]
+    expand = {}
+    for name in restricted.ring.names:
+        img = chern_poly(g, p, int(name[1:])).substitute(killed, target_ring=W)
+        expand[name] = img
+    rhs = (
+        restricted.substitute(expand, target_ring=W)
+        if not restricted.is_zero()
+        else W.zero()
+    )
+    assert lhs == rhs, (g, p, s)
+
+
 def test_three_way_consistency_light_pairs():
     # recompute the omega-expansion and the restriction for every pair where
     # the expansion is desk-cheap, and check the linking identities
@@ -134,25 +157,21 @@ def test_three_way_consistency_light_pairs():
             assert om.weight() == s
             if g == "G2":
                 continue
-            # kappa* after full expansion == expansion of the restriction
-            r = ts.profile.distinguished_weight
-            W = ts.weight_ring
-            killed = {f"w{r}": W.zero()}
-            for name in W.names:
-                if name != f"w{r}":
-                    killed[name] = W.variable(name)
-            lhs = om.substitute(killed, target_ring=W)
-            restricted = ts.theta_restricted[s]
-            expand = {}
-            for name in restricted.ring.names:
-                img = chern_poly(g, p, int(name[1:])).substitute(killed, target_ring=W)
-                expand[name] = img
-            rhs = (
-                restricted.substitute(expand, target_ring=W)
-                if not restricted.is_zero()
-                else W.zero()
-            )
-            assert lhs == rhs, (g, p, s)
+            _assert_three_way(ts, s)
+
+
+@pytest.mark.parametrize("p, smax", [(3, 14), (5, 12)])
+def test_three_way_consistency_heavy_pairs(p, smax):
+    ts = theta_set("E8", p)
+    for s in ts.profile.r_set:
+        if s <= smax:
+            _assert_three_way(ts, s)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, s", [(3, 18), (5, 14)])
+def test_three_way_consistency_heavy_pairs_top(p, s):
+    _assert_three_way(theta_set("E8", p), s)
 
 
 def test_e8_heavy_pairs_light_degrees():
