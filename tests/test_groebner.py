@@ -2,7 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from naive_division import naive_reduce
+from naive_division import _order_key, naive_reduce
 
 from exhopf import bst, groebner, liedata, steenrod
 from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext, render
@@ -255,6 +255,18 @@ def test_heap_division_matches_rescan_oracle_e6_method1():
         _assert_matches_oracle(steenrod.power(k, ts.omega(s), ctx), gb)
 
 
+@pytest.mark.parametrize("precedence", [None, (3, 1, 0, 2)])
+def test_packed_key_reverses_order_key(precedence):
+    # the division heap pops the smallest key first, which must be the
+    # largest monomial of the weighted grevlex order
+    rng = random.Random(11)
+    R = ring(3, ("a", "b", "c", "d"), weights=(1, 2, 2, 3), precedence=precedence)
+    mons = list({tuple(rng.randrange(4) for _ in range(4)) for _ in range(300)})
+    rng.shuffle(mons)
+    by_key = sorted(mons, key=R.key)
+    assert by_key == sorted(mons, key=lambda m: _order_key(m, R.weights), reverse=True)
+
+
 @st.composite
 def weighted_monomials(draw, max_vars=8):
     """Random weights with two monomials whose product stays below 2^15."""
@@ -266,11 +278,16 @@ def weighted_monomials(draw, max_vars=8):
 
 @settings(max_examples=200, deadline=None)
 @given(weighted_monomials())
-def test_monomial_divisor_cancels_exactly_when_it_divides(data):
-    # the guard-bit test inside the division loop
+def test_packed_key_properties(data):
     weights, a, b = data
     R = RingContext(3, [(f"v{i}", w) for i, w in enumerate(weights)])
     ab = tuple(x + y for x, y in zip(a, b))
+    assert R.key(ab) == R.key(a) + R.key(b)
+    for m in (a, b, ab):
+        assert R.exponents(R.key(m)) == m
+        assert R.wdeg(R.key(m)) == sum(e * w for e, w in zip(m, weights))
+    # the guard-bit test inside the division loop: a monomial divisor
+    # cancels m exactly when it divides m
     for lm, m in ((a, b), (b, a), (a, ab)):
         m = R.key(m)
         rem = groebner._divide({m: 1}, [groebner._divisor(R.monomial(lm), R)], R)
