@@ -27,16 +27,20 @@ field n-1-i of the packed exponent vector, and
   top bit of the field (G: the guard bits of all fields).
 - Invariant: no key of any `Polynomial` has weight 2^15 or more.  Weights
   are at least 1, so no exponent reaches its guard bit and no field
-  spills into its neighbour.  `key` refuses such a monomial and
-  `Polynomial.__mul__` such a product, with `ExponentOverflow`; division
-  never raises a weight.
+  spills into its neighbour.  `ExponentOverflow` enforces it where a
+  weight can grow: `key` refuses such a monomial, `Polynomial.__mul__`
+  such a product, and `steenrod.power` such an output, once per call
+  before its recursion (`symfun.wu_formula` likewise).
+  `mul_into` itself checks nothing; division never raises a weight.
 
 Exponent tuples exist only at the boundary: `RingContext.key` and
 `RingContext.exponents` convert, and construction (`monomial`,
 `from_terms`), `parse`, `render` and `substitute` go through them.
 
 Polynomials are immutable value objects; arithmetic always builds fresh
-term dictionaries, so instances can be shared freely across threads.
+term dictionaries, so instances can be shared freely across threads.  A
+term dict, once wrapped, is never mutated: `steenrod` and `symfun` share
+term dicts between their memos and the polynomials they return.
 """
 
 import struct
@@ -69,8 +73,9 @@ def add_into(acc, terms, c, p):
     """acc += c * terms over F_p, in place, dropping zero coefficients.
 
     `acc` and `terms` map keys (monomials, basis elements, tensor keys) to
-    residues mod p.  This is the one sparse F_p linear-combination step of
-    the package; it returns `acc` so callers can build and wrap in one go.
+    residues mod p.  This is the sum step of the package, the one sparse
+    F_p linear combination; it returns `acc` so callers can build and wrap
+    in one go.
     """
     c %= p
     if c:
@@ -80,6 +85,33 @@ def add_into(acc, terms, c, p):
                 acc[key] = v
             else:
                 acc.pop(key, None)
+    return acc
+
+
+def mul_into(acc, a, b, c, p):
+    """acc += c * a * b over F_p, in place, dropping zero coefficients.
+
+    `a` and `b` map monomial keys of one ring to residues mod p; the key of
+    a product is the sum of the keys.  This is the product step of the
+    package, the one loop over pairs of monomial terms.  It checks no ring
+    and no weight: `Polynomial.__mul__` checks before it calls, and every
+    other caller keeps the weight invariant of the module docstring
+    itself.  Returns `acc`; `a` and `b` are only read, so they may be
+    shared dicts, but neither may be `acc`.
+    """
+    c %= p
+    if c:
+        if len(a) > len(b):
+            a, b = b, a
+        for m1, c1 in a.items():
+            c1 = c1 * c
+            for m2, c2 in b.items():
+                m = m1 + m2
+                v = (acc.get(m, 0) + c1 * c2) % p
+                if v:
+                    acc[m] = v
+                else:
+                    acc.pop(m, None)
     return acc
 
 
@@ -314,25 +346,13 @@ class Polynomial:
             return Polynomial(self.ring, {m: (a * c) % p for m, a in self.terms.items()})
         self._check(other)
         ring = self.ring
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        if not small:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Polynomial(ring, {})
         # refuse top weights that sum to 2^15 or more (a key's weight is -(key >> shift))
-        if (min(small) >> ring.shift) + (min(big) >> ring.shift) <= -EXPONENT_LIMIT:
+        if (min(a) >> ring.shift) + (min(b) >> ring.shift) <= -EXPONENT_LIMIT:
             raise ExponentOverflow("product weight is 2^15 or more")
-        p = ring.p
-        out = {}
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = m1 + m2
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return Polynomial(ring, out)
+        return Polynomial(ring, mul_into({}, a, b, 1, ring.p))
 
     __rmul__ = __mul__
 

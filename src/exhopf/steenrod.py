@@ -23,20 +23,28 @@ c_1 maps to, and the Wu formulas need that image.
 
 The recursion is memoised on (k, slots) for one `power` call.  On the
 weight-ring calls of the `tables` benchmark workload the memo halves the
-polynomial products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A
-memo kept on the context saved only 1-14% more products and raised the
-peak RSS of both workloads by about 1 MB, so it does not outlive the call.
+products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A memo kept on
+the context saved only 1-14% more products and raised the peak RSS of
+both workloads by about 1 MB, so it does not outlive the call.
 
-Almost every product the recursion makes is 1x1, so what it costs is the
-fixed cost of one `Polynomial.__mul__`: the ring check, the weight
-check and one product monomial, which on the int keys of `ffpoly` is one
-int add.  Exponent tuples appear only where `power` splits a monomial
-into its slots and where `_on_slot` builds v_i^(e + j(p-1)).
+The recursion works on term dicts end to end, keyed as in `ffpoly`: the
+memo values and the results of `_on_slot` are plain dicts, each product
+is one `ffpoly.mul_into` into the running sum, and `power` wraps one
+`Polynomial` where it returns.  Almost every product is 1x1, and through
+`Polynomial.__mul__` its fixed cost (the ring check, the weight check,
+the slot monomial's validation and two allocations) was most of the time
+of `power`.  No such dict is mutated once built, so they are shared
+without a copy: a Chern slot's dict is the `.terms` of its cached Wu
+formula.  In place of the per-product weight check, `power` checks once,
+before the recursion, that the output weight w + k(p-1) is below 2^15;
+no product of the recursion weighs more (the k = w path is f ** p, which
+`__mul__` checks).  Exponent tuples appear only where `power` splits a
+monomial into its slots.
 """
 
 from math import comb
 
-from .ffpoly import Polynomial, add_into
+from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
 from . import liedata
 from .symfun import wu_formula
 
@@ -85,20 +93,19 @@ def _wu_on_generator(k, m, ctx):
 
 
 def _on_slot(j, i, e, ctx, memo):
-    """P^j (v_i^e), by the rule of the variable v_i."""
+    """P^j (v_i^e) as a term dict, by the rule of the variable v_i."""
     m = ctx.ring.weights[i]
     if m == 1:
-        mon = [0] * ctx.ring.nvars
-        mon[i] = e + j * (ctx.p - 1)
-        return ctx.ring.monomial(mon, comb(e, j))
+        c = comb(e, j) % ctx.p
+        return {(e + j * (ctx.p - 1)) * ctx.ring.coeffs[i]: c} if c else {}
     if e == 1:
-        return _wu_on_generator(j, m, ctx)
+        return _wu_on_generator(j, m, ctx).terms
     return _cartan(j, ((i, 1), (i, e - 1)), ctx, memo)
 
 
 def _cartan(k, slots, ctx, memo):
     """P^k of the monomial prod v_i^e over `slots`, a tuple of (i, e), for
-    k at most its weight.
+    k at most its weight, as a term dict that no caller may mutate.
 
     Splits k between the first slot and the rest; instability (P^j x = 0
     for j above the weight of x) caps the share of each.
@@ -113,9 +120,10 @@ def _cartan(k, slots, ctx, memo):
         room = sum(weights[r] * f for r, f in rest)
         acc = {}
         for j in range(max(0, k - room), min(k, weights[i] * e) + 1):
-            term = _on_slot(j, i, e, ctx, memo) * _cartan(k - j, rest, ctx, memo)
-            add_into(acc, term.terms, 1, ctx.p)
-        result = memo[key] = Polynomial(ctx.ring, acc)
+            head = _on_slot(j, i, e, ctx, memo)
+            if head:
+                mul_into(acc, head, _cartan(k - j, rest, ctx, memo), 1, ctx.p)
+        result = memo[key] = acc
     return result
 
 
@@ -135,10 +143,12 @@ def power(k, f, ctx):
         return ctx.ring.zero()
     if k == w:
         return f ** ctx.p
+    if w + k * (ctx.p - 1) >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"P^{k} of a weight-{w} class has weight 2^15 or more")
     acc, memo = {}, {}
     for mon, c in f.terms.items():
         slots = tuple((i, e) for i, e in enumerate(ctx.ring.exponents(mon)) if e)
-        add_into(acc, _cartan(k, slots, ctx, memo).terms, c, ctx.p)
+        add_into(acc, _cartan(k, slots, ctx, memo), c, ctx.p)
     return Polynomial(ctx.ring, acc)
 
 

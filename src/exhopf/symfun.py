@@ -28,7 +28,9 @@ the two routes, the library never merges them.
 
 from functools import lru_cache
 
-from .ffpoly import Polynomial, RingContext, add_into
+from .ffpoly import (
+    EXPONENT_LIMIT, ExponentOverflow, Polynomial, RingContext, add_into, mul_into,
+)
 
 
 class WuTable:
@@ -36,10 +38,16 @@ class WuTable:
 
     The matrix of multiplication by E(s) on the basis 1, s, .., s^(p-1)
     has entries in F_p[c][a, b]; each is kept as a dict (i, j) -> the
-    coefficient of a^i b^j, a linear form in c_0 = 1, c_1, .., c_n.  The
+    coefficient of a^i b^j, a linear form in c_0 = 1, c_1, .., c_n held as
+    a term dict of `ring` (key -> residue, as in `ffpoly`).  The
     determinant is expanded along its rows by Laplace, memoised on the
     columns still free and on (i, j), and each coefficient is computed
-    only when a formula asks for it.
+    only when a formula asks for it.  The memo holds term dicts too, one
+    `ffpoly.mul_into` per product; `coefficient` wraps its dict in a
+    `Polynomial` without a copy, so no memo dict is mutated once built.
+    The resultant is homogeneous (s of weight -1, a of -1, b of -p), so no
+    product a coefficient asks for outweighs the coefficient, P^j c_(i+j)
+    of weight i + jp; `wu_formula` bounds that weight before it asks.
     """
 
     def __init__(self, p, n):
@@ -71,19 +79,19 @@ class WuTable:
                 for l in range(n + 1):
                     for ij, c in reduced[l + col][row].items():
                         acc.setdefault(ij, {})[unit[l]] = c
-                entries.append({ij: Polynomial(self.ring, t) for ij, t in acc.items()})
+                entries.append(acc)
             self.matrix.append(entries)
         self._minors = {}
 
     def coefficient(self, i, j):
         """The a^i b^j coefficient of the resultant: P^j c_(i+j)."""
-        return self._minor(tuple(range(self.p)), i, j)
+        return Polynomial(self.ring, self._minor(tuple(range(self.p)), i, j))
 
     def _minor(self, cols, i, j):
         """The a^i b^j coefficient of the minor on the last len(cols) rows
-        and the columns `cols`."""
+        and the columns `cols`, as a term dict."""
         if not cols:
-            return self.ring.one() if i == j == 0 else self.ring.zero()
+            return {0: 1} if i == j == 0 else {}
         key = (cols, i, j)
         result = self._minors.get(key)
         if result is None:
@@ -95,8 +103,8 @@ class WuTable:
                     if i1 <= i and j1 <= j:
                         sub = self._minor(rest, i - i1, j - j1)
                         if sub:
-                            add_into(acc, (entry * sub).terms, -1 if pos % 2 else 1, self.p)
-            result = self._minors[key] = Polynomial(self.ring, acc)
+                            mul_into(acc, entry, sub, -1 if pos % 2 else 1, self.p)
+            result = self._minors[key] = acc
         return result
 
 
@@ -115,7 +123,8 @@ def wu_formula(p, k, m, n=None):
     Exact for every n >= m.  From n = m + k(p-1) on (the default) the
     result is stable: any larger n gives the same coefficients.  Below
     that it equals the stable formula with c_j = 0 for j > n.  Output
-    lives in F_p[c_1..c_n], c_i of weight i.
+    lives in F_p[c_1..c_n], c_i of weight i; a weight m + k(p-1) of 2^15
+    or more raises `ExponentOverflow`.
     """
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
@@ -123,6 +132,8 @@ def wu_formula(p, k, m, n=None):
         n = m + k * (p - 1)
     elif n < m:
         raise ValueError(f"n={n} too small; need at least m={m}")
+    if k <= m and m + k * (p - 1) >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"P^{k} c_{m} has weight 2^15 or more")
     table = _wu_table(p, n)
     if k > m:
         return table.ring.zero()

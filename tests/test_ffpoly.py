@@ -10,6 +10,7 @@ from exhopf.ffpoly import (
     RingContext,
     RingMismatchError,
     inverse,
+    mul_into,
     parse,
     render,
 )
@@ -341,3 +342,74 @@ def test_weight_additive_on_product(data):
 def test_parse_render_round_trip(data):
     R, f = data
     assert parse(render(f), R) == f
+
+
+# -- the product kernel against a tuple-keyed product ------------------------
+
+
+def naive_product(a, b, c, p):
+    """c * a * b on dicts keyed by exponent tuples, zeros dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c * c1 * c2) % p
+    return {m: v for m, v in out.items() if v}
+
+
+@st.composite
+def kernel_operands(draw):
+    """A ring of 0-4 variables with random weights and three tuple-keyed
+    term dicts: two factors and a preload for `acc`."""
+    p = draw(fields)
+    weights = draw(st.lists(st.integers(1, 9), min_size=0, max_size=4))
+    R = RingContext(p, [(f"v{i}", w) for i, w in enumerate(weights)])
+    exps = st.tuples(*[st.integers(0, 4) for _ in weights])
+    a, b, pre = (
+        draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=5)) for _ in range(3)
+    )
+    return R, a, b, pre, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands())
+def test_mul_into_matches_tuple_keyed_product(data):
+    R, a, b, pre, cancel = data
+    p = R.p
+
+    def keyed(terms):
+        return {R.key(m): v for m, v in terms.items()}
+
+    for c in range(p):
+        want = naive_product(a, b, c, p)
+        start = dict(pre)
+        if cancel:
+            # preload -c*a*b, so the product cancels to zero mod p
+            for m, v in want.items():
+                start[m] = (start.get(m, 0) - v) % p
+            start = {m: v for m, v in start.items() if v}
+        for m, v in start.items():
+            want[m] = (want.get(m, 0) + v) % p
+        want = {R.key(m): v for m, v in want.items() if v}
+        acc = keyed(start)
+        out = mul_into(acc, keyed(a), keyed(b), c, p)
+        assert out is acc
+        assert out == want
+        assert 0 not in out.values()
+    product = Polynomial(R, keyed(a)) * Polynomial(R, keyed(b))
+    assert product.terms == mul_into({}, keyed(a), keyed(b), 1, p)
+
+
+def test_mul_into_cancellation_mod_p():
+    # (x + y)^2 = x^2 + y^2 over F_2: the two cross terms cancel inside the loop
+    R = ring(2, ("x", "y"))
+    s = (R.variable("x") + R.variable("y")).terms
+    assert mul_into({}, s, s, 1, 2) == R.parse("x^2+y^2").terms
+    # (x + y)(x - y) at p = 3, preloaded with y^2 - x^2: everything cancels
+    R = ring(3, ("x", "y"))
+    x, y = R.variable("x"), R.variable("y")
+    acc = (y * y - x * x).terms.copy()
+    assert mul_into(acc, (x + y).terms, (x - y).terms, 1, 3) == {}
+    # the zero scalar leaves acc as it was
+    acc = {R.key((1, 0)): 2}
+    assert mul_into(acc, (x + y).terms, (x - y).terms, 3, 3) == {R.key((1, 0)): 2}

@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from exhopf import liedata
-from exhopf.ffpoly import RingContext
+from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext
 from exhopf.steenrod import SteenrodContext, SteenrodError, power, verify_case1
 from symfun_oracles import total_steenrod
 
@@ -135,6 +136,19 @@ def test_cartan_chern_mode():
                 for i in range(k + 1):
                     rhs = rhs + power(i, f, ctx) * power(k - i, g, ctx)
                 assert lhs == rhs, (group, p, f, g, k)
+
+
+def test_power_refuses_output_weight_2_to_15_up_front():
+    # the recursion multiplies term dicts unchecked; `power` bounds the
+    # output weight w + k(p-1) once, and everything it builds is below it
+    R = RingContext(3, [("x", 1)])
+    ctx = SteenrodContext(R)
+    f = R.monomial((12383,))
+    with pytest.raises(ExponentOverflow):
+        power(10193, f, ctx)  # weight 12383 + 2 * 10193 = 32769
+    assert comb(12383, 10192) % 3 == 2
+    # weight 12383 + 2 * 10192 = 32767, the largest a key may hold
+    assert power(10192, f, ctx) == R.monomial((EXPONENT_LIMIT - 1,), 2)
 
 
 def test_chern_context_validates_names():

@@ -4,6 +4,7 @@ import pytest
 
 from closed_forms import closed_form, remark52_table
 from exhopf import bst, liedata
+from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow
 from exhopf.symfun import wu_formula
 import symfun_oracles
 from symfun_oracles import (
@@ -385,3 +386,12 @@ def test_non_triangular_kostka_matrix_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(symfun_oracles, "kostka_number", lambda lam, mu: 1)
     with pytest.raises(KostkaTriangularityError):
         build(3)
+
+
+def test_wu_formula_refuses_weight_2_to_15_before_building():
+    # P^m c_m weighs m p; the check comes before the m-variable table is built
+    m = -(-EXPONENT_LIMIT // 5)
+    with pytest.raises(ExponentOverflow):
+        wu_formula(5, m, m, n=m)
+    with pytest.raises(ExponentOverflow):
+        wu_formula(5, m, m)
