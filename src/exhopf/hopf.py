@@ -237,6 +237,8 @@ class AlgebraElement(_Combination):
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise HopfError(f"negative power {n}: the model has no inverses")
         out = self.model.one()
         for _ in range(n):
             out = out * self
@@ -344,6 +346,8 @@ class HopfModel:
         if not xmon.keys() <= k_map.keys():
             t = min(xmon.keys() - k_map.keys())
             raise HopfError(f"no generator x_{2*t} in ({self.group},{self.p})")
+        if min(xmon.values(), default=0) < 0:
+            raise HopfError(f"negative exponent in x-monomial {xmon}")
         mon = list(self._zero_x)
         for t, e in xmon.items():
             if e >= k_map[t]:

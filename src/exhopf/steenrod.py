@@ -10,13 +10,13 @@ action on one slot, `_on_slot`, is fixed by the variable itself:
   No Wu formulas enter, which is what makes the completeness sweep
   possible at arbitrary k.
 - a variable of weight m >= 2 must be the Chern class c_m (named `c<m>`).
-  P^j c_m is `symfun.wu_formula` in N variables, N the largest weight of
-  the ring (so c_j for j > N never arises): one coefficient of the
-  resultant that `symfun` keeps for F_p[c_1..c_N].  `_wu_on_generator`
-  specializes it by c_1 = 0 and caches it on the context; P^j(c_m^e) for
-  e > 1 is the same recursion on c_m * c_m^(e-1).  (Odd Steenrod squares
-  vanish identically on these subrings at p = 2, so the pure P-Cartan
-  recursion is exact there too.)
+  P^j c_m is `symfun.wu_formula(j, m, ring)`, one coefficient of the
+  resultant that `symfun` keeps for the ring itself: the c_j the ring
+  lacks (c_1 in the restricted ring) are zero there, and c_j for j above
+  its largest weight never arises.  P^j(c_m^e) for e > 1 is the same
+  recursion on c_m * c_m^(e-1).  (Odd Steenrod squares vanish
+  identically on these subrings at p = 2, so the pure P-Cartan recursion
+  is exact there too.)
 
 A ring with variables of both kinds is refused: it does not say what
 c_1 maps to, and the Wu formulas need that image.
@@ -34,12 +34,13 @@ is one `ffpoly.mul_into` into the running sum, and `power` wraps one
 `Polynomial.__mul__` its fixed cost (the ring check, the weight check,
 the slot monomial's validation and two allocations) was most of the time
 of `power`.  No such dict is mutated once built, so they are shared
-without a copy: a Chern slot's dict is the `.terms` of its cached Wu
-formula.  In place of the per-product weight check, `power` checks once,
-before the recursion, that the output weight w + k(p-1) is below 2^15;
-no product of the recursion weighs more (the k = w path is f ** p, which
-`__mul__` checks).  Exponent tuples appear only where `power` splits a
-monomial into its slots.
+without a copy: a Chern slot's dict is the `.terms` of its Wu formula,
+which wraps a memo dict of the resultant.  In place of the per-product
+weight check, `power` checks once, before the recursion, that the output
+weight w + k(p-1) is below 2^15; no product of the recursion weighs more.
+At k = w instability leaves one share per slot, so the recursion gives
+f^p with no separate path.  Exponent tuples appear only where `power`
+splits a monomial into its slots.
 """
 
 from math import comb
@@ -64,32 +65,9 @@ class SteenrodContext:
             raise SteenrodError("a ring mixing degree-2 and Chern variables has no c_1 image")
         self.ring = ring
         self.p = ring.p
-        self.rank = max(ring.weights, default=0)
-        self.wu_cache = {}
 
     def __repr__(self):
         return f"SteenrodContext(F{self.p}, {self.ring.names})"
-
-
-def _wu_on_generator(k, m, ctx):
-    """P^k c_m in the restricted ring: the Wu formula in N = rank variables,
-    then c_1 = 0."""
-    key = (k, m)
-    if key in ctx.wu_cache:
-        return ctx.wu_cache[key]
-    if k == 0:
-        result = ctx.ring.variable(f"c{m}")
-    elif k > m:
-        result = ctx.ring.zero()
-    else:
-        universal = wu_formula(ctx.p, k, m, n=ctx.rank)
-        mapping = {
-            name: ctx.ring.zero() if name == "c1" else ctx.ring.variable(name)
-            for name in universal.ring.names
-        }
-        result = universal.substitute(mapping, target_ring=ctx.ring)
-    ctx.wu_cache[key] = result
-    return result
 
 
 def _on_slot(j, i, e, ctx, memo):
@@ -99,7 +77,7 @@ def _on_slot(j, i, e, ctx, memo):
         c = comb(e, j) % ctx.p
         return {(e + j * (ctx.p - 1)) * ctx.ring.coeffs[i]: c} if c else {}
     if e == 1:
-        return _wu_on_generator(j, m, ctx).terms
+        return wu_formula(j, m, ctx.ring).terms
     return _cartan(j, ((i, 1), (i, e - 1)), ctx, memo)
 
 
@@ -141,8 +119,6 @@ def power(k, f, ctx):
         return f
     if k > w:
         return ctx.ring.zero()
-    if k == w:
-        return f ** ctx.p
     if w + k * (ctx.p - 1) >= EXPONENT_LIMIT:
         raise ExponentOverflow(f"P^{k} of a weight-{w} class has weight 2^15 or more")
     acc, memo = {}, {}

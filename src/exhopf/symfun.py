@@ -18,41 +18,50 @@ this is the one-variable form f(s) = s^p - x s^(p-1) - x; keeping a and b
 apart makes each formula one coefficient, so a call computes only the
 coefficients below its own.
 
-`WuTable` holds that determinant for one ring F_p[c_1..c_n]; every (k, m)
-of the ring reads from it.  The independent oracle route (leading-term
-elimination in the monomial-symmetric basis, tableau-counted Kostka
-numbers, Giambelli determinants, rewriting of explicit t-polynomials) is
-test-only and lives in `tests/symfun_oracles.py`; the test suite compares
-the two routes, the library never merges them.
+`WuTable` holds that determinant for one ring of Chern classes, and every
+(k, m) of the ring reads from it.  A c_j the ring lacks is zero there, as
+the determinant commutes with the ring map that kills c_j; so one table
+serves BU(n) = F_p[c_1..c_n], its truncations and the restricted ring
+F_p[c_2..c_N] of `liedata` (c_1 = 0) alike.
+
+The independent oracle route (leading-term elimination in the
+monomial-symmetric basis, tableau-counted Kostka numbers, Giambelli
+determinants, rewriting of explicit t-polynomials) is test-only and lives
+in `tests/symfun_oracles.py`; the test suite compares the two routes, the
+library never merges them.
 """
 
 from functools import lru_cache
 
-from .ffpoly import (
-    EXPONENT_LIMIT, ExponentOverflow, Polynomial, RingContext, add_into, mul_into,
-)
+from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
 
 
 class WuTable:
-    """Every P^k c_m in F_p[c_1..c_n], read off one resultant.
+    """Every P^k c_m in one ring of Chern classes, read off one resultant.
 
-    The matrix of multiplication by E(s) on the basis 1, s, .., s^(p-1)
-    has entries in F_p[c][a, b]; each is kept as a dict (i, j) -> the
-    coefficient of a^i b^j, a linear form in c_0 = 1, c_1, .., c_n held as
-    a term dict of `ring` (key -> residue, as in `ffpoly`).  The
-    determinant is expanded along its rows by Laplace, memoised on the
-    columns still free and on (i, j), and each coefficient is computed
-    only when a formula asks for it.  The memo holds term dicts too, one
-    `ffpoly.mul_into` per product; `coefficient` wraps its dict in a
-    `Polynomial` without a copy, so no memo dict is mutated once built.
+    `ring` names each variable of weight w `c<w>` (anything else raises
+    `ValueError`); N is its largest weight, and a c_j with j <= N that the
+    ring lacks is zero.  The matrix of multiplication by E(s) on the basis
+    1, s, .., s^(p-1) has entries in F_p[c][a, b]; each is kept as a dict
+    (i, j) -> the coefficient of a^i b^j, a linear form in c_0 = 1 and the
+    c_j of the ring held as a term dict of `ring` (key -> residue, as in
+    `ffpoly`).  The determinant is expanded along its rows by Laplace,
+    memoised on the columns still free and on (i, j), and each coefficient
+    is computed only when a formula asks for it.  The memo holds term dicts
+    too, one `ffpoly.mul_into` per product; `coefficient` wraps its dict in
+    a `Polynomial` without a copy, so no memo dict is mutated once built.
     The resultant is homogeneous (s of weight -1, a of -1, b of -p), so no
     product a coefficient asks for outweighs the coefficient, P^j c_(i+j)
     of weight i + jp; `wu_formula` bounds that weight before it asks.
     """
 
-    def __init__(self, p, n):
-        self.p = p
-        self.ring = RingContext(p, [(f"c{i}", i) for i in range(1, n + 1)])
+    def __init__(self, ring):
+        for name, w in zip(ring.names, ring.weights):
+            if name != f"c{w}":
+                raise ValueError(f"variable {name} of weight {w} is not the Chern class c{w}")
+        self.p = p = ring.p
+        self.ring = ring
+        n = max(ring.weights, default=0)
         # s^q mod f for q = 0 .. n + p - 1, as p dicts (i, j) -> residue
         reduced = []
         for q in range(n + p):
@@ -68,17 +77,18 @@ class WuTable:
                     dict(vec[p - 1]), {(i + 1, j): c for (i, j), c in top.items()}, 1, p
                 )
             reduced.append(vec)
-        # the keys of c_0 = 1, c_1, .., c_n (a variable's key is its coefficient)
-        unit = [0, *self.ring.coeffs]
+        # the key of c_0 = 1 and of each c_l of the ring (a variable's key is
+        # its coefficient); a c_l the ring lacks is zero and has no entry
+        unit = {0: 0, **dict(zip(ring.weights, ring.coeffs))}
         self.matrix = []
         for row in range(p):
             entries = []
             for col in range(p):
                 # row `row` of E(s) s^col = sum_l c_l s^(l + col)
                 acc = {}
-                for l in range(n + 1):
+                for l, key in unit.items():
                     for ij, c in reduced[l + col][row].items():
-                        acc.setdefault(ij, {})[unit[l]] = c
+                        acc.setdefault(ij, {})[key] = c
                 entries.append(acc)
             self.matrix.append(entries)
         self._minors = {}
@@ -108,33 +118,32 @@ class WuTable:
         return result
 
 
-# The `tables` benchmark workload reads seven rings.  A sweep over many n
+# The `tables` benchmark workload reads seven rings (equal rings share a
+# table: the restricted rings of F4 and E6 are one).  A sweep over many n
 # (the truncation tests) evicts: with 16 rings it runs within 10% of an
 # unbounded cache, and the `slow` p = 5 sweep peaks at 80 MB RSS, against
 # 115 MB unbounded and twice the time with 8 rings.
 @lru_cache(maxsize=16)
-def _wu_table(p, n):
-    return WuTable(p, n)
+def _wu_table(ring):
+    return WuTable(ring)
 
 
-def wu_formula(p, k, m, n=None):
-    """The unique polynomial in c_1..c_n equal to P^k(c_m) in H*(BU(n); F_p).
+def wu_formula(k, m, ring):
+    """P^k(c_m) in `ring`, a ring of Chern classes as `WuTable` takes it.
 
-    Exact for every n >= m.  From n = m + k(p-1) on (the default) the
-    result is stable: any larger n gives the same coefficients.  Below
-    that it equals the stable formula with c_j = 0 for j > n.  Output
-    lives in F_p[c_1..c_n], c_i of weight i; a weight m + k(p-1) of 2^15
-    or more raises `ExponentOverflow`.
+    In F_p[c_1..c_n] this is the unique polynomial equal to P^k(c_m) in
+    H*(BU(n); F_p): exact for every n >= m, and from n = m + k(p-1) on
+    stable (any larger n gives the same coefficients).  In a ring that
+    lacks some c_j it is that formula with those c_j = 0.  The ring must
+    hold c_m; a weight m + k(p-1) of 2^15 or more raises `ExponentOverflow`
+    before any table is built.
     """
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
-    if n is None:
-        n = m + k * (p - 1)
-    elif n < m:
-        raise ValueError(f"n={n} too small; need at least m={m}")
-    if k <= m and m + k * (p - 1) >= EXPONENT_LIMIT:
+    if f"c{m}" not in ring.index:
+        raise ValueError(f"{ring} has no c{m}")
+    if k <= m and m + k * (ring.p - 1) >= EXPONENT_LIMIT:
         raise ExponentOverflow(f"P^{k} c_{m} has weight 2^15 or more")
-    table = _wu_table(p, n)
     if k > m:
-        return table.ring.zero()
-    return table.coefficient(m - k, k)
+        return ring.zero()
+    return _wu_table(ring).coefficient(m - k, k)

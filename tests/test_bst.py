@@ -1,8 +1,6 @@
-from functools import lru_cache
-
 import pytest
 
-from exhopf import bst, liedata, steenrod, symfun
+from exhopf import bst, liedata, symfun
 from exhopf.bst import (
     BstError,
     Case1Required,
@@ -136,28 +134,15 @@ def test_zero_completeness_spot():
     assert table.value(9, 12) == 0
 
 
-def test_shared_term_dicts_are_never_mutated(monkeypatch):
-    # memo dicts and `.terms` are shared without a copy: after two tables,
-    # every cached Wu formula and every resultant coefficient that was read
-    # must still equal one built from scratch
-    contexts = lru_cache(maxsize=None)(steenrod.SteenrodContext)
-    tables = lru_cache(maxsize=None)(symfun.WuTable)
-    monkeypatch.setattr(bst, "_context", contexts)
-    monkeypatch.setattr(symfun, "_wu_table", tables)
-    used = []
+def test_shared_term_dicts_are_never_mutated():
+    # resultant memo dicts are shared without a copy, as the `.terms` of each
+    # Wu formula: after two tables, every coefficient read from the ring's
+    # resultant must still equal one read from a fresh resultant
     for group, p in (("E7", 2), ("E8", 5)):
         full_table(group, p)
-        ctx = contexts(liedata.theta_set(group, p).restricted_ring)
-        used.append((ctx, tables(p, ctx.rank)))
-    # from here on every Wu formula comes from a fresh resultant
-    monkeypatch.setattr(symfun, "_wu_table", lru_cache(maxsize=None)(symfun.WuTable))
-    for ctx, table in used:
-        assert ctx.wu_cache
-        fresh_ctx = steenrod.SteenrodContext(ctx.ring)
-        for (k, m), value in ctx.wu_cache.items():
-            assert value == steenrod._wu_on_generator(k, m, fresh_ctx), (ctx, k, m)
-        read = [(i, j) for cols, i, j in table._minors if len(cols) == ctx.p]
+        table = symfun._wu_table(liedata.theta_set(group, p).restricted_ring)
+        read = [(i, j) for cols, i, j in table._minors if len(cols) == p]
         assert read
-        fresh_table = symfun.WuTable(ctx.p, ctx.rank)
+        fresh = symfun.WuTable(table.ring)
         for i, j in read:
-            assert table.coefficient(i, j) == fresh_table.coefficient(i, j), (ctx, i, j)
+            assert table.coefficient(i, j) == fresh.coefficient(i, j), (group, p, i, j)

@@ -50,9 +50,13 @@ def test_poincare_polynomial_counts_the_basis():
 def test_unknown_x_generator_is_a_hopf_error():
     m = model("G2", 2)
     for build in (lambda: m.x(99), lambda: m.x_monomial({99: 1}),
-                  lambda: m.x_monomial({3: 5, 99: 1})):
+                  lambda: m.x_monomial({3: 5, 99: 1}),
+                  # the model has no inverses
+                  lambda: m.alpha(2) ** -1, lambda: m.x_monomial({3: -1}),
+                  lambda: m.x(3, -1)):
         with pytest.raises(HopfError):
             build()
+    assert m.alpha(2) ** 0 == m.one()
     assert m.x_monomial({3: 5}) == m.zero()  # x_6^2 = 0 in G2 at p = 2
     assert m.x_monomial({3: 1}) == m.x(3)
 

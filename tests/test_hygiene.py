@@ -163,3 +163,24 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     assert patched
     for owner, attr, orig in patched:
         assert owner.__dict__[attr] is orig, (owner, attr)
+
+
+def test_benchmark_tracer_sees_the_wu_and_power_layers(monkeypatch):
+    # the traced benchmark reads `symfun.wu_formula.*` and `steenrod.power.*`
+    # on `tables`; a refactor that routes the Chern slots past the names the
+    # tracer wraps reads zero there, and fails here
+    from exhopf import bst
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "timed"
+        bst.full_table("F4", 2)
+        tracer.phase = None
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["symfun.wu_formula.calls"]["value"] > 0
+    assert metrics["steenrod.power.calls"]["value"] > 0

@@ -80,6 +80,15 @@ def test_instability_random():
         f = random_homogeneous(R, 4, rng)
         assert power(4, f, ctx) == f ** p
         assert power(5, f, ctx).is_zero()
+    # on Chern rings too, where the recursion reads P^m c_m = c_m^p off the
+    # Wu formulas of each slot
+    for (group, p), w in ((("E8", 3), 10), (("E7", 2), 9)):
+        R = liedata.restricted_ring(group, p)
+        ctx = SteenrodContext(R)
+        for _ in range(3):
+            f = random_homogeneous(R, w, rng)
+            assert power(w, f, ctx) == f ** p, (group, p, f)
+            assert power(w + 1, f, ctx).is_zero()
 
 
 def test_inhomogeneous_rejected():

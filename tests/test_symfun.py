@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from closed_forms import closed_form, remark52_table
-from exhopf import bst, liedata
-from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow
+from exhopf import liedata, symfun
+from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext
 from exhopf.symfun import wu_formula
 import symfun_oracles
 from symfun_oracles import (
@@ -27,6 +27,14 @@ from symfun_oracles import (
     steenrod_elementary_component,
     wu_formula_by_elimination,
 )
+
+
+def wu(p, k, m, n=None):
+    """P^k c_m in F_p[c_1..c_n], the cohomology of BU(n); n defaults to the
+    stable m + k(p-1)."""
+    if n is None:
+        n = m + k * (p - 1)
+    return wu_formula(k, m, RingContext(p, [(f"c{i}", i) for i in range(1, n + 1)]))
 
 
 def c_to_t(f, ctx):
@@ -179,23 +187,23 @@ def test_inverse_kostka_remark_fixture():
 
 
 def test_wu_p2_r1_m2():
-    f = wu_formula(2, 1, 2)
+    f = wu(2, 1, 2)
     assert f == f.ring.parse("c1*c2+c3")
 
 
 def test_wu_k0_identity():
     for p, m in [(2, 3), (3, 4), (5, 2)]:
-        f = wu_formula(p, 0, m)
+        f = wu(p, 0, m)
         assert f == f.ring.variable(f"c{m}")
 
 
 def test_wu_above_weight_vanishes():
-    assert wu_formula(3, 5, 4).is_zero()
+    assert wu(3, 5, 4).is_zero()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_wu_p3_k1_closed_form(m):
-    f = wu_formula(3, 1, m)
+    f = wu(3, 1, m)
     assert f == closed_form(3, 1, m, f.ring)
 
 
@@ -218,7 +226,7 @@ def test_wu_total_operation_route():
             results.append(rewrite_in_elementary(comp, ctx))
         wide = results[1].ring
         assert embed_c_poly(results[0], wide) == results[1]
-        generated = wu_formula(p, k, m)
+        generated = wu(p, k, m)
         assert embed_c_poly(generated, wide) == results[1]
 
 
@@ -247,8 +255,8 @@ def test_wu_cartan_coherence():
         lhs = rewrite_in_elementary(lhs_t, ctx)
         rhs = ctx.c_ring.zero()
         for i in range(k + 1):
-            left = wu_formula(p, i, a) if i <= a else None
-            right = wu_formula(p, k - i, b) if k - i <= b else None
+            left = wu(p, i, a) if i <= a else None
+            right = wu(p, k - i, b) if k - i <= b else None
             if left is None or right is None:
                 continue
             rhs = rhs + embed_c_poly(left, ctx.c_ring) * embed_c_poly(
@@ -311,9 +319,9 @@ def check_truncated_wu(p, max_degree):
             top = m + k * (p - 1)
             if top > max_degree:
                 continue
-            stable = wu_formula(p, k, m)
+            stable = wu(p, k, m)
             for n in range(m, top + 1):
-                assert wu_formula(p, k, m, n) == drop_high_chern(stable, n), (p, k, m, n)
+                assert wu(p, k, m, n) == drop_high_chern(stable, n), (p, k, m, n)
 
 
 @pytest.mark.parametrize("p,max_degree", [(2, 16), (3, 24), (5, 16)])
@@ -332,9 +340,9 @@ def test_truncated_wu_equals_stable_p5_heavy():
         for k in range(m + 1):
             if m + 4 * k <= 24:
                 continue
-            stable = wu_formula(5, k, m)
+            stable = wu(5, k, m)
             for n in range(m, 9):
-                assert wu_formula(5, k, m, n) == drop_high_chern(stable, n), (k, m, n)
+                assert wu(5, k, m, n) == drop_high_chern(stable, n), (k, m, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -344,35 +352,47 @@ def test_wu_resultant_matches_elimination_oracle(p):
     cases = [(k, m, n) for n in range(1, 9) for m in range(1, n + 1) for k in range(m + 1)]
     cases.append({2: (6, 8, None), 3: (5, 7, None), 5: (2, 3, None)}[p])
     for k, m, n in cases:
-        assert wu_formula(p, k, m, n) == wu_formula_by_elimination(p, k, m, n), (k, m, n)
+        assert wu(p, k, m, n) == wu_formula_by_elimination(p, k, m, n), (k, m, n)
 
 
 def test_wu_needs_at_least_m_variables():
+    # the ring must hold c_m: BU(3) has no c_4, the restricted ring no c_1
     with pytest.raises(ValueError):
-        wu_formula(3, 1, 4, n=3)
-    assert wu_formula(3, 1, 4, n=4) == drop_high_chern(wu_formula(3, 1, 4), 4)
+        wu(3, 1, 4, n=3)
+    assert wu(3, 1, 4, n=4) == drop_high_chern(wu(3, 1, 4), 4)
+    with pytest.raises(ValueError):
+        wu_formula(1, 1, liedata.restricted_ring("E8", 2))
+
+
+@pytest.mark.parametrize(
+    "variables,m",
+    [
+        ([("c1", 1), ("cx", 2)], 1),
+        ([("c1", 1), ("c3", 2)], 3),
+        ([("w2", 1), ("c2", 2)], 2),
+    ],
+    ids=["cx", "c3-of-weight-2", "w2"],
+)
+def test_wu_table_refuses_variables_other_than_chern_classes(variables, m):
+    with pytest.raises(ValueError):
+        wu_formula(1, m, RingContext(3, variables))
 
 
 @pytest.mark.parametrize(
     "group,p", [pair for pair in liedata.SUPPORTED_PAIRS if pair[0] != "G2"]
 )
 def test_wu_on_generator_matches_stable_route(group, p):
-    # every P^k c_m a full table reaches, against the stable Wu formula
-    # with c_1 = 0 and c_j = 0 for j > N substituted afterwards
-    bst.full_table(group, p)
-    ctx = bst._context(liedata.restricted_ring(group, p))
-    assert ctx.wu_cache
-    for (k, m), result in ctx.wu_cache.items():
-        if k == 0 or k > m:
-            continue
-        stable = wu_formula(p, k, m)
-        mapping = {
-            name: ctx.ring.variable(name)
-            if 1 < int(name[1:]) <= ctx.rank
-            else ctx.ring.zero()
-            for name in stable.ring.names
-        }
-        assert result == stable.substitute(mapping, target_ring=ctx.ring), (k, m)
+    # every P^k c_m of the restricted ring F_p[c_2..c_N], read off its own
+    # resultant, against the BU(N) formula with c_1 = 0 substituted
+    ring = liedata.restricted_ring(group, p)
+    n = max(ring.weights)
+    kill = {
+        f"c{i}": ring.variable(f"c{i}") if i > 1 else ring.zero() for i in range(1, n + 1)
+    }
+    for m in range(2, n + 1):
+        for k in range(m + 1):
+            expected = wu(p, k, m, n).substitute(kill, target_ring=ring)
+            assert wu_formula(k, m, ring) == expected, (k, m)
 
 
 def test_non_triangular_kostka_matrix_is_a_typed_error(monkeypatch):
@@ -389,9 +409,11 @@ def test_non_triangular_kostka_matrix_is_a_typed_error(monkeypatch):
 
 
 def test_wu_formula_refuses_weight_2_to_15_before_building():
-    # P^m c_m weighs m p; the check comes before the m-variable table is built
+    # P^m c_m weighs m p; the check comes before the table of the ring, which
+    # would reduce s^q for every q up to m + p, is built
     m = -(-EXPONENT_LIMIT // 5)
-    with pytest.raises(ExponentOverflow):
-        wu_formula(5, m, m, n=m)
-    with pytest.raises(ExponentOverflow):
-        wu_formula(5, m, m)
+    built = symfun._wu_table.cache_info().misses
+    for variables in ([(f"c{m}", m)], [("c1", 1), (f"c{m}", m)]):
+        with pytest.raises(ExponentOverflow):
+            wu_formula(m, m, RingContext(5, variables))
+    assert symfun._wu_table.cache_info().misses == built
