@@ -86,11 +86,6 @@ def _check_pair(prof, s, t):
 
 
 @lru_cache(maxsize=None)
-def _context(ring):
-    return steenrod.SteenrodContext(ring)
-
-
-@lru_cache(maxsize=None)
 def _gb_method1(group, p, t):
     ts = liedata.theta_set(group, p)
     gens = [ts.omega(j) for j in ts.profile.r_set if j < t]
@@ -110,7 +105,7 @@ def compute_bst_method1(group, p, s, t):
     k = _check_pair(prof, s, t)
     ts = liedata.theta_set(group, p)
     gb = _gb_method1(group, p, t)
-    lhs = steenrod.power(k, ts.omega(s), _context(ts.weight_ring))
+    lhs = steenrod.power(k, ts.omega(s))
     return solve_linear_coefficient(lhs, ts.omega(t), gb)
 
 
@@ -125,7 +120,7 @@ def compute_bst_method2(group, p, s, t):
     if pivot.is_zero():
         raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
     gb = _gb_method2(group, p, t)
-    lhs = steenrod.power(k, ts.theta_restricted[s], _context(ts.restricted_ring))
+    lhs = steenrod.power(k, ts.theta_restricted[s])
     return solve_linear_coefficient(lhs, pivot, gb)
 
 
@@ -190,6 +185,8 @@ def verify_lemma22(group, p, table=None):
     """Compare the computed nonzero set against the printed table."""
     if table is None:
         table = full_table(group, p)
+    elif (table.profile.group, table.profile.p) != (group, p):
+        raise BstError(f"b-table of {table.profile.group} at p={table.profile.p}")
     computed = table.nonzero()
     printed = liedata.lemma22_printed(group, p)
     missing = sorted(st for st in printed if st not in computed)

@@ -267,6 +267,7 @@ class TensorElement(_Combination):
     def multiply(self, other):
         """Product in H ⊗ H with the Koszul sign."""
         model = self.model
+        model._own(other)
         p = model.p
         out = {}
         for (a, b), c1 in self.terms.items():
@@ -306,7 +307,9 @@ class HopfModel:
         self.e_list = tuple(sorted(prof.e_set))
         self.k_list = tuple(prof.k_map[t] for t in self.e_list)
         self.r_list = tuple(sorted(prof.r_set))
-        self.bst_table = table if table is not None else bst_mod.full_table(group, p)
+        self.bst_table = table = table if table is not None else bst_mod.full_table(group, p)
+        if (table.profile.group, table.profile.p) != (group, p):
+            raise InvariantError(f"b-table of {table.profile.group} at p={table.profile.p}")
         self._zero_x = (0,) * len(self.e_list)
         self._mul_cache = {}
         self._op_cache = {}
@@ -452,6 +455,11 @@ class HopfModel:
                 add_into(acc, self.multiply_basis(b1, b2), c1 * c2, self.p)
         return acc
 
+    def _own(self, elem):
+        """Refuse an element or tensor of another model."""
+        if elem.model is not self:
+            raise HopfError("model mismatch")
+
     def multiply(self, a, b):
         if a.model is not self or b.model is not self:
             raise HopfError("model mismatch")
@@ -460,6 +468,7 @@ class HopfModel:
     # -- Bockstein -------------------------------------------------------------
 
     def bockstein(self, elem):
+        self._own(elem)
         out = {}
         for (xexp, odds), c in elem.terms.items():
             for i, s in enumerate(odds):
@@ -573,6 +582,7 @@ class HopfModel:
         """Sq^a at p = 2 on an arbitrary element."""
         if self.p != 2:
             raise HopfError("Sq is a p = 2 operation")
+        self._own(elem)
         if a == 0:
             return elem
         return self._act(a, elem)
@@ -627,6 +637,7 @@ class HopfModel:
         return data[0][0] % self.p
 
     def reduced_power(self, k, elem):
+        self._own(elem)
         if k == 0:
             return elem
         if self.p == 2:
@@ -636,6 +647,7 @@ class HopfModel:
     # -- tensor-side operations ----------------------------------------------
 
     def tensor_bockstein(self, tens):
+        self._own(tens)
         out = {}
         for (b1, b2), c in tens.terms.items():
             left = self.bockstein(AlgebraElement(self, {b1: c}))
@@ -651,6 +663,7 @@ class HopfModel:
         Each side's operations come from the memoised `_cartan`, which is
         exact at index 0, so each tensor key walks its factors once.
         """
+        self._own(tens)
         n = 2 * k if self.p == 2 else k
         out = {}
         for (b1, b2), c in tens.terms.items():
@@ -760,6 +773,7 @@ class HopfModel:
 
     def mu_star(self, elem):
         """The full coproduct mu* of an arbitrary element."""
+        self._own(elem)
         if self._mu is None:
             self.derive_coproducts()
         return self._mu_of(elem, self._mu)

@@ -417,14 +417,11 @@ def theta_set(group, p):
     for s, f in theta_c.items():
         if f.weight() != s:
             raise ValueError(f"theta_{s} of ({group},{p}) is not homogeneous of weight {s}")
-    if group == "G2":
-        ts = ThetaSet(prof, theta_c, None)
-        ts._omega = dict(theta_c)
-    else:
-        theta_restricted = {s: restrict_kappa(f, group, p) for s, f in theta_c.items()}
-        ts = ThetaSet(prof, theta_c, theta_restricted)
+    theta_restricted = None if group == "G2" else {
+        s: restrict_kappa(f, group, p) for s, f in theta_c.items()
+    }
     _verify_checksums(group, p, theta_c)
-    return ts
+    return ThetaSet(prof, theta_c, theta_restricted)
 
 
 # -- transcription checksums -------------------------------------------------

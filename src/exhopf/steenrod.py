@@ -18,14 +18,15 @@ action on one slot, `_on_slot`, is fixed by the variable itself:
   identically on these subrings at p = 2, so the pure P-Cartan recursion
   is exact there too.)
 
-A ring with variables of both kinds is refused: it does not say what
-c_1 maps to, and the Wu formulas need that image.
+`power(k, f)` reads these rules from `f.ring` and refuses a ring with
+variables of both kinds: it does not say what c_1 maps to, and the Wu
+formulas need that image.
 
 The recursion is memoised on (k, slots) for one `power` call.  On the
 weight-ring calls of the `tables` benchmark workload the memo halves the
-products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A memo kept on
-the context saved only 1-14% more products and raised the peak RSS of
-both workloads by about 1 MB, so it does not outlive the call.
+products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A memo kept
+per ring saved only 1-14% more products and raised the peak RSS of both
+workloads by about 1 MB, so it does not outlive the call.
 
 The recursion works on term dicts end to end, keyed as in `ffpoly`: the
 memo values and the results of `_on_slot` are plain dicts, each product
@@ -54,34 +55,18 @@ class SteenrodError(ValueError):
     pass
 
 
-class SteenrodContext:
-    """The reduced-power action on one ring, read off its variables."""
-
-    def __init__(self, ring):
-        for name, w in zip(ring.names, ring.weights):
-            if w > 1 and name != f"c{w}":
-                raise SteenrodError(f"variable {name} of weight {w} must be named c{w}")
-        if 1 in ring.weights and any(w > 1 for w in ring.weights):
-            raise SteenrodError("a ring mixing degree-2 and Chern variables has no c_1 image")
-        self.ring = ring
-        self.p = ring.p
-
-    def __repr__(self):
-        return f"SteenrodContext(F{self.p}, {self.ring.names})"
-
-
-def _on_slot(j, i, e, ctx, memo):
+def _on_slot(j, i, e, ring, memo):
     """P^j (v_i^e) as a term dict, by the rule of the variable v_i."""
-    m = ctx.ring.weights[i]
+    m = ring.weights[i]
     if m == 1:
-        c = comb(e, j) % ctx.p
-        return {(e + j * (ctx.p - 1)) * ctx.ring.coeffs[i]: c} if c else {}
+        c = comb(e, j) % ring.p
+        return {(e + j * (ring.p - 1)) * ring.coeffs[i]: c} if c else {}
     if e == 1:
-        return wu_formula(j, m, ctx.ring).terms
-    return _cartan(j, ((i, 1), (i, e - 1)), ctx, memo)
+        return wu_formula(j, m, ring).terms
+    return _cartan(j, ((i, 1), (i, e - 1)), ring, memo)
 
 
-def _cartan(k, slots, ctx, memo):
+def _cartan(k, slots, ring, memo):
     """P^k of the monomial prod v_i^e over `slots`, a tuple of (i, e), for
     k at most its weight, as a term dict that no caller may mutate.
 
@@ -90,27 +75,34 @@ def _cartan(k, slots, ctx, memo):
     """
     (i, e), rest = slots[0], slots[1:]
     if not rest:
-        return _on_slot(k, i, e, ctx, memo)
+        return _on_slot(k, i, e, ring, memo)
     key = (k, slots)
     result = memo.get(key)
     if result is None:
-        weights = ctx.ring.weights
+        weights = ring.weights
         room = sum(weights[r] * f for r, f in rest)
         acc = {}
         for j in range(max(0, k - room), min(k, weights[i] * e) + 1):
-            head = _on_slot(j, i, e, ctx, memo)
+            head = _on_slot(j, i, e, ring, memo)
             if head:
-                mul_into(acc, head, _cartan(k - j, rest, ctx, memo), 1, ctx.p)
+                mul_into(acc, head, _cartan(k - j, rest, ring, memo), 1, ring.p)
         result = memo[key] = acc
     return result
 
 
-def power(k, f, ctx):
-    """The k-th reduced power of a homogeneous polynomial."""
+def power(k, f):
+    """The k-th reduced power of a homogeneous polynomial, by the rule of
+    each variable of `f.ring`.  A ring with a variable of weight m >= 2 not
+    named `c<m>`, or with variables of both kinds, raises `SteenrodError`,
+    even for a constant."""
+    ring = f.ring
+    for name, w in zip(ring.names, ring.weights):
+        if w > 1 and name != f"c{w}":
+            raise SteenrodError(f"variable {name} of weight {w} must be named c{w}")
+    if 1 in ring.weights and any(w > 1 for w in ring.weights):
+        raise SteenrodError("a ring mixing degree-2 and Chern variables has no c_1 image")
     if k < 0:
         raise SteenrodError("negative power index")
-    if f.ring != ctx.ring:
-        raise SteenrodError("polynomial does not live in the context ring")
     try:
         w = f.weight()
     except ValueError:
@@ -118,14 +110,14 @@ def power(k, f, ctx):
     if k == 0 or f.is_zero():
         return f
     if k > w:
-        return ctx.ring.zero()
-    if w + k * (ctx.p - 1) >= EXPONENT_LIMIT:
+        return ring.zero()
+    if w + k * (ring.p - 1) >= EXPONENT_LIMIT:
         raise ExponentOverflow(f"P^{k} of a weight-{w} class has weight 2^15 or more")
     acc, memo = {}, {}
     for mon, c in f.terms.items():
-        slots = tuple((i, e) for i, e in enumerate(ctx.ring.exponents(mon)) if e)
-        add_into(acc, _cartan(k, slots, ctx, memo), c, ctx.p)
-    return Polynomial(ctx.ring, acc)
+        slots = tuple((i, e) for i, e in enumerate(ring.exponents(mon)) if e)
+        add_into(acc, _cartan(k, slots, ring, memo), c, ring.p)
+    return Polynomial(ring, acc)
 
 
 def verify_case1(group, p):
@@ -148,7 +140,6 @@ def verify_case1(group, p):
         raise SteenrodError(f"case 1 only occurs for p=2, G=E6/E7/E8, not ({group},{p})")
     ts = liedata.theta_set(group, p)
     R = ts.weight_ring
-    ctx = SteenrodContext(R)
     th = {s: ts.omega(s) for s in (2, 3, 5, 8, 9)}
     w2 = R.variable("w2")
 
@@ -159,8 +150,8 @@ def verify_case1(group, p):
             else R.zero()
         )
 
-    lhs1 = power(1, th[8], ctx)
-    lhs2 = power(4, th[5], ctx)
+    lhs1 = power(1, th[8])
+    lhs2 = power(4, th[5])
     rhs2 = (
         th[9]
         + cp(4) * th[5]

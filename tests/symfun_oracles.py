@@ -449,12 +449,10 @@ def schur_giambelli(lam, ctx):
 # -- the total Steenrod operation --------------------------------------------
 
 
-def total_steenrod(f, ctx):
+def total_steenrod(f):
     """The full (inhomogeneous) total operation on a ring of degree-2 classes."""
-    if any(w != 1 for w in ctx.ring.weights):
+    R = f.ring
+    if any(w != 1 for w in R.weights):
         raise SteenrodError("total_steenrod needs every variable of weight 1")
-    if f.ring != ctx.ring:
-        raise SteenrodError("polynomial does not live in the context ring")
-    R = ctx.ring
-    mapping = {name: R.variable(name) + R.variable(name) ** ctx.p for name in R.names}
+    mapping = {name: R.variable(name) + R.variable(name) ** R.p for name in R.names}
     return f.substitute(mapping, target_ring=R, check_weights=False)

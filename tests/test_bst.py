@@ -1,6 +1,6 @@
 import pytest
 
-from exhopf import bst, liedata, symfun
+from exhopf import bst, liedata, steenrod, symfun
 from exhopf.bst import (
     BstError,
     Case1Required,
@@ -53,6 +53,13 @@ def test_e7_p3_full_table_matches_print():
     assert table.value(8, 14) == 1
 
 
+def test_lemma22_refuses_a_table_of_another_pair():
+    with pytest.raises(BstError):
+        verify_lemma22("F4", 3, full_table("E6", 3))
+    with pytest.raises(BstError):
+        verify_lemma22("E6", 3, full_table("F4", 3))
+
+
 def test_f4_p3_fallback_path():
     table = full_table("F4", 3)
     assert table.entries[(6, 8)].method == "method1-fallback"
@@ -92,9 +99,7 @@ def test_eq24_witness_f4_p3():
     # the defining relation: NF(P^k theta_s - b theta_t) = 0, NF(theta_t) != 0
     ts = liedata.theta_set("F4", 3)
     gb = bst._gb_method1("F4", 3, 4)
-    lhs = __import__("exhopf.steenrod", fromlist=["power"]).power(
-        1, ts.omega(2), bst._context(ts.weight_ring)
-    )
+    lhs = steenrod.power(1, ts.omega(2))
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1
     assert normal_form(lhs - b * ts.omega(4), gb).remainder.is_zero()

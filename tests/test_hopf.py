@@ -61,6 +61,45 @@ def test_unknown_x_generator_is_a_hopf_error():
     assert m.x_monomial({3: 1}) == m.x(3)
 
 
+def test_b_table_of_another_pair_is_refused():
+    from exhopf import bst as bst_mod
+
+    with pytest.raises(InvariantError):
+        build_model("F4", 3, bst_mod.full_table("E6", 3))
+    with pytest.raises(InvariantError):
+        build_model("E8", 3, bst_mod.full_table("F4", 3))
+    # the pair is compared by value: a table on a fresh profile of the pair is taken
+    table = bst_mod.full_table("F4", 3)
+    fresh = bst_mod.BstTable(liedata.GroupProfile("F4", 3), table.entries)
+    assert build_model("F4", 3, fresh).bst_table is fresh
+
+
+_FOREIGN = {
+    "bockstein": lambda a, b: a.bockstein(b.alpha(2)),
+    "sq": lambda a, b: a.sq(2, b.x(5)),
+    "sq0": lambda a, b: a.sq(0, b.x(5)),
+    "reduced_power": lambda a, b: a.reduced_power(1, b.x(5)),
+    "reduced_power0": lambda a, b: a.reduced_power(0, b.x(5)),
+    "mu_star": lambda a, b: a.mu_star(b.alpha(8)),
+    "phi": lambda a, b: a.phi(b.alpha(8)),
+    "tensor_bockstein": lambda a, b: a.tensor_bockstein(tensor(b, b.x(5), b.alpha(8))),
+    "tensor_power": lambda a, b: a.tensor_power(1, tensor(b, b.x(5), b.alpha(8))),
+    "tensor_multiply": lambda a, b: tensor(a, a.x(3), a.alpha(2)).multiply(
+        tensor(b, b.x(5), b.alpha(8))
+    ),
+    "multiply": lambda a, b: a.multiply(a.x(3), b.x(5)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_FOREIGN))
+def test_element_of_another_model_is_refused(op):
+    # (F4,2) lacks x_10 and alpha_15 has phi != 0 only in (E8,2): an element
+    # of the wrong model would be read against the wrong tables
+    a, b = model("F4", 2), model("E8", 2)
+    with pytest.raises(HopfError, match="model mismatch"):
+        _FOREIGN[op](a, b)
+
+
 def test_truncation_in_product():
     m = model("G2", 2)
     assert (m.x(3) * m.x(3)).is_zero()  # x_6^2 = 0, k_3 = 2

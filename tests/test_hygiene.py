@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -184,3 +185,18 @@ def test_benchmark_tracer_sees_the_wu_and_power_layers(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["symfun.wu_formula.calls"]["value"] > 0
     assert metrics["steenrod.power.calls"]["value"] > 0
+
+
+def test_benchmark_digests_hold(monkeypatch):
+    # one cold worker per workload, every pair, checked against the recorded
+    # output digests: an output change fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    run = importlib.import_module("run")
+    recorded = json.loads(run.DIGESTS_FILE.read_text())
+    attempted = failed = 0
+    problems = []
+    for workload, pairs in run.WORKLOADS.items():
+        sample = run.spawn(workload, [run.label(pair) for pair in pairs])
+        a, f, msgs = run.check_ops(workload, [sample], recorded)
+        attempted, failed, problems = attempted + a, failed + f, problems + msgs
+    assert (attempted, failed) == (60, 0), problems
