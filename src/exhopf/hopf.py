@@ -12,14 +12,18 @@ The reduced-power table on the odd generators is the computed b-table
 (the first-principles reconstruction), which by construction satisfies
 the Adem composites that the printed list omits.
 
-Sq^a (p = 2) and P^k (odd p) reach every basis element through one
-Cartan recursion, `HopfModel._cartan`.  It walks the element's
-generators (each x_{2t} as often as its exponent, then the alphas),
-splits the index between the first generator and the rest, and caps the
-first share by instability: Sq^i u = 0 for i > |u| and P^i u = 0 for
-2i > |u|, with |u| the generator's degree.  One cache memoises the
-recursion on (index, generators); elements that share a tail share its
-work.  Every sparse F_p sum goes through `ffpoly.add_into`.
+Sq^a (p = 2) and P^k (odd p) on the generators sit in one table,
+`HopfModel._ops`, keyed by (index, generator degree) and filled once
+when the model is built: the alphas from the b-table, then the x's from
+them (as squares at p = 2, through the Bockstein at odd p).  One Cartan
+recursion, `HopfModel._cartan`, carries them to every basis element and
+only reads that table.  It walks the element's generators (each x_{2t}
+as often as its exponent, then the alphas), splits the index between the
+first generator and the rest, and caps the first share by instability:
+Sq^i u = 0 for i > |u| and P^i u = 0 for 2i > |u|, with |u| the
+generator's degree.  One cache memoises the recursion on (index,
+generators); elements that share a tail share its work.  Every sparse
+F_p sum goes through `ffpoly.add_into`.
 
 mu* is a ring map too, so it extends from one table of generator
 coproducts: `HopfModel._mu_of` multiplies the table entries along the
@@ -203,8 +207,7 @@ class _Combination:
         return not self.terms
 
     def __add__(self, other):
-        if other.model is not self.model:
-            raise HopfError("elements of different models")
+        self.model._own(other)
         p = self.model.p
         return type(self)(self.model, add_into(dict(self.terms), other.terms, 1, p))
 
@@ -293,6 +296,8 @@ def _outer(u, v):
 def tensor(model, u, v):
     """Tensor product of two algebra elements (no sign; used on even input
     or where the caller tracks signs)."""
+    model._own(u)
+    model._own(v)
     return TensorElement(model, add_into({}, _outer(u.terms, v.terms), 1, model.p))
 
 
@@ -314,6 +319,7 @@ class HopfModel:
         self._mul_cache = {}
         self._op_cache = {}
         self._mu = None  # generator degree -> full coproduct, once derived
+        self._ops = {}  # (index, generator degree) -> Sq^i / P^i of it, as terms
 
         self.bockstein_table = {
             s: self._element_from_xdata(BOCKSTEIN_DATA[(group, p)].get(s, []))
@@ -324,9 +330,7 @@ class HopfModel:
                 s: self._element_from_xdata(SQUARE_DATA[group].get(s, []))
                 for s in self.r_list
             }
-            self._build_sq_x_table()
-        else:
-            self._build_odd_x_table()
+        self._fill_ops()
 
     # -- basis plumbing ----------------------------------------------------
 
@@ -461,8 +465,8 @@ class HopfModel:
             raise HopfError("model mismatch")
 
     def multiply(self, a, b):
-        if a.model is not self or b.model is not self:
-            raise HopfError("model mismatch")
+        self._own(a)
+        self._own(b)
         return AlgebraElement(self, self._mul_into({}, a.terms, b.terms))
 
     # -- Bockstein -------------------------------------------------------------
@@ -491,30 +495,6 @@ class HopfModel:
         v = self.bst_table.value(s, t)
         return (v, t) if v else None
 
-    def _alpha_power_elem(self, k, s):
-        hit = self.power_alpha(k, s)
-        if hit is None:
-            return self.zero()
-        coeff, t = hit
-        return coeff * self.alpha(t)
-
-    def _on_generator(self, i, gen):
-        """Sq^i (p = 2) or P^i (odd p) of the generator of degree `gen`."""
-        if gen % 2:
-            s = (gen + 1) // 2
-            if self.p == 2:  # Sq^{2j+1} = Sq^1 Sq^{2j}, Sq^{2j} = P^j
-                img = self._alpha_power_elem(i // 2, s)
-                return self.bockstein(img) if i % 2 else img
-            return self._alpha_power_elem(i, s)
-        t = gen // 2
-        if i == 0:
-            return self.x(t)
-        if self.p == 2:
-            return self._sq_x_table.get((t, i), self.zero())
-        if i == t:
-            return self.x(t, self.p)
-        return self._x_action_odd.get((t, i), self.zero())
-
     def _factors(self, b):
         """A basis element as its generators, by degree: each x_{2t} as
         many times as its exponent, then the alphas in order."""
@@ -526,11 +506,11 @@ class HopfModel:
         """The operation of index k on the product of `factors`.
 
         Splits k over the first generator and the rest (Cartan formula),
-        capping the first share by instability.  Memoised on (k, factors):
-        a run of equal factors such as x_6^7 reaches the same (k', tail)
-        along many splits.  Without the memo, `test_deep_sq_on_e8_p2`
-        (Sq^0..Sq^39 on three (E8,2) products) takes about 50 s instead of
-        0.2 s on a 2-core x86-64 VM.
+        reading the first share from `_ops` and capping it by instability.
+        Memoised on (k, factors): a run of equal factors such as x_6^7
+        reaches the same (k', tail) along many splits.  Without the memo,
+        `test_deep_sq_on_e8_p2` (Sq^0..Sq^39 on three (E8,2) products) takes
+        about 50 s instead of 0.2 s on a 2-core x86-64 VM.
         """
         key = (k, factors)
         hit = self._op_cache.get(key)
@@ -543,9 +523,9 @@ class HopfModel:
             cap = gen if self.p == 2 else gen // 2
             out = {}
             for i in range(min(k, cap) + 1):
-                left = self._on_generator(i, gen)
-                if left.terms:
-                    self._mul_into(out, left.terms, self._cartan(k - i, rest).terms)
+                left = self._ops.get((i, gen))
+                if left:
+                    self._mul_into(out, left, self._cartan(k - i, rest).terms)
             hit = AlgebraElement(self, out)
         self._op_cache[key] = hit
         return hit
@@ -557,19 +537,59 @@ class HopfModel:
             add_into(out, self._cartan(k, self._factors(b)).terms, c, self.p)
         return AlgebraElement(self, out)
 
-    def _build_sq_x_table(self):
-        """Sq^a x_{2t} for every even generator, from its square root w.
+    def _fill_ops(self):
+        """Fill `_ops`: (i, generator degree) -> the term dict of Sq^i
+        (p = 2) or P^i (odd p) on that generator, zeros left out.
 
-        Sq^a (w^2) = (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan
-        terms pair off), so only even a <= 2t are stored.  Each root uses
-        smaller x's only, so filling the table in order of t is enough.
+        The alphas come first, from the b-table; at p = 2 Sq^{2k} = P^k and
+        Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t} in order of t, through
+        `_act`, which reads only entries already made.  At p = 2 x_{2t} = w^2
+        (`_square_root`: alphas and smaller x's), so Sq^a x_{2t} is
+        (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan terms pair
+        off).  At odd p x_{2t} = u^{-1} delta(alpha) with alpha =
+        alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with Q_1 =
+        P^1 Q_0 - Q_0 P^1 (Milnor, Ann. Math. 1958).  P^1 kills every even
+        generator of these models (t + p - 1 never lands back in e(G,p)), so
+
+            P^k x_{2t} = u^{-1} delta(P^k alpha - P^1 P^{k-1} alpha),
+
+        which breaks the naive "zero between k = 0 and k = t" rule at (E8,3):
+        P^3 x_8 = -x_20.  P^t x_{2t} = x_{2t}^p closes the range.
         """
-        self._sq_x_table = {}
+        p, ops = self.p, self._ops
+
+        def put(i, gen, elem):
+            if elem.terms:
+                ops[(i, gen)] = elem.terms
+
+        for s in self.r_list:
+            for k in range(s):
+                hit = self.power_alpha(k, s)
+                if hit is not None:
+                    b, t = hit
+                    put(2 * k if p == 2 else k, 2 * s - 1, self.alpha(t).scale(b))
+                    if p == 2:
+                        put(2 * k + 1, 2 * s - 1, self.bockstein_table[t].scale(b))
         for t in self.e_list:
-            w = self._square_root(t)
-            for a in range(2, 2 * t + 1, 2):
-                half = self._act(a // 2, w)
-                self._sq_x_table[(t, a)] = half * half
+            put(0, 2 * t, self.x(t))
+            if p == 2:
+                w = self._square_root(t)
+                for a in range(2, 2 * t + 1, 2):
+                    half = self._act(a // 2, w)
+                    put(a, 2 * t, half * half)
+                continue
+            alpha = self.alpha(t)
+            uinv = inverse(self._bockstein_unit(t), p)
+            for k in range(1, t):
+                lower = self._act(1, self._act(k - 1, alpha))
+                val = self.bockstein(self._act(k, alpha) - lower).scale(uinv)
+                target = t + k * (p - 1)
+                if val.terms and not (
+                    target in self.e_list and val.terms.keys() == self.x(target).terms.keys()
+                ):
+                    raise InvariantError(f"P^{k} x_{2*t} is not a generator multiple")
+                put(k, 2 * t, val)
+            put(t, 2 * t, self.x(t, p))
 
     def _square_root(self, t):
         """The element w with w^2 = x_{2t} at p = 2, from `SQUARE_ROOT_OF_X`."""
@@ -577,54 +597,6 @@ class HopfModel:
         for s, xmon in SQUARE_ROOT_OF_X[t]:
             w = w + self.x_monomial(xmon) * self.alpha(s)
         return w
-
-    def sq(self, a, elem):
-        """Sq^a at p = 2 on an arbitrary element."""
-        if self.p != 2:
-            raise HopfError("Sq is a p = 2 operation")
-        self._own(elem)
-        if a == 0:
-            return elem
-        return self._act(a, elem)
-
-    def _build_odd_x_table(self):
-        """Intermediate reduced powers on the even generators at odd p.
-
-        The generators are Bockstein images, x_{2t} = u^{-1} delta(alpha),
-        and in the Steenrod algebra P^k Q_0 = Q_0 P^k + Q_1 P^{k-1}, so
-
-            P^k x_{2t} = u^{-1} [ delta(P^k alpha) + Q_1(P^{k-1} alpha) ]
-
-        with Q_1 = P^1 delta - delta P^1 evaluated through the generator
-        tables.  (P^1 vanishes on every even generator of these models:
-        t + p - 1 never lands back in e(G,p), so the Q_1 term reduces to
-        -delta(P^1 .).)  This is what makes the coproduct propagation and
-        delta-compatibility cohere; the naive "zero between k = 0 and
-        k = t" rule fails at (E8,3), where P^3 x_8 = -x_20.
-        """
-        table = {}
-        self._x_action_odd = table
-        for t in self.e_list:
-            s = t  # delta(alpha_{2t-1}) = u * x_{2t} with s = t in e(G,p)
-            uinv = inverse(self._bockstein_unit(t), self.p)
-            for k in range(1, t):
-                val = self.bockstein(self._alpha_power_elem(k, s))
-                prev = self.power_alpha(k - 1, s)
-                if prev is not None:
-                    b, w = prev
-                    # Q_1(alpha_w) = P^1(delta alpha_w) - delta(P^1 alpha_w)
-                    # and the first summand dies (P^1 kills the even part)
-                    q1 = -self.bockstein(self._alpha_power_elem(1, w))
-                    val = val + b * q1
-                val = uinv * val
-                if not val.is_zero():
-                    target = t + k * (self.p - 1)
-                    if not (
-                        target in self.e_list
-                        and val.terms.keys() == set(self.x(target).terms)
-                    ):
-                        raise InvariantError(f"P^{k} x_{2*t} is not a generator multiple")
-                    table[(t, k)] = val
 
     def _bockstein_unit(self, t):
         """The unit u with delta(alpha_{2t-1}) = u * x_{2t}, at odd p."""
@@ -636,8 +608,21 @@ class HopfModel:
             )
         return data[0][0] % self.p
 
+    def sq(self, a, elem):
+        """Sq^a at p = 2 on an arbitrary element."""
+        if self.p != 2:
+            raise HopfError("Sq is a p = 2 operation")
+        self._own(elem)
+        if a < 0:
+            raise HopfError(f"negative operation index {a}")
+        if a == 0:
+            return elem
+        return self._act(a, elem)
+
     def reduced_power(self, k, elem):
         self._own(elem)
+        if k < 0:
+            raise HopfError(f"negative operation index {k}")
         if k == 0:
             return elem
         if self.p == 2:
@@ -664,6 +649,8 @@ class HopfModel:
         exact at index 0, so each tensor key walks its factors once.
         """
         self._own(tens)
+        if k < 0:
+            raise HopfError(f"negative operation index {k}")
         n = 2 * k if self.p == 2 else k
         out = {}
         for (b1, b2), c in tens.terms.items():
@@ -695,7 +682,7 @@ class HopfModel:
         table coefficient; every available route is computed and
         cross-checked.  Then x_{2t} in order of t: at p = 2 x_{2t} = w^2
         with w built from alphas and smaller x's, so mu*(x_{2t}) =
-        (mu* w)^2, termwise in characteristic 2; at odd p
+        (mu* w)^2; at odd p
         x_{2t} = u^{-1} delta(alpha_{2t-1}) and mu* commutes with delta.
         """
         if self._mu is None:
@@ -723,12 +710,8 @@ class HopfModel:
             mu = {2 * s - 1: self._primitive(self.alpha(s)) + phi[s] for s in self.r_list}
             for t in self.e_list:
                 if self.p == 2:
-                    square = {}
-                    for (b1, b2), c in self._mu_of(self._square_root(t), mu).terms.items():
-                        left = self.multiply_basis(b1, b1)
-                        right = self.multiply_basis(b2, b2)
-                        add_into(square, _outer(left, right), c * c, 2)
-                    mu[2 * t] = TensorElement(self, square)
+                    root = self._mu_of(self._square_root(t), mu)
+                    mu[2 * t] = root.multiply(root)
                 else:
                     uinv = inverse(self._bockstein_unit(t), self.p)
                     mu[2 * t] = self.tensor_bockstein(mu[2 * t - 1]).scale(uinv)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -88,6 +89,9 @@ _FOREIGN = {
         tensor(b, b.x(5), b.alpha(8))
     ),
     "multiply": lambda a, b: a.multiply(a.x(3), b.x(5)),
+    "add": lambda a, b: a.x(3) + b.x(5),
+    "tensor": lambda a, b: tensor(a, b.x(5), b.alpha(8)),
+    "tensor_add": lambda a, b: tensor(a, a.x(3), a.alpha(2)) + tensor(b, b.x(5), b.alpha(8)),
 }
 
 
@@ -98,6 +102,24 @@ def test_element_of_another_model_is_refused(op):
     a, b = model("F4", 2), model("E8", 2)
     with pytest.raises(HopfError, match="model mismatch"):
         _FOREIGN[op](a, b)
+
+
+_NEGATIVE_INDEX = {
+    "sq": (("E8", 2), lambda m: m.sq(-3, m.x(3))),
+    "reduced_power_p2": (("E8", 2), lambda m: m.reduced_power(-1, m.alpha(2))),
+    "reduced_power_p3": (("E8", 3), lambda m: m.reduced_power(-1, m.x(4))),
+    "tensor_power_p2": (("E8", 2), lambda m: m.tensor_power(-1, tensor(m, m.x(3), m.alpha(2)))),
+    "tensor_power_p5": (("E8", 5), lambda m: m.tensor_power(-1, tensor(m, m.x(6), m.alpha(2)))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_NEGATIVE_INDEX))
+def test_negative_operation_index_is_refused(op):
+    # an operation of negative index is not zero but undefined, as in
+    # steenrod.power; the Cartan walk would otherwise return 0 silently
+    pair, call = _NEGATIVE_INDEX[op]
+    with pytest.raises(HopfError, match="negative operation index"):
+        call(model(*pair))
 
 
 def test_truncation_in_product():
@@ -468,6 +490,39 @@ def _op(m):
     if m.p == 2:
         return m.sq, lambda deg: deg
     return m.reduced_power, lambda deg: deg // 2
+
+
+# sha256 of the rendered Sq^i (p = 2) or P^i (odd p) of every generator,
+# for every i up to its instability cap, as computed before the generator
+# actions moved into one table of the model
+_GENERATOR_ACTION_DIGESTS = {
+    ("G2", 2): "2815c2d7b44fbde46f0ca630ae0525ffbb10f6a3c7f5e6cf747a08de9ec3e428",
+    ("F4", 2): "bf6feedff01b192cfbafb86203f39351d978809e8312263cae93401ff07873c4",
+    ("E6", 2): "84bda759aac9a93044733ad66b33087f8cc08ef5f2a2d4eaa3b0691478b1f4f3",
+    ("E7", 2): "4ea045138685964fd1feb485ab195f0f6863f082dc84b55dc1c347644760f48d",
+    ("E8", 2): "b49abc63c6d86d92ae290c343ae854ea44650dd6743c16652ecc87292d1e094e",
+    ("F4", 3): "77586e5055be862993ef3f3d52ff65307d92cf68d846353df7c9603281d8195b",
+    ("E6", 3): "6a9fcaae709bb2d5cc9f1eaee1f5f3c7f600d4108fb44632e9137e3153beaaec",
+    ("E7", 3): "acd5aab41b067858db407ba0f7286751669d003b37a0213222955eaf2735028b",
+    ("E8", 3): "b39c00e41f70b5f81ddba46e6b6cb7708438bb869d99667d90ee03a386fa1e4c",
+    ("E8", 5): "d08b7b6114178fbbfa4cd7c5d4feb932ab743472850cd7ae9af732a23996c7f5",
+}
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_generator_actions_are_pinned(group, p):
+    # every Sq/P the model knows is these values carried by the Cartan
+    # formula, so a change to any one of them moves the digest
+    m = model(group, p)
+    op, cap = _op(m)
+    gens = [(f"a{2*s-1}", m.alpha(s)) for s in m.r_list]
+    gens += [(f"x{2*t}", m.x(t)) for t in m.e_list]
+    text = "\n".join(
+        f"{name} {i} {m.render_element(op(i, g))}"
+        for name, g in gens
+        for i in range(cap(g.degree()) + 1)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == _GENERATOR_ACTION_DIGESTS[(group, p)]
 
 
 def _cartan_sum(m, k, u, v):

@@ -187,6 +187,27 @@ def test_benchmark_tracer_sees_the_wu_and_power_layers(monkeypatch):
     assert metrics["steenrod.power.calls"]["value"] > 0
 
 
+def test_benchmark_tracer_sees_the_hopf_layers(monkeypatch):
+    # the traced benchmark reads `hopf.<method>.*` on `models`; a refactor
+    # that routes the model checks past the methods the tracer wraps reads
+    # zero there, and fails here
+    from exhopf import hopf
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "timed"
+        hopf.check_suite(hopf.build_model("E8", 2))
+        tracer.phase = None
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    calls = {m: metrics[f"hopf.{m}.calls"]["value"] for m in spans.HOPF_METHODS}
+    assert all(calls.values()), calls
+
+
 def test_benchmark_digests_hold(monkeypatch):
     # one cold worker per workload, every pair, checked against the recorded
     # output digests: an output change fails here, not only in the benchmark
