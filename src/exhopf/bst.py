@@ -5,7 +5,9 @@ b with P^k(theta_s) = b*theta_t mod <theta_j : j < t> is computed either
 upstairs in the weight ring (Method I) or downstairs in the restricted
 Chern ring after kappa* (Method II, much smaller and the default).  The
 p = 2, t = 9 column is the one place kappa*theta_t vanishes; there the
-two term-exact Case 1 identities certify the values instead.
+two term-exact Case 1 identities certify the values instead
+(`steenrod.verify_case1`, decided in F_2[c_1..c_N], which embeds in the
+weight ring).
 
 Pairs with k >= s are forced to zero by instability (P^s theta_s =
 theta_s^p lies in the ideal, P^k theta_s = 0 above that) and recorded
@@ -133,7 +135,8 @@ def compute_bst_method2(group, p, s, t):
 
 # The identities hold per pair, not per entry: the ten default tables ask
 # for 6 Case 1 entries and run `verify_case1` 3 times, once for each of
-# E6, E7 and E8 at p = 2.
+# E6, E7 and E8 at p = 2.  The three runs take 0.002 s of the 0.08-0.09 s
+# that the ten tables take in one process (2-core VM, Python 3.11.7).
 @lru_cache(maxsize=None)
 def _case1_values(group, p):
     report = steenrod.verify_case1(group, p)

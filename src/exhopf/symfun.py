@@ -118,11 +118,13 @@ class WuTable:
         return result
 
 
-# The `tables` benchmark workload reads seven rings (equal rings share a
-# table: the restricted rings of F4 and E6 are one).  A sweep over many n
-# (the truncation tests) evicts: with 16 rings it runs within 10% of an
-# unbounded cache, and the `slow` p = 5 sweep peaks at 80 MB RSS, against
-# 115 MB unbounded and twice the time with 8 rings.
+# The ten default tables in one process read ten rings, with no eviction
+# (equal rings share a table: the restricted rings of F4 and E6 are one;
+# three of the ten are the F_2[c_1..c_N] of the Case 1 identities of E6,
+# E7 and E8).  A sweep over many n (the truncation tests) evicts: with 16
+# rings it runs within 10% of an unbounded cache, and the `slow` p = 5
+# sweep peaks at 80 MB RSS, against 115 MB unbounded and twice the time
+# with 8 rings.
 @lru_cache(maxsize=16)
 def _wu_table(ring):
     return WuTable(ring)

@@ -1,12 +1,17 @@
-"""Transcribed closed-form reduced powers of Chern classes (test oracles).
+"""Transcribed closed forms of the paper (test oracles).
 
 These build the fixture polynomials for P^k(c_m) directly from the
 printed formulas, in a given c-ring; the generator under test never
 calls into this module.  The falling-factorial binomial handles the
-negative upper arguments the p=2 formula needs.
+negative upper arguments the p=2 formula needs.  `case1_in_weights`
+checks the printed Case 1 identities where the paper states them, in the
+weight ring, as the oracle of `steenrod.verify_case1`.
 """
 
 from math import factorial
+
+from exhopf import liedata
+from exhopf.steenrod import power
 
 
 def falling_binomial(n, i):
@@ -170,3 +175,37 @@ def remark52_table(p, k, m):
 # the stable formulas pick up boundary corrections (verified by direct
 # inverse-Kostka computation).
 REMARK52_STABLE_M = {(3, 1): 1, (3, 2): 3, (3, 3): 5, (5, 1): 3}
+
+
+def case1_in_weights(group):
+    """`steenrod.verify_case1(group, 2)` decided in the weight ring, with the
+    Chern polynomials substituted (c7 = 0 for E6, whose bundle stops at c6)."""
+    ts = liedata.theta_set(group, 2)
+    R = ts.weight_ring
+    th = {s: ts.omega(s) for s in (2, 3, 5, 8, 9)}
+    w2 = R.variable("w2")
+
+    def cp(k):
+        return (
+            liedata.chern_poly(group, 2, k)
+            if k <= liedata.CHERN_COUNT[group]
+            else R.zero()
+        )
+
+    lhs1 = power(1, th[8])
+    lhs2 = power(4, th[5])
+    rhs2 = (
+        th[9]
+        + cp(4) * th[5]
+        + (w2 ** 2 * cp(4) + cp(6)) * th[3]
+        + (w2 ** 2 * cp(5) + cp(7)) * th[2]
+    )
+    report = {
+        "p1_theta8_equals_theta9": lhs1 == th[9],
+        "p1_theta8_as_printed": lhs1 == th[9] + w2 ** 4 * th[5],
+        "p4_theta5_as_printed": lhs2 == rhs2,
+    }
+    report["pass"] = (
+        report["p1_theta8_equals_theta9"] and report["p4_theta5_as_printed"]
+    )
+    return report

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from exhopf import liedata
+from exhopf import bst, liedata, steenrod
 from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext
 from exhopf.steenrod import SteenrodError, power, verify_case1
+from closed_forms import case1_in_weights
 from symfun_oracles import total_steenrod
 
 
@@ -150,23 +151,49 @@ def test_power_refuses_output_weight_2_to_15_up_front():
 
 
 def test_chern_context_validates_names():
-    # a variable of weight m >= 2 must be c_m; a ring mixing degree-2 and
-    # Chern variables does not say what c_1 maps to, and BU(3) is such a
-    # ring; every call refuses, before any shortcut, even on a constant
+    # a variable of weight m >= 2 must be c_m; beside Chern classes the one
+    # degree-2 variable allowed is c_1, else the ring does not say what c_1
+    # maps to; every call refuses, before any shortcut, even on a constant
     for variables in (
         [("cx", 2)],
         [("c3", 2)],
         [("w1", 1), ("c2", 2)],
-        [("c1", 1), ("c2", 2), ("c3", 3)],
+        [("c1", 1), ("w1", 1), ("c2", 2)],
     ):
         R = RingContext(3, variables)
         with pytest.raises(SteenrodError):
             power(1, R.one())
         with pytest.raises(SteenrodError):
             power(0, R.zero())
+    # BU(3) = F_3[c1, c2, c3] is accepted: P^1 c_1 = c_1^3
+    R = RingContext(3, [("c1", 1), ("c2", 2), ("c3", 3)])
+    assert power(1, R.one()).is_zero()
+    assert power(0, R.zero()).is_zero()
+    assert power(1, R.variable("c1")) == R.variable("c1") ** 3
     # a ring without variables holds only constants, killed by P^k for k > 0
     R = RingContext(3, [])
     assert power(1, R.one()).is_zero()
+
+
+def test_power_commutes_with_the_splitting_map():
+    # c_k -> e_k(t_1, t_2, t_3) maps F_p[c1, c2, c3] into F_p[t1, t2, t3];
+    # P^k on BU(3) (c_1 by the degree-2 rule, c_2 and c_3 by Wu formulas
+    # that read c_1) must commute with it
+    rng = random.Random(23)
+    cases = 0
+    for p in (2, 3, 5):
+        R = RingContext(p, [("c1", 1), ("c2", 2), ("c3", 3)])
+        T = wring(p, 3)
+        t1, t2, t3 = (T.variable(f"w{i}") for i in (1, 2, 3))
+        split = {"c1": t1 + t2 + t3, "c2": t1 * t2 + t1 * t3 + t2 * t3, "c3": t1 * t2 * t3}
+        for w in range(1, 7):
+            f = random_homogeneous(R, w, rng, terms=3)
+            image = f.substitute(split, target_ring=T)
+            for k in range(1, w + 2):
+                lhs = power(k, f).substitute(split, target_ring=T)
+                assert lhs == power(k, image), (p, f, k)
+                cases += 1
+    assert cases == 81
 
 
 def test_weight_one_variable_is_a_degree_two_class():
@@ -249,10 +276,70 @@ def test_case1_identities():
         # the displayed extra w2^4 theta_5 summand does not survive computation
         assert not report["p1_theta8_as_printed"]
         assert report["p4_theta5_as_printed"]
+        # decided in F_2[c_1..c_N]; the weight ring must agree
+        assert report == case1_in_weights(group), group
     with pytest.raises(SteenrodError):
         verify_case1("E8", 3)
     with pytest.raises(SteenrodError):
         verify_case1("F4", 2)
+
+
+def _rank_mod2(forms):
+    """The rank over F_2 of linear forms, each a bit row of its variables."""
+    rows = []
+    for f in forms:
+        row = 0
+        for key in f.terms:
+            row |= 1 << f.ring.exponents(key).index(1)
+        for r in rows:
+            row = min(row, row ^ r)
+        if row:
+            rows.append(row)
+    return len(rows)
+
+
+@pytest.mark.parametrize("group", ["E6", "E7", "E8"])
+def test_case1_ring_embeds_in_the_weight_ring(group):
+    # the splitting map F_2[c_1..c_N] -> F_2[w] that makes `verify_case1`
+    # exact: the N Chern forms are independent mod 2, c_1 = 3 omega_2 is
+    # omega_2 mod 2, and each relabelled theta maps to its weight expansion
+    ts = liedata.theta_set(group, 2)
+    W = ts.weight_ring
+    forms = liedata.chern_substitution(group, 2)
+    assert len(forms) == liedata.CHERN_COUNT[group]
+    assert _rank_mod2(forms) == len(forms)
+    assert liedata.chern_poly(group, 2, 1) == W.variable("w2")
+    ring, thetas = steenrod._case1_thetas(group)
+    assert ring.names[0] == "c1"
+    images = {"c1": W.variable("w2")}
+    for name in ring.names[1:]:
+        images[name] = liedata.chern_poly(group, 2, int(name[1:]))
+    for s, theta in thetas.items():
+        assert theta.substitute(images, target_ring=W) == ts.omega(s), (group, s)
+
+
+@pytest.mark.parametrize("group", ["E6", "E7", "E8"])
+def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
+    # theta_9 + w2^9 keeps kappa* theta_9 = 0 but breaks P^1 theta_8 = theta_9:
+    # both routes and the b-table must notice
+    real = liedata.theta_set(group, 2)
+    w2 = real.mixed_ring.variable("w2")
+    bad = liedata.ThetaSet(
+        real.profile, {**real.theta_c, 9: real.theta_c[9] + w2 ** 9}, real.theta_restricted
+    )
+    load = liedata.theta_set
+    monkeypatch.setattr(
+        liedata, "theta_set", lambda g, p: bad if (g, p) == (group, 2) else load(g, p)
+    )
+    bst._case1_values.cache_clear()
+    try:
+        for report in (verify_case1(group, 2), case1_in_weights(group)):
+            assert not report["p1_theta8_equals_theta9"], report
+            assert not report["pass"], report
+        with pytest.raises(bst.BstError):
+            bst._case1_values(group, 2)
+    finally:
+        bst._case1_values.cache_clear()
 
 
 def cross_engine_agrees(group, p, s, k):
