@@ -13,21 +13,24 @@ The reduced-power table on the odd generators is the computed b-table
 the Adem composites that the printed list omits.
 
 Sq^a (p = 2) and P^k (odd p) on the generators sit in one table,
-`HopfModel._ops`, keyed by (index, generator degree) and filled once
-when the model is built: the alphas from the b-table, then the x's from
-them (as squares at p = 2, through the Bockstein at odd p).  One Cartan
-recursion, `HopfModel._cartan`, carries them to every basis element and
-only reads that table.  It walks the element's generators (each x_{2t}
-as often as its exponent, then the alphas), splits the index between the
-first generator and the rest, and caps the first share by instability:
-Sq^i u = 0 for i > |u| and P^i u = 0 for 2i > |u|, with |u| the
-generator's degree.  One cache memoises the recursion on (index,
-generators); elements that share a tail share its work.  Every sparse
-F_p sum goes through `ffpoly.add_into`.
+`HopfModel._ops`, keyed by generator degree and then index, zeros left
+out, and filled once when the model is built: the alphas from the
+b-table, then the x's from them (as squares at p = 2, through the
+Bockstein at odd p).  Instability (Sq^i u = 0 for i > |u|, P^i u = 0 for
+2i > |u|) is the table's own range.  One Cartan recursion,
+`HopfModel._total`, carries them to every basis element and only reads
+that table.  The total operation (the sum of all Sq^i or P^i) is a ring
+map, so `_total` walks the element's generators (each x_{2t} as often as
+its exponent, then the alphas) and multiplies the first generator's
+nonzero shares into the tail's own table of every index.  It memoises
+that sparse table on the generators: elements that share a tail share
+its work, and no index whose value is zero is ever visited.  Every
+sparse F_p sum goes through `ffpoly.add_into`.
 
 mu* is a ring map too, so it extends from one table of generator
 coproducts: `HopfModel._mu_of` multiplies the table entries along the
-same `_factors` walk that `_cartan` makes.
+same `_factors` walk that `_total` makes, and `mu_star` memoises it on
+each basis element.
 """
 
 from itertools import product as iproduct
@@ -317,9 +320,10 @@ class HopfModel:
             raise InvariantError(f"b-table of {table.profile.group} at p={table.profile.p}")
         self._zero_x = (0,) * len(self.e_list)
         self._mul_cache = {}
-        self._op_cache = {}
+        self._totals = {(): {0: {(self._zero_x, ()): 1}}}  # generators -> {i: Sq^i / P^i}
         self._mu = None  # generator degree -> full coproduct, once derived
-        self._ops = {}  # (index, generator degree) -> Sq^i / P^i of it, as terms
+        self._mu_basis = {}  # basis element -> its mu* terms, once `_mu` is set
+        self._ops = {}  # generator degree -> {index: Sq^i / P^i of it, as terms}
 
         self.bockstein_table = {
             s: self._element_from_xdata(BOCKSTEIN_DATA[(group, p)].get(s, []))
@@ -428,10 +432,9 @@ class HopfModel:
         Memoised on (b1, b2): the Cartan recursion and the coproduct work
         multiply the same few generator products over and over.  Building
         the ten models, their coproducts and their check suites leaves at
-        most 137 entries (on (E8,2)); without the memo that work took 13%
-        longer (0.270 s against 0.238 s, medians of 12 alternating cold
-        processes, rescaled by the benchmark's speed probe, 2-core x86-64
-        VM).
+        most 175 entries (on (E8,2)); without the memo the benchmark's
+        `models` workload takes 13% longer (`norm_wall_s` 0.0322 s against
+        0.0284 s, medians of 5 alternating 10 s runs, 2-core x86-64 VM).
         """
         key = (b1, b2)
         cached = self._mul_cache.get(key)
@@ -502,44 +505,37 @@ class HopfModel:
         xs = tuple(2 * t for t, e in zip(self.e_list, xexp) for _ in range(e))
         return xs + tuple(2 * s - 1 for s in odds)
 
-    def _cartan(self, k, factors):
-        """The operation of index k on the product of `factors`.
+    def _total(self, factors):
+        """{i: term dict of Sq^i (p = 2) or P^i (odd p) on the product of
+        `factors`}, nonzero entries only.
 
-        Splits k over the first generator and the rest (Cartan formula),
-        reading the first share from `_ops` and capping it by instability.
-        Memoised on (k, factors): a run of equal factors such as x_6^7
-        reaches the same (k', tail) along many splits.  Without the memo,
-        `test_deep_sq_on_e8_p2` (Sq^0..Sq^39 on three (E8,2) products) takes
-        about 50 s instead of 0.2 s on a 2-core x86-64 VM.
+        The total operation is a ring map (Cartan formula), so the table is
+        the first generator's shares from `_ops` times the tail's own
+        table.  Memoised on `factors`: every element that ends in a tail
+        shares its table.  Without the memo `models` takes 65% longer
+        (0.0469 s against 0.0284 s in the runs `multiply_basis` cites), and
+        `test_deep_sq_on_e8_p2` 0.6-0.7 s instead of 0.04 s.
         """
-        key = (k, factors)
-        hit = self._op_cache.get(key)
-        if hit is not None:
-            return hit
-        if not factors:
-            hit = self.one() if k == 0 else self.zero()
-        else:
-            gen, rest = factors[0], factors[1:]
-            cap = gen if self.p == 2 else gen // 2
-            out = {}
-            for i in range(min(k, cap) + 1):
-                left = self._ops.get((i, gen))
-                if left:
-                    self._mul_into(out, left, self._cartan(k - i, rest).terms)
-            hit = AlgebraElement(self, out)
-        self._op_cache[key] = hit
+        hit = self._totals.get(factors)
+        if hit is None:
+            tail = self._total(factors[1:])
+            hit = {}
+            for i, left in self._ops[factors[0]].items():
+                for j, right in tail.items():
+                    self._mul_into(hit.setdefault(i + j, {}), left, right)
+            hit = self._totals[factors] = {k: terms for k, terms in hit.items() if terms}
         return hit
 
     def _act(self, k, elem):
         """Sq^k (p = 2) or P^k (odd p) of an arbitrary element."""
         out = {}
         for b, c in elem.terms.items():
-            add_into(out, self._cartan(k, self._factors(b)).terms, c, self.p)
+            add_into(out, self._total(self._factors(b)).get(k, {}), c, self.p)
         return AlgebraElement(self, out)
 
     def _fill_ops(self):
-        """Fill `_ops`: (i, generator degree) -> the term dict of Sq^i
-        (p = 2) or P^i (odd p) on that generator, zeros left out.
+        """Fill `_ops`: generator degree -> {i: the term dict of Sq^i
+        (p = 2) or P^i (odd p) on that generator}, zeros left out.
 
         The alphas come first, from the b-table; at p = 2 Sq^{2k} = P^k and
         Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t} in order of t, through
@@ -554,13 +550,18 @@ class HopfModel:
             P^k x_{2t} = u^{-1} delta(P^k alpha - P^1 P^{k-1} alpha),
 
         which breaks the naive "zero between k = 0 and k = t" rule at (E8,3):
-        P^3 x_8 = -x_20.  P^t x_{2t} = x_{2t}^p closes the range.
+        P^3 x_8 = -x_20.  P^t x_{2t} = x_{2t}^p closes the range.  The
+        P^1 P^{k-1} term is zero on the ten computed tables, and a table that
+        makes it nonzero is refused: (E8,3) with b_{4,8} = 1, the only way to
+        make P^1 P^2 alpha_7 nonzero, at P^2 x_8 (`InvariantError`); (F4,3)
+        with b_{4,6} = b_{4,8} = 1, which builds only through the term, by
+        `derive_coproducts` (`Inconsistent`).
         """
         p, ops = self.p, self._ops
 
         def put(i, gen, elem):
             if elem.terms:
-                ops[(i, gen)] = elem.terms
+                ops.setdefault(gen, {})[i] = elem.terms
 
         for s in self.r_list:
             for k in range(s):
@@ -645,8 +646,9 @@ class HopfModel:
     def tensor_power(self, k, tens):
         """P^k on H ⊗ H (at p = 2 the full Sq-Cartan including odd terms).
 
-        Each side's operations come from the memoised `_cartan`, which is
-        exact at index 0, so each tensor key walks its factors once.
+        Each side's operations come from the memoised `_total`: the sum runs
+        over the nonzero indices i of the left factor only, and looks up
+        n - i on the right.
         """
         self._own(tens)
         if k < 0:
@@ -654,11 +656,10 @@ class HopfModel:
         n = 2 * k if self.p == 2 else k
         out = {}
         for (b1, b2), c in tens.terms.items():
-            f1, f2 = self._factors(b1), self._factors(b2)
-            for i in range(n + 1):
-                left = self._cartan(i, f1).terms
-                if left:
-                    add_into(out, _outer(left, self._cartan(n - i, f2).terms), c, self.p)
+            right = self._total(self._factors(b2))
+            for i, left in self._total(self._factors(b1)).items():
+                if n - i in right:
+                    add_into(out, _outer(left, right[n - i]), c, self.p)
         return TensorElement(self, out)
 
     # -- coproducts ---------------------------------------------------------------
@@ -744,7 +745,7 @@ class HopfModel:
     def _mu_of(self, elem, mu):
         """mu* of `elem` from the generator table `mu`: for each basis
         element, the product of the entries of its `_factors`, the same
-        generator walk that `_cartan` makes for Sq/P."""
+        generator walk that `_total` makes for Sq/P."""
         unit = (self._zero_x, ())
         total = {}
         for b, c in elem.terms.items():
@@ -755,11 +756,23 @@ class HopfModel:
         return TensorElement(self, total)
 
     def mu_star(self, elem):
-        """The full coproduct mu* of an arbitrary element."""
+        """The full coproduct mu* of an arbitrary element.
+
+        mu* of each basis element is built once at coefficient 1 and
+        scaled: the ten check suites ask for 1,260 basis elements, and only
+        110 of them are distinct.
+        """
         self._own(elem)
         if self._mu is None:
             self.derive_coproducts()
-        return self._mu_of(elem, self._mu)
+        out = {}
+        for b, c in elem.terms.items():
+            terms = self._mu_basis.get(b)
+            if terms is None:
+                unit = AlgebraElement(self, {b: 1})
+                terms = self._mu_basis[b] = self._mu_of(unit, self._mu).terms
+            add_into(out, terms, c, self.p)
+        return TensorElement(self, out)
 
     def phi(self, elem):
         """Reduced coproduct of an arbitrary element."""
@@ -848,24 +861,19 @@ class HopfModel:
         """Coefficient list of prod (1+q^{2s-1}) prod (1-q^{2tk})/(1-q^{2t})."""
         poly = [1]
 
-        def mul(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
+        def mul(a, shifts):
+            """a times the sum of q^j over j in `shifts` (the factor's
+            nonzero terms, all of coefficient 1)."""
+            out = [0] * (len(a) + shifts[-1])
+            for j in shifts:
+                for i, x in enumerate(a):
+                    out[i + j] += x
             return out
 
         for s in self.r_list:
-            factor = [0] * (2 * s)
-            factor[0] = 1
-            factor[2 * s - 1] = 1
-            poly = mul(poly, factor)
+            poly = mul(poly, (0, 2 * s - 1))
         for t, k in zip(self.e_list, self.k_list):
-            factor = [0] * (2 * t * (k - 1) + 1)
-            for i in range(k):
-                factor[2 * t * i] = 1
-            poly = mul(poly, factor)
+            poly = mul(poly, range(0, 2 * t * k, 2 * t))
         return poly
 
     def __repr__(self):
@@ -949,22 +957,18 @@ def check_suite(model):
     report = {}
     p = model.p
     prof = model.profile
-    gens = [("alpha", s) for s in model.r_list] + [("x", t) for t in model.e_list]
-
-    def gen_elem(kind, idx):
-        return model.alpha(idx) if kind == "alpha" else model.x(idx)
+    # (index, generator): alpha_{2s-1} with s, then x_{2t} with t
+    gens = [(s, model.alpha(s)) for s in model.r_list] + [(t, model.x(t)) for t in model.e_list]
 
     report["delta_squared_zero"] = all(
-        model.bockstein(model.bockstein(gen_elem(kind, idx))).is_zero()
-        for kind, idx in gens
+        model.bockstein(model.bockstein(g)).is_zero() for _, g in gens
     )
 
     poincare = model.poincare_polynomial()
     report["graded_dimension"] = poincare == poincare[::-1] and len(poincare) - 1 == prof.dim
 
     coassoc = True
-    for kind, idx in gens:
-        g = gen_elem(kind, idx)
+    for _, g in gens:
         mu = model.mu_star(g)
         left = {}
         right = {}
@@ -978,26 +982,15 @@ def check_suite(model):
             break
     report["coassociativity"] = coassoc
 
-    delta_ok = True
-    for kind, idx in gens:
-        g = gen_elem(kind, idx)
-        if model.mu_star(model.bockstein(g)) != model.tensor_bockstein(model.mu_star(g)):
-            delta_ok = False
-            break
-    report["delta_compatibility"] = delta_ok
-
-    cartan_ok = True
-    for kind, idx in gens:
-        g = gen_elem(kind, idx)
-        for k in range(1, idx + 1):
-            if model.mu_star(model.reduced_power(k, g)) != model.tensor_power(
-                k, model.mu_star(g)
-            ):
-                cartan_ok = False
-                break
-        if not cartan_ok:
-            break
-    report["cartan_compatibility"] = cartan_ok
+    report["delta_compatibility"] = all(
+        model.mu_star(model.bockstein(g)) == model.tensor_bockstein(model.mu_star(g))
+        for _, g in gens
+    )
+    report["cartan_compatibility"] = all(
+        model.mu_star(model.reduced_power(k, g)) == model.tensor_power(k, model.mu_star(g))
+        for idx, g in gens
+        for k in range(1, idx + 1)
+    )
 
     zetas = model.zeta_basis()
     zeta_ok = True
@@ -1049,11 +1042,10 @@ def check_suite(model):
     else:
         relations = [(2 * t,) * k for t, k in zip(model.e_list, model.k_list)]
         relations += [(2 * s - 1,) * 2 for s in model.r_list]
-        closed = all(model._cartan(k, rel).is_zero() for k in (1, 2) for rel in relations)
+        closed = not any(model._total(rel).get(k) for k in (1, 2) for rel in relations)
         report["adem_p1p1_2p2"] = closed and all(
-            model.reduced_power(1, model.reduced_power(1, gen_elem(kind, idx)))
-            == 2 * model.reduced_power(2, gen_elem(kind, idx))
-            for kind, idx in gens
+            model.reduced_power(1, model.reduced_power(1, g)) == 2 * model.reduced_power(2, g)
+            for _, g in gens
         )
 
     report["pass"] = all(v for k, v in report.items() if k != "pass")
