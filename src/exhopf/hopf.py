@@ -17,20 +17,19 @@ Sq^a (p = 2) and P^k (odd p) on the generators sit in one table,
 out, and filled once when the model is built: the alphas from the
 b-table, then the x's from them (as squares at p = 2, through the
 Bockstein at odd p).  Instability (Sq^i u = 0 for i > |u|, P^i u = 0 for
-2i > |u|) is the table's own range.  One Cartan recursion,
-`HopfModel._total`, carries them to every basis element and only reads
-that table.  The total operation (the sum of all Sq^i or P^i) is a ring
-map, so `_total` walks the element's generators (each x_{2t} as often as
-its exponent, then the alphas) and multiplies the first generator's
-nonzero shares into the tail's own table of every index.  It memoises
-that sparse table on the generators: elements that share a tail share
-its work, and no index whose value is zero is ever visited.  Every
-sparse F_p sum goes through `ffpoly.add_into`.
+2i > |u|) is the table's own range.  mu* has one table too,
+`HopfModel._mu`: the full coproduct of each generator.
 
-mu* is a ring map too, so it extends from one table of generator
-coproducts: `HopfModel._mu_of` multiplies the table entries along the
-same `_factors` walk that `_total` makes, and `mu_star` memoises it on
-each basis element.
+The total operation (the sum of all Sq^i or P^i) and mu* are ring maps,
+so each is fixed by its table.  One memoised walk, `HopfModel._walk`,
+carries either table to every basis element: it splits the element into
+a smaller basis element times its last generator (`_split`) and
+multiplies the two values, with the Cartan product for the total
+operation (`_total`, a sparse {index: terms} table) and the Koszul
+product of H ⊗ H for mu*.  Both memos are keyed by the basis element
+itself, so elements that share a prefix share its work, and no index
+whose value is zero is ever visited.  Every sparse F_p sum goes through
+`ffpoly.add_into`.
 """
 
 from itertools import product as iproduct
@@ -187,13 +186,13 @@ COPRODUCT_DATA = {
     },
 }
 
-# p = 2: each even generator is the square of this element (written as
-# (s, xmon-multiplier) summands), which pins the whole Sq-action on it
+# p = 2: each even generator is the square of this element ((coeff, xmon, s)
+# summands), which pins the whole Sq-action on it
 SQUARE_ROOT_OF_X = {
-    3: [(2, {})],
-    5: [(3, {})],
-    9: [(5, {})],
-    15: [(8, {}), (5, {3: 1})],  # x_30 = (alpha_15 + x_6 alpha_9)^2
+    3: [(1, {}, 2)],
+    5: [(1, {}, 3)],
+    9: [(1, {}, 5)],
+    15: [(1, {}, 8), (1, {3: 1}, 5)],  # x_30 = (alpha_15 + x_6 alpha_9)^2
 }
 
 
@@ -210,7 +209,7 @@ class _Combination:
         return not self.terms
 
     def __add__(self, other):
-        self.model._own(other)
+        self.model._own(other, type(self))
         p = self.model.p
         return type(self)(self.model, add_into(dict(self.terms), other.terms, 1, p))
 
@@ -224,7 +223,8 @@ class _Combination:
         return type(self)(self.model, add_into({}, self.terms, c, self.model.p))
 
     def __eq__(self, other):
-        return self.model is other.model and self.terms == other.terms
+        self.model._own(other, type(self))
+        return self.terms == other.terms
 
 
 class AlgebraElement(_Combination):
@@ -272,17 +272,8 @@ class TensorElement(_Combination):
 
     def multiply(self, other):
         """Product in H ⊗ H with the Koszul sign."""
-        model = self.model
-        model._own(other)
-        p = model.p
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                sign = -1 if p != 2 and model.basis_parity(b) and model.basis_parity(c) else 1
-                left = model.multiply_basis(a, c)
-                right = model.multiply_basis(b, d)
-                add_into(out, _outer(left, right), sign * c1 * c2, p)
-        return TensorElement(model, out)
+        self.model._own(other, TensorElement)
+        return TensorElement(self.model, self.model._koszul(self.terms, other.terms))
 
     def __repr__(self):
         bits = []
@@ -299,8 +290,8 @@ def _outer(u, v):
 def tensor(model, u, v):
     """Tensor product of two algebra elements (no sign; used on even input
     or where the caller tracks signs)."""
-    model._own(u)
-    model._own(v)
+    model._own(u, AlgebraElement)
+    model._own(v, AlgebraElement)
     return TensorElement(model, add_into({}, _outer(u.terms, v.terms), 1, model.p))
 
 
@@ -319,20 +310,19 @@ class HopfModel:
         if (table.profile.group, table.profile.p) != (group, p):
             raise InvariantError(f"b-table of {table.profile.group} at p={table.profile.p}")
         self._zero_x = (0,) * len(self.e_list)
+        unit = (self._zero_x, ())
         self._mul_cache = {}
-        self._totals = {(): {0: {(self._zero_x, ()): 1}}}  # generators -> {i: Sq^i / P^i}
-        self._mu = None  # generator degree -> full coproduct, once derived
-        self._mu_basis = {}  # basis element -> its mu* terms, once `_mu` is set
         self._ops = {}  # generator degree -> {index: Sq^i / P^i of it, as terms}
+        self._totals = {unit: {0: {unit: 1}}}  # basis element -> {i: Sq^i / P^i}
+        self._mu = None  # generator degree -> full coproduct terms, once derived
+        self._coproducts = {unit: {(unit, unit): 1}}  # basis element -> mu* terms
 
         self.bockstein_table = {
-            s: self._element_from_xdata(BOCKSTEIN_DATA[(group, p)].get(s, []))
-            for s in self.r_list
+            s: self._from_data(BOCKSTEIN_DATA[(group, p)].get(s, [])) for s in self.r_list
         }
         if p == 2:
             self.square_table = {
-                s: self._element_from_xdata(SQUARE_DATA[group].get(s, []))
-                for s in self.r_list
+                s: self._from_data(SQUARE_DATA[group].get(s, [])) for s in self.r_list
             }
         self._fill_ops()
 
@@ -366,10 +356,15 @@ class HopfModel:
             mon[self.e_list.index(t)] = e
         return AlgebraElement(self, {(tuple(mon), ()): 1})
 
-    def _element_from_xdata(self, data):
+    def _from_data(self, data):
+        """The sum of coeff * x^xmon (* alpha_s) over printed (coeff, xmon)
+        or (coeff, xmon, s) entries."""
         total = self.zero()
-        for coeff, xmon in data:
-            total = total + coeff * self.x_monomial(xmon)
+        for coeff, xmon, *odd in data:
+            term = self.x_monomial(xmon)
+            for s in odd:
+                term = term * self.alpha(s)
+            total = total + coeff * term
         return total
 
     def basis_degree(self, b):
@@ -429,12 +424,12 @@ class HopfModel:
     def multiply_basis(self, b1, b2):
         """Product of two basis monomials as a dict basis -> coeff.
 
-        Memoised on (b1, b2): the Cartan recursion and the coproduct work
-        multiply the same few generator products over and over.  Building
-        the ten models, their coproducts and their check suites leaves at
-        most 175 entries (on (E8,2)); without the memo the benchmark's
-        `models` workload takes 13% longer (`norm_wall_s` 0.0322 s against
-        0.0284 s, medians of 5 alternating 10 s runs, 2-core x86-64 VM).
+        Memoised on (b1, b2): the Cartan and Koszul products multiply the
+        same few generator products over and over.  Building the ten
+        models, their coproducts and their check suites leaves at most 162
+        entries (on (E8,2)); without the memo the benchmark's `models`
+        workload takes 19% longer (`norm_wall_s` 0.0244 s against 0.0205 s,
+        medians of 5 alternating 10 s runs, 2-core x86-64 VM).
         """
         key = (b1, b2)
         cached = self._mul_cache.get(key)
@@ -462,20 +457,22 @@ class HopfModel:
                 add_into(acc, self.multiply_basis(b1, b2), c1 * c2, self.p)
         return acc
 
-    def _own(self, elem):
-        """Refuse an element or tensor of another model."""
+    def _own(self, elem, kind):
+        """Refuse anything but a `kind` (algebra or tensor) element of this model."""
+        if not isinstance(elem, kind):
+            raise HopfError(f"expected {kind.__name__}, got {type(elem).__name__}")
         if elem.model is not self:
             raise HopfError("model mismatch")
 
     def multiply(self, a, b):
-        self._own(a)
-        self._own(b)
+        self._own(a, AlgebraElement)
+        self._own(b, AlgebraElement)
         return AlgebraElement(self, self._mul_into({}, a.terms, b.terms))
 
     # -- Bockstein -------------------------------------------------------------
 
     def bockstein(self, elem):
-        self._own(elem)
+        self._own(elem, AlgebraElement)
         out = {}
         for (xexp, odds), c in elem.terms.items():
             for i, s in enumerate(odds):
@@ -498,39 +495,64 @@ class HopfModel:
         v = self.bst_table.value(s, t)
         return (v, t) if v else None
 
-    def _factors(self, b):
-        """A basis element as its generators, by degree: each x_{2t} as
-        many times as its exponent, then the alphas in order."""
+    def _split(self, b):
+        """(rest, generator degree) with rest * generator = b, coefficient +1,
+        for a basis element b != 1.  The generator is the last alpha, or
+        the last x_{2t} of nonzero exponent when b has no alphas."""
         xexp, odds = b
-        xs = tuple(2 * t for t, e in zip(self.e_list, xexp) for _ in range(e))
-        return xs + tuple(2 * s - 1 for s in odds)
+        if odds:
+            return (xexp, odds[:-1]), 2 * odds[-1] - 1
+        i = max(i for i, e in enumerate(xexp) if e)
+        return (xexp[:i] + (xexp[i] - 1,) + xexp[i + 1 :], ()), 2 * self.e_list[i]
 
-    def _total(self, factors):
-        """{i: term dict of Sq^i (p = 2) or P^i (odd p) on the product of
-        `factors`}, nonzero entries only.
-
-        The total operation is a ring map (Cartan formula), so the table is
-        the first generator's shares from `_ops` times the tail's own
-        table.  Memoised on `factors`: every element that ends in a tail
-        shares its table.  Without the memo `models` takes 65% longer
-        (0.0469 s against 0.0284 s in the runs `multiply_basis` cites), and
-        `test_deep_sq_on_e8_p2` 0.6-0.7 s instead of 0.04 s.
-        """
-        hit = self._totals.get(factors)
+    def _walk(self, memo, table, product, b):
+        """The value at basis element b of the ring map fixed by `table`
+        (generator degree -> value): product(value at rest, table[generator])
+        along `_split`, memoised in `memo`, which holds the value at 1.  The
+        memo stays valid while `table` grows, as no entry changes once set."""
+        hit = memo.get(b)
         if hit is None:
-            tail = self._total(factors[1:])
-            hit = {}
-            for i, left in self._ops[factors[0]].items():
-                for j, right in tail.items():
-                    self._mul_into(hit.setdefault(i + j, {}), left, right)
-            hit = self._totals[factors] = {k: terms for k, terms in hit.items() if terms}
+            rest, gen = self._split(b)
+            hit = memo[b] = product(self._walk(memo, table, product, rest), table[gen])
         return hit
+
+    def _cartan(self, u, v):
+        """The product of two {index: terms} tables of total operations,
+        nonzero entries only (the Cartan formula)."""
+        out = {}
+        for i, left in u.items():
+            for j, right in v.items():
+                self._mul_into(out.setdefault(i + j, {}), left, right)
+        return {k: terms for k, terms in out.items() if terms}
+
+    def _koszul(self, u, v):
+        """The product of two term dicts of H ⊗ H, with the Koszul sign."""
+        p = self.p
+        out = {}
+        for (a, b), c1 in u.items():
+            for (c, d), c2 in v.items():
+                sign = -1 if p != 2 and self.basis_parity(b) and self.basis_parity(c) else 1
+                left = self.multiply_basis(a, c)
+                right = self.multiply_basis(b, d)
+                add_into(out, _outer(left, right), sign * c1 * c2, p)
+        return out
+
+    def _total(self, b):
+        """{i: term dict of Sq^i (p = 2) or P^i (odd p) on basis element b},
+        nonzero entries only: the walk over `_ops` with the Cartan product.
+
+        Without the memo `_totals` the `models` workload takes 2.2 times as
+        long (`norm_wall_s` 0.0438 s against 0.0200 s, medians of 4
+        alternating 10 s runs, 2-core x86-64 VM), and `test_deep_sq_on_e8_p2`
+        0.69 s instead of 0.03 s.
+        """
+        return self._walk(self._totals, self._ops, self._cartan, b)
 
     def _act(self, k, elem):
         """Sq^k (p = 2) or P^k (odd p) of an arbitrary element."""
         out = {}
         for b, c in elem.terms.items():
-            add_into(out, self._total(self._factors(b)).get(k, {}), c, self.p)
+            add_into(out, self._total(b).get(k, {}), c, self.p)
         return AlgebraElement(self, out)
 
     def _fill_ops(self):
@@ -540,7 +562,7 @@ class HopfModel:
         The alphas come first, from the b-table; at p = 2 Sq^{2k} = P^k and
         Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t} in order of t, through
         `_act`, which reads only entries already made.  At p = 2 x_{2t} = w^2
-        (`_square_root`: alphas and smaller x's), so Sq^a x_{2t} is
+        (`SQUARE_ROOT_OF_X`: alphas and smaller x's), so Sq^a x_{2t} is
         (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan terms pair
         off).  At odd p x_{2t} = u^{-1} delta(alpha) with alpha =
         alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with Q_1 =
@@ -574,7 +596,7 @@ class HopfModel:
         for t in self.e_list:
             put(0, 2 * t, self.x(t))
             if p == 2:
-                w = self._square_root(t)
+                w = self._from_data(SQUARE_ROOT_OF_X[t])
                 for a in range(2, 2 * t + 1, 2):
                     half = self._act(a // 2, w)
                     put(a, 2 * t, half * half)
@@ -592,13 +614,6 @@ class HopfModel:
                 put(k, 2 * t, val)
             put(t, 2 * t, self.x(t, p))
 
-    def _square_root(self, t):
-        """The element w with w^2 = x_{2t} at p = 2, from `SQUARE_ROOT_OF_X`."""
-        w = self.zero()
-        for s, xmon in SQUARE_ROOT_OF_X[t]:
-            w = w + self.x_monomial(xmon) * self.alpha(s)
-        return w
-
     def _bockstein_unit(self, t):
         """The unit u with delta(alpha_{2t-1}) = u * x_{2t}, at odd p."""
         data = BOCKSTEIN_DATA[(self.group, self.p)][t]
@@ -613,7 +628,7 @@ class HopfModel:
         """Sq^a at p = 2 on an arbitrary element."""
         if self.p != 2:
             raise HopfError("Sq is a p = 2 operation")
-        self._own(elem)
+        self._own(elem, AlgebraElement)
         if a < 0:
             raise HopfError(f"negative operation index {a}")
         if a == 0:
@@ -621,7 +636,7 @@ class HopfModel:
         return self._act(a, elem)
 
     def reduced_power(self, k, elem):
-        self._own(elem)
+        self._own(elem, AlgebraElement)
         if k < 0:
             raise HopfError(f"negative operation index {k}")
         if k == 0:
@@ -633,7 +648,7 @@ class HopfModel:
     # -- tensor-side operations ----------------------------------------------
 
     def tensor_bockstein(self, tens):
-        self._own(tens)
+        self._own(tens, TensorElement)
         out = {}
         for (b1, b2), c in tens.terms.items():
             left = self.bockstein(AlgebraElement(self, {b1: c}))
@@ -650,32 +665,25 @@ class HopfModel:
         over the nonzero indices i of the left factor only, and looks up
         n - i on the right.
         """
-        self._own(tens)
+        self._own(tens, TensorElement)
         if k < 0:
             raise HopfError(f"negative operation index {k}")
         n = 2 * k if self.p == 2 else k
         out = {}
         for (b1, b2), c in tens.terms.items():
-            right = self._total(self._factors(b2))
-            for i, left in self._total(self._factors(b1)).items():
+            right = self._total(b2)
+            for i, left in self._total(b1).items():
                 if n - i in right:
                     add_into(out, _outer(left, right[n - i]), c, self.p)
         return TensorElement(self, out)
 
     # -- coproducts ---------------------------------------------------------------
 
-    def _tensor_from_data(self, data):
-        out = TensorElement(self, {})
-        for coeff, xmon, target in data:
-            g = self.x_monomial(xmon)
-            out = out + tensor(self, coeff * g, self.alpha(target))
-        return out
-
     def derive_coproducts(self):
         """The reduced coproduct of every odd generator, from the printed seeds.
 
         mu* is a ring map, so one table `mu` of full generator coproducts,
-        keyed by generator degree as `_factors` names the generators, fixes
+        keyed by generator degree as `_split` names the generators, fixes
         it everywhere (`_mu_of`).  The alphas come first, in order of s,
         because every x_{2t} is built from them while a route to
         alpha_{2s-1} reads only lower alphas, never an even coproduct.  An
@@ -692,7 +700,11 @@ class HopfModel:
             for s in self.r_list:
                 routes = []
                 if s in printed:
-                    routes.append(("printed", self._tensor_from_data(printed[s])))
+                    seed = TensorElement(self, {})
+                    for coeff, xmon, target in printed[s]:
+                        x_part = coeff * self.x_monomial(xmon)
+                        seed = seed + tensor(self, x_part, self.alpha(target))
+                    routes.append(("printed", seed))
                 for k, src, route in self._incoming_routes(s, phi):
                     routes.append((f"P^{k} alpha_{2*src-1}", route))
                 if not routes:
@@ -708,16 +720,20 @@ class HopfModel:
                             f"{routes[0][0]} vs {name}"
                         )
                 phi[s] = first
-            mu = {2 * s - 1: self._primitive(self.alpha(s)) + phi[s] for s in self.r_list}
+            mu = {2 * s - 1: (self._primitive(self.alpha(s)) + phi[s]).terms for s in self.r_list}
             for t in self.e_list:
                 if self.p == 2:
-                    root = self._mu_of(self._square_root(t), mu)
-                    mu[2 * t] = root.multiply(root)
+                    root = self._mu_of(self._from_data(SQUARE_ROOT_OF_X[t]), mu)
+                    mu[2 * t] = self._koszul(root, root)
                 else:
                     uinv = inverse(self._bockstein_unit(t), self.p)
-                    mu[2 * t] = self.tensor_bockstein(mu[2 * t - 1]).scale(uinv)
+                    odd = TensorElement(self, mu[2 * t - 1])
+                    mu[2 * t] = self.tensor_bockstein(odd).scale(uinv).terms
             self._mu = mu
-        return {s: self._mu[2 * s - 1] - self._primitive(self.alpha(s)) for s in self.r_list}
+        return {
+            s: TensorElement(self, self._mu[2 * s - 1]) - self._primitive(self.alpha(s))
+            for s in self.r_list
+        }
 
     def _incoming_routes(self, s, known):
         """Every route to phi(alpha_{2s-1}) through an incoming reduced power.
@@ -743,36 +759,24 @@ class HopfModel:
         return tensor(self, elem, self.one()) + tensor(self, self.one(), elem)
 
     def _mu_of(self, elem, mu):
-        """mu* of `elem` from the generator table `mu`: for each basis
-        element, the product of the entries of its `_factors`, the same
-        generator walk that `_total` makes for Sq/P."""
-        unit = (self._zero_x, ())
-        total = {}
-        for b, c in elem.terms.items():
-            part = TensorElement(self, {(unit, unit): c})
-            for gen in self._factors(b):
-                part = part.multiply(mu[gen])
-            add_into(total, part.terms, 1, self.p)
-        return TensorElement(self, total)
-
-    def mu_star(self, elem):
-        """The full coproduct mu* of an arbitrary element.
-
-        mu* of each basis element is built once at coefficient 1 and
-        scaled: the ten check suites ask for 1,260 basis elements, and only
-        110 of them are distinct.
+        """The terms of mu* of `elem` from the generator table `mu`: on each
+        basis element, the walk over `mu` with the Koszul product, the same
+        walk that `_total` makes for Sq/P.  The ten check suites ask mu* of
+        1,260 basis elements, 110 of them distinct; without the memo
+        `_coproducts` `models` takes 46% longer (0.0292 s against 0.0200 s
+        in the runs `_total` cites).
         """
-        self._own(elem)
-        if self._mu is None:
-            self.derive_coproducts()
         out = {}
         for b, c in elem.terms.items():
-            terms = self._mu_basis.get(b)
-            if terms is None:
-                unit = AlgebraElement(self, {b: 1})
-                terms = self._mu_basis[b] = self._mu_of(unit, self._mu).terms
-            add_into(out, terms, c, self.p)
-        return TensorElement(self, out)
+            add_into(out, self._walk(self._coproducts, mu, self._koszul, b), c, self.p)
+        return out
+
+    def mu_star(self, elem):
+        """The full coproduct mu* of an arbitrary element."""
+        self._own(elem, AlgebraElement)
+        if self._mu is None:
+            self.derive_coproducts()
+        return TensorElement(self, self._mu_of(elem, self._mu))
 
     def phi(self, elem):
         """Reduced coproduct of an arbitrary element."""
@@ -840,16 +844,7 @@ class HopfModel:
 
     def zeta_basis(self):
         data = ZETA_DATA.get((self.group, self.p), {})
-        out = {}
-        for s in self.r_list:
-            if s in data:
-                total = self.zero()
-                for coeff, xmon, src in data[s]:
-                    total = total + coeff * (self.x_monomial(xmon) * self.alpha(src))
-                out[s] = total
-            else:
-                out[s] = self.alpha(s)
-        return out
+        return {s: self._from_data(data[s]) if s in data else self.alpha(s) for s in self.r_list}
 
     def basis_dimension(self):
         total = 1
@@ -950,8 +945,10 @@ def check_suite(model):
     generators and pass to the model only if its relations are closed
     under the operations composed.  For delta this is structural: delta
     kills x-monomials and alpha^2 (both primes).  For P^1 and P^2 the
-    item itself checks it: P^k x_{2t}^{k_t} and P^k (alpha * alpha),
-    through the Cartan recursion, must vanish for k = 1, 2.  The
+    item itself checks it: P^k x_{2t}^{k_t} and P^k (alpha * alpha) must
+    vanish for k = 1, 2.  Neither relation is a basis element, so each is
+    the Cartan product of `_total` of x_{2t}^{k_t - 1} (or of alpha) with
+    that generator's `_ops` entry.  The
     whole-basis sweeps of both items are kept as test oracles.
     """
     report = {}
@@ -1040,9 +1037,12 @@ def check_suite(model):
         r43 = all(model.bockstein(a(s)) == val for s, val in remark43.items())
         report["remark43_sq1_values"] = r43
     else:
-        relations = [(2 * t,) * k for t, k in zip(model.e_list, model.k_list)]
-        relations += [(2 * s - 1,) * 2 for s in model.r_list]
-        closed = not any(model._total(rel).get(k) for k in (1, 2) for rel in relations)
+        # x_{2t}^{k_t} and alpha * alpha, each a basis element times a generator
+        relations = [(model.x(t, k - 1), 2 * t) for t, k in zip(model.e_list, model.k_list)]
+        relations += [(model.alpha(s), 2 * s - 1) for s in model.r_list]
+        totals = [model._cartan(model._total(b), model._ops[gen]) for rest, gen in relations
+                  for b in rest.terms]
+        closed = not any(total.get(k) for total in totals for k in (1, 2))
         report["adem_p1p1_2p2"] = closed and all(
             model.reduced_power(1, model.reduced_power(1, g)) == 2 * model.reduced_power(2, g)
             for _, g in gens

@@ -96,12 +96,15 @@ def profile(group, p):
 # -- rings -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def weight_ring(group, p):
     n = GROUP_RANK[group]
     return RingContext(p, [(f"w{i}", 1) for i in range(1, n + 1)])
 
 
+# Cached so that every theta of a pair shares one ring object: without it,
+# loading the ten theta sets and computing their b-tables builds 74 more
+# rings (14 us each) and compares rings by value, not identity, 58 more
+# times, about 1 ms a process.
 @lru_cache(maxsize=None)
 def mixed_ring(group, p):
     """The presentation ring of the printed thetas: omega_r and c_2..c_N."""
@@ -112,6 +115,8 @@ def mixed_ring(group, p):
     return RingContext(p, nvars)
 
 
+# Cached for the same reason: without it, the same work builds 58 more rings
+# and compares rings by value 2,105 more times, about 1.2 ms a process.
 @lru_cache(maxsize=None)
 def restricted_ring(group, p):
     """The abstract Chern ring downstairs: kappa* kills omega_r and c_1."""

@@ -92,6 +92,7 @@ _FOREIGN = {
     ),
     "multiply": lambda a, b: a.multiply(a.x(3), b.x(5)),
     "add": lambda a, b: a.x(3) + b.x(5),
+    "eq": lambda a, b: a.x(3) == b.x(3),
     "tensor": lambda a, b: tensor(a, b.x(5), b.alpha(8)),
     "tensor_add": lambda a, b: tensor(a, a.x(3), a.alpha(2)) + tensor(b, b.x(5), b.alpha(8)),
 }
@@ -104,6 +105,39 @@ def test_element_of_another_model_is_refused(op):
     a, b = model("F4", 2), model("E8", 2)
     with pytest.raises(HopfError, match="model mismatch"):
         _FOREIGN[op](a, b)
+
+
+def _some_tensor(m):
+    return tensor(m, m.x(3), m.alpha(2))
+
+
+_WRONG_KIND = {
+    "add": lambda m: m.alpha(2) + _some_tensor(m),
+    "tensor_add": lambda m: _some_tensor(m) + m.alpha(2),
+    "eq": lambda m: m.alpha(2) == _some_tensor(m),
+    "tensor_eq": lambda m: _some_tensor(m) == m.alpha(2),
+    "tensor_eq_int": lambda m: _some_tensor(m) == 0,
+    "multiply": lambda m: m.multiply(m.x(3), _some_tensor(m)),
+    "mul": lambda m: m.x(3) * _some_tensor(m),
+    "bockstein": lambda m: m.bockstein(_some_tensor(m)),
+    "sq": lambda m: m.sq(2, _some_tensor(m)),
+    "sq0": lambda m: m.sq(0, _some_tensor(m)),
+    "reduced_power": lambda m: m.reduced_power(1, _some_tensor(m)),
+    "mu_star": lambda m: m.mu_star(_some_tensor(m)),
+    "phi": lambda m: m.phi(_some_tensor(m)),
+    "tensor": lambda m: tensor(m, _some_tensor(m), m.one()),
+    "tensor_bockstein": lambda m: m.tensor_bockstein(m.alpha(2)),
+    "tensor_power": lambda m: m.tensor_power(1, m.alpha(2)),
+    "tensor_multiply": lambda m: _some_tensor(m).multiply(m.alpha(2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_WRONG_KIND))
+def test_element_of_the_wrong_kind_is_refused(op):
+    # an algebra element where a tensor belongs, or the other way round,
+    # would be read with keys of the wrong shape
+    with pytest.raises(HopfError, match="expected (Algebra|Tensor)Element"):
+        _WRONG_KIND[op](model("E8", 2))
 
 
 _NEGATIVE_INDEX = {
@@ -556,7 +590,7 @@ def test_cartan_formula_and_instability_on_products(group, p):
 def test_deep_sq_on_e8_p2():
     # long runs of x-factors: the Cartan recursion must share its work
     # across every Sq^a (without the `_total` memo this test takes about
-    # 0.65 s instead of 0.04 s)
+    # 0.7 s instead of 0.03 s)
     m = model("E8", 2)
     x, a = m.x, m.alpha
     cases = [
@@ -629,20 +663,44 @@ def test_mu_star_is_multiplicative_and_linear(group, p):
         assert m.mu_star(c * u + v) == m.mu_star(u).scale(c) + m.mu_star(v), (u, v, c)
 
 
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_split_peels_off_one_generator(group, p):
+    # `_walk` takes the value at b as the value at rest times the value at
+    # the generator, so rest * generator must be b itself, coefficient +1
+    m = model(group, p)
+    gens = {2 * s - 1: m.alpha(s) for s in m.r_list}
+    gens.update({2 * t: m.x(t) for t in m.e_list})
+    for b in m.basis_elements():
+        if b != (m._zero_x, ()):
+            rest, gen = m._split(b)
+            (g,) = gens[gen].terms
+            assert m.multiply_basis(rest, g) == {b: 1}, (group, p, b)
+
+
 def test_memo_entries_are_never_mutated():
     # `_total` tables and mu* terms of basis elements are shared without a
     # copy: after the coproducts and the check suite, every entry must still
-    # equal the same entry rebuilt in a fresh model
+    # equal the same entry rebuilt in a fresh model.  A fresh model fills its
+    # memos through the same code, so each entry must also still be its
+    # rest's entry times its generator's table entry
     for group, p in liedata.SUPPORTED_PAIRS:
         m = model(group, p)
         m.derive_coproducts()
         check_suite(m)
         fresh = model(group, p)
-        assert len(m._totals) > 1 and m._mu_basis, (group, p)
-        for factors, table in m._totals.items():
-            assert table == fresh._total(factors), (group, p, factors)
-        for b, terms in m._mu_basis.items():
-            assert terms == fresh.mu_star(AlgebraElement(fresh, {b: 1})).terms, (group, p, b)
+        unit = (m._zero_x, ())
+        assert m._totals[unit] == {0: {unit: 1}} and m._coproducts[unit] == {(unit, unit): 1}
+        for memo, table, product, rebuild in (
+            (m._totals, m._ops, m._cartan, fresh._total),
+            (m._coproducts, m._mu, m._koszul,
+             lambda b: fresh.mu_star(AlgebraElement(fresh, {b: 1})).terms),
+        ):
+            assert len(memo) > 1, (group, p)
+            for b, value in memo.items():
+                assert value == rebuild(b), (group, p, b)
+                if b != unit:
+                    rest, gen = m._split(b)
+                    assert value == product(memo[rest], table[gen]), (group, p, b)
 
 
 def _with_values(group, p, values):

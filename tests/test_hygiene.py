@@ -166,6 +166,22 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         assert owner.__dict__[attr] is orig, (owner, attr)
 
 
+def test_traced_hopf_methods_are_methods_of_the_model():
+    # the traced benchmark wraps `getattr(HopfModel, name)` for each name in
+    # HOPF_METHODS; a hopf refactor that renames one fails here, not there
+    from exhopf.hopf import HopfModel
+
+    names = [
+        ast.literal_eval(node.value)
+        for node in _tree(ROOT / "bench" / "spans.py").body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOPF_METHODS"]
+    ]
+    assert len(names) == 1 and names[0], names
+    missing = [n for n in names[0] if not callable(HopfModel.__dict__.get(n))]
+    assert missing == [], missing
+
+
 def test_benchmark_tracer_sees_the_wu_and_power_layers(monkeypatch):
     # the traced benchmark reads `symfun.wu_formula.*` and `steenrod.power.*`
     # on `tables`; a refactor that routes the Chern slots past the names the
