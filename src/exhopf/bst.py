@@ -9,6 +9,11 @@ two term-exact Case 1 identities certify the values instead
 (`steenrod.verify_case1`, decided in F_2[c_1..c_N], which embeds in the
 weight ring).
 
+Both methods are one reduction step (`_reduce`) on a presentation of the
+thetas (`ThetaSet.omega` upstairs, `ThetaSet.theta_restricted` downstairs):
+P^k theta_s modulo a Groebner basis of <theta_j : j < t> truncated at
+degree t, solved for b against theta_t.
+
 Pairs with k >= s are forced to zero by instability (P^s theta_s =
 theta_s^p lies in the ideal, P^k theta_s = 0 above that) and recorded
 without any reduction.
@@ -47,9 +52,27 @@ class BstEntry:
 
 
 class BstTable:
+    """Every admissible entry of one pair by (s, t), which `hopf` reads as
+    it stands: refused with `BstError` unless the keys are exactly
+    `admissible_pairs`, each entry has its key and k = (t - s)/(p - 1),
+    every instability zero (k >= s) has b = 0, and every b is a residue
+    0 <= b < p."""
+
     def __init__(self, prof, entries):
         self.profile = prof
         self.entries = dict(entries)
+        want = {(s, t): k for s, t, k in admissible_pairs(prof)}
+        if self.entries.keys() != want.keys():
+            raise BstError(f"b-table of ({prof.group},{prof.p}) lacks "
+                           f"{sorted(want.keys() - self.entries.keys())}, has "
+                           f"{sorted(self.entries.keys() - want.keys())}")
+        for st, e in self.entries.items():
+            if (e.s, e.t, e.k) != (*st, want[st]):
+                raise BstError(f"{e!r} with k={e.k} at {st}, where k={want[st]}")
+            if e.k >= e.s and e.value:
+                raise BstError(f"{e!r} is an instability zero (k={e.k} >= s)")
+            if not 0 <= e.value < prof.p:
+                raise BstError(f"{e!r} is not a residue mod {prof.p}")
 
     def nonzero(self):
         return {st: e.value for st, e in self.entries.items() if e.value}
@@ -76,61 +99,52 @@ def admissible_pairs(prof):
     return out
 
 
-def _check_pair(prof, s, t):
-    if s not in prof.r_set or t not in prof.r_set:
-        raise BstError(f"({s},{t}) not within r({prof.group},{prof.p})")
-    if (t - s) % (prof.p - 1) != 0 or t <= s:
-        raise BstError(f"t-s must be a positive multiple of p-1 for ({s},{t})")
-    k = (t - s) // (prof.p - 1)
-    if k >= s:
-        raise BstError(f"pair ({s},{t}) is an instability zero (k={k} >= s)")
-    return k
+def _presentation(ts, downstairs):
+    """(ring, s -> theta_s): the weight ring with `ts.omega` (Method I), or
+    the restricted Chern ring with `ts.theta_restricted` (Method II)."""
+    if downstairs:
+        return ts.restricted_ring, ts.theta_restricted.__getitem__
+    return ts.weight_ring, ts.omega
 
 
-# One basis per (pair, t), shared by every s of the column.  Building the
-# ten default tables in one process asks for 5 bases and builds 3: G2 asks
-# once, and F4 and E6 at p = 3 each ask twice for t = 8 (the two Method I
-# fallback entries of that column).
+# One basis per (pair, presentation, t), shared by every s of the column.
+# Building the ten default tables in one process asks for 5 bases and builds
+# 3 upstairs (G2 asks once, and F4 and E6 at p = 3 each ask twice for t = 8,
+# the two Method I fallback entries of that column), and asks for 76 and
+# builds 43 downstairs.
 @lru_cache(maxsize=None)
-def _gb_method1(group, p, t):
+def _basis(group, p, downstairs, t):
     ts = liedata.theta_set(group, p)
-    gens = [ts.omega(j) for j in ts.profile.r_set if j < t]
-    return buchberger(gens, truncation=t, ring=ts.weight_ring)
+    ring, theta = _presentation(ts, downstairs)
+    gens = [theta(j) for j in ts.profile.r_set if j < t]
+    return buchberger(gens, truncation=t, ring=ring)
 
 
-# One basis per (pair, t), shared by every s of the column.  Building the
-# ten default tables in one process asks for 76 restricted bases and
-# builds 43.
-@lru_cache(maxsize=None)
-def _gb_method2(group, p, t):
+def _reduce(group, p, s, t, downstairs):
+    """The one reduction step of both methods: the b with
+    P^k theta_s = b theta_t mod <theta_j : j < t> in one presentation."""
+    k = {(a, b): j for a, b, j in admissible_pairs(liedata.profile(group, p))}.get((s, t))
+    if k is None or k >= s:
+        raise BstError(f"({s},{t}) of ({group},{p}) is not an admissible pair with k < s")
     ts = liedata.theta_set(group, p)
-    gens = [ts.theta_restricted[j] for j in ts.profile.r_set if j < t]
-    return buchberger(gens, truncation=t, ring=ts.restricted_ring)
+    _, theta = _presentation(ts, downstairs)
+    pivot = theta(t)
+    if pivot.is_zero():
+        raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
+    gb = _basis(group, p, downstairs, t)
+    return solve_linear_coefficient(steenrod.power(k, theta(s)), pivot, gb)
 
 
 def compute_bst_method1(group, p, s, t):
     """b_{s,t} by Groebner reduction in the weight ring."""
-    prof = liedata.profile(group, p)
-    k = _check_pair(prof, s, t)
-    ts = liedata.theta_set(group, p)
-    gb = _gb_method1(group, p, t)
-    lhs = steenrod.power(k, ts.omega(s))
-    return solve_linear_coefficient(lhs, ts.omega(t), gb)
+    return _reduce(group, p, s, t, False)
 
 
 def compute_bst_method2(group, p, s, t):
     """b_{s,t} by the same reduction downstairs in the restricted ring."""
-    prof = liedata.profile(group, p)
-    k = _check_pair(prof, s, t)
     if group == "G2":
         raise BstError("G2 has no Chern presentation; use Method I")
-    ts = liedata.theta_set(group, p)
-    pivot = ts.theta_restricted[t]
-    if pivot.is_zero():
-        raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
-    gb = _gb_method2(group, p, t)
-    lhs = steenrod.power(k, ts.theta_restricted[s])
-    return solve_linear_coefficient(lhs, pivot, gb)
+    return _reduce(group, p, s, t, True)
 
 
 # The identities hold per pair, not per entry: the ten default tables ask

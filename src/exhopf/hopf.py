@@ -8,16 +8,17 @@ printed values by naturality.  At p = 2 every even generator is a square
 of a polynomial in the odd ones, which is what determines the full
 Sq-action on the x's; odd squares there rewrite through the square table.
 
-The reduced-power table on the odd generators is the computed b-table
-(the first-principles reconstruction), which by construction satisfies
-the Adem composites that the printed list omits.
+The reduced-power action on the odd generators is read from the entries
+of the computed b-table (the first-principles reconstruction, which
+satisfies the Adem composites that the printed list omits): entry (s, t)
+is P^k alpha_{2s-1} = b alpha_{2t-1}, with the k that `bst.BstTable` records.
 
 Sq^a (p = 2) and P^k (odd p) on the generators sit in one table,
 `HopfModel._ops`, keyed by generator degree and then index, zeros left
 out, and filled once when the model is built: the alphas from the
-b-table, then the x's from them (as squares at p = 2, through the
-Bockstein at odd p).  Instability (Sq^i u = 0 for i > |u|, P^i u = 0 for
-2i > |u|) is the table's own range.  mu* has one table too,
+nonzero b-table entries, then the x's from them (as squares at p = 2,
+through the Bockstein at odd p).  Instability (Sq^i u = 0 for i > |u|,
+P^i u = 0 for 2i > |u|) is the table's own range.  mu* has one table too,
 `HopfModel._mu`: the full coproduct of each generator.
 
 The total operation (the sum of all Sq^i or P^i) and mu* are ring maps,
@@ -483,18 +484,6 @@ class HopfModel:
 
     # -- reduced powers ----------------------------------------------------------
 
-    def power_alpha(self, k, s):
-        """P^k alpha_{2s-1} as (coeff, target s) or None."""
-        if k == 0:
-            return (1, s)
-        if k >= s:
-            return None
-        t = s + k * (self.p - 1)
-        if t not in self.r_list:
-            return None
-        v = self.bst_table.value(s, t)
-        return (v, t) if v else None
-
     def _split(self, b):
         """(rest, generator degree) with rest * generator = b, coefficient +1,
         for a basis element b != 1.  The generator is the last alpha, or
@@ -559,15 +548,17 @@ class HopfModel:
         """Fill `_ops`: generator degree -> {i: the term dict of Sq^i
         (p = 2) or P^i (odd p) on that generator}, zeros left out.
 
-        The alphas come first, from the b-table; at p = 2 Sq^{2k} = P^k and
-        Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t} in order of t, through
-        `_act`, which reads only entries already made.  At p = 2 x_{2t} = w^2
-        (`SQUARE_ROOT_OF_X`: alphas and smaller x's), so Sq^a x_{2t} is
-        (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan terms pair
-        off).  At odd p x_{2t} = u^{-1} delta(alpha) with alpha =
-        alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with Q_1 =
-        P^1 Q_0 - Q_0 P^1 (Milnor, Ann. Math. 1958).  P^1 kills every even
-        generator of these models (t + p - 1 never lands back in e(G,p)), so
+        The alphas come first: P^0 = id (Sq^1 = delta at p = 2), and
+        P^k alpha_{2s-1} = b alpha_{2t-1} from each nonzero b-table entry;
+        at p = 2 Sq^{2k} = P^k and Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t}
+        in order of t, through `_act`, which reads only entries already
+        made.  At p = 2 x_{2t} = w^2 (`SQUARE_ROOT_OF_X`: alphas and smaller
+        x's), so Sq^a x_{2t} is (Sq^{a/2} w)^2 for even a and 0 for odd a
+        (the Cartan terms pair off).  At odd p x_{2t} = u^{-1} delta(alpha)
+        with alpha = alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with
+        Q_1 = P^1 Q_0 - Q_0 P^1 (Milnor, Ann. Math. 1958).  P^1 kills every
+        even generator of these models (t + p - 1 never lands back in
+        e(G,p)), so
 
             P^k x_{2t} = u^{-1} delta(P^k alpha - P^1 P^{k-1} alpha),
 
@@ -586,13 +577,14 @@ class HopfModel:
                 ops.setdefault(gen, {})[i] = elem.terms
 
         for s in self.r_list:
-            for k in range(s):
-                hit = self.power_alpha(k, s)
-                if hit is not None:
-                    b, t = hit
-                    put(2 * k if p == 2 else k, 2 * s - 1, self.alpha(t).scale(b))
-                    if p == 2:
-                        put(2 * k + 1, 2 * s - 1, self.bockstein_table[t].scale(b))
+            put(0, 2 * s - 1, self.alpha(s))
+            if p == 2:
+                put(1, 2 * s - 1, self.bockstein_table[s])
+        for (s, t), e in sorted(self.bst_table.entries.items()):
+            if e.value:
+                put(2 * e.k if p == 2 else e.k, 2 * s - 1, self.alpha(t).scale(e.value))
+                if p == 2:
+                    put(2 * e.k + 1, 2 * s - 1, self.bockstein_table[t].scale(e.value))
         for t in self.e_list:
             put(0, 2 * t, self.x(t))
             if p == 2:
@@ -602,7 +594,7 @@ class HopfModel:
                     put(a, 2 * t, half * half)
                 continue
             alpha = self.alpha(t)
-            uinv = inverse(self._bockstein_unit(t), p)
+            uinv = self._bockstein_unit_inverse(t)
             for k in range(1, t):
                 lower = self._act(1, self._act(k - 1, alpha))
                 val = self.bockstein(self._act(k, alpha) - lower).scale(uinv)
@@ -614,15 +606,15 @@ class HopfModel:
                 put(k, 2 * t, val)
             put(t, 2 * t, self.x(t, p))
 
-    def _bockstein_unit(self, t):
-        """The unit u with delta(alpha_{2t-1}) = u * x_{2t}, at odd p."""
+    def _bockstein_unit_inverse(self, t):
+        """u^{-1} for the unit u with delta(alpha_{2t-1}) = u * x_{2t}, at odd p."""
         data = BOCKSTEIN_DATA[(self.group, self.p)][t]
         if len(data) != 1 or data[0][1] != {t: 1} or data[0][0] % self.p == 0:
             raise InvariantError(
                 f"delta(alpha_{2*t-1}) of ({self.group},{self.p}) is {data}, "
                 f"not a unit multiple of x_{2*t}"
             )
-        return data[0][0] % self.p
+        return inverse(data[0][0], self.p)
 
     def sq(self, a, elem):
         """Sq^a at p = 2 on an arbitrary element."""
@@ -726,7 +718,7 @@ class HopfModel:
                     root = self._mu_of(self._from_data(SQUARE_ROOT_OF_X[t]), mu)
                     mu[2 * t] = self._koszul(root, root)
                 else:
-                    uinv = inverse(self._bockstein_unit(t), self.p)
+                    uinv = self._bockstein_unit_inverse(t)
                     odd = TensorElement(self, mu[2 * t - 1])
                     mu[2 * t] = self.tensor_bockstein(odd).scale(uinv).terms
             self._mu = mu
@@ -743,16 +735,10 @@ class HopfModel:
         Yields (k, src, that tensor) in the order of r(G,p).
         """
         for src in self.r_list:
-            if src >= s or src not in known:
-                continue
-            k = (s - src) // (self.p - 1)
-            if k <= 0 or src + k * (self.p - 1) != s:
-                continue
-            hit = self.power_alpha(k, src)
-            if hit is None:
-                continue
-            binv = inverse(hit[0], self.p)
-            yield k, src, self.tensor_power(k, known[src]).scale(binv)
+            e = self.bst_table.entries.get((src, s))
+            if e is not None and e.value and src in known:
+                binv = inverse(e.value, self.p)
+                yield e.k, src, self.tensor_power(e.k, known[src]).scale(binv)
 
     def _primitive(self, elem):
         """elem ⊗ 1 + 1 ⊗ elem."""
@@ -820,15 +806,11 @@ class HopfModel:
         add_equations(lhss, rhs)
 
         # outgoing powers: P^k alpha_s = b alpha_t with phi(alpha_t) known
-        for k in range(1, s):
-            hit = self.power_alpha(k, s)
-            if hit is None:
-                continue
-            b, t = hit
-            if t not in known:
-                continue
-            lhss = [self.tensor_power(k, unknown_tensor(i)) for i in range(len(unknowns))]
-            add_equations(lhss, known[t].scale(b))
+        for t in self.r_list:
+            e = self.bst_table.entries.get((s, t))
+            if e is not None and e.value and t in known:
+                lhss = [self.tensor_power(e.k, unknown_tensor(i)) for i in range(len(unknowns))]
+                add_equations(lhss, known[t].scale(e.value))
 
         # incoming powers: P^k alpha_src = b alpha_s with phi(alpha_src) known
         for _, _, rhs in self._incoming_routes(s, known):
@@ -999,15 +981,12 @@ def check_suite(model):
     report["zeta_bockstein"] = zeta_ok
 
     if p == 2:
-        sq_ok = True
-        for s in model.r_list:
-            square = model.alpha(s) * model.alpha(s)
-            via_op = model.bockstein(model.reduced_power(s - 1, model.alpha(s)))
-            table_val = model.square_table[s]
-            if square != via_op or square != table_val:
-                sq_ok = False
-                break
-        report["squares_via_delta_power"] = sq_ok
+        # alpha_s^2 is read from the square table; delta P^{s-1} alpha_s is not
+        report["squares_via_delta_power"] = all(
+            model.alpha(s) * model.alpha(s)
+            == model.bockstein(model.reduced_power(s - 1, model.alpha(s)))
+            for s in model.r_list
+        )
 
         cor44 = {2: model.x(3)}
         if model.group in ("E7", "E8"):

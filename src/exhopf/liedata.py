@@ -153,6 +153,11 @@ def chern_substitution(group, p):
     return forms
 
 
+# Cached per pair: every weight expansion asks for c_2..c_N, so the ten
+# default tables ask 45 times and build 2 (the Method I fallbacks of F4 and
+# E6 at p = 3), and the `crosscheck` tables ask 100 times and build 4.
+# Uncached, the builds take 0.016 s and 0.034 s of 0.07 s and 0.08 s, one
+# process each (2-core VM, Python 3.11.7).
 @lru_cache(maxsize=None)
 def _chern_polys(group, p):
     forms = chern_substitution(group, p)

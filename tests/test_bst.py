@@ -24,6 +24,41 @@ def test_admissible_pairs_and_instability():
         compute_bst_method1("F4", 2, 2, 8)
 
 
+def _f4_p3_entries():
+    return dict(full_table("F4", 3).entries)
+
+
+def test_table_with_a_missing_entry_is_refused():
+    entries = _f4_p3_entries()
+    del entries[(2, 4)]
+    with pytest.raises(BstError, match=r"lacks \[\(2, 4\)\]"):
+        bst.BstTable(liedata.profile("F4", 3), entries)
+
+
+def test_table_with_a_nonzero_instability_zero_is_refused():
+    entries = _f4_p3_entries()
+    assert entries[(2, 8)].method == "instability-zero"
+    entries[(2, 8)] = bst.BstEntry(2, 8, 3, 1, "mutant")
+    with pytest.raises(BstError, match="instability zero"):
+        bst.BstTable(liedata.profile("F4", 3), entries)
+
+
+def test_table_with_a_wrong_k_is_refused():
+    entries = _f4_p3_entries()
+    entries[(2, 4)] = bst.BstEntry(2, 4, 2, entries[(2, 4)].value, "mutant")
+    with pytest.raises(BstError, match="where k=1"):
+        bst.BstTable(liedata.profile("F4", 3), entries)
+
+
+def test_table_with_a_value_outside_f_p_is_refused():
+    # b = 3 at p = 3 reads as nonzero but acts as zero: the model would build
+    # with P^1 alpha_3 = 0 and then fail to invert b on the coproduct route
+    entries = _f4_p3_entries()
+    entries[(2, 4)] = bst.BstEntry(2, 4, 1, 3, "mutant")
+    with pytest.raises(BstError, match="not a residue mod 3"):
+        bst.BstTable(liedata.profile("F4", 3), entries)
+
+
 def test_g2_method1():
     assert compute_bst_method1("G2", 2, 2, 3) == 1
     with pytest.raises(BstError):
@@ -98,7 +133,7 @@ def test_both_strategy_agreement_e8_p2():
 def test_eq24_witness_f4_p3():
     # the defining relation: NF(P^k theta_s - b theta_t) = 0, NF(theta_t) != 0
     ts = liedata.theta_set("F4", 3)
-    gb = bst._gb_method1("F4", 3, 4)
+    gb = bst._basis("F4", 3, False, 4)
     lhs = steenrod.power(1, ts.omega(2))
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1
