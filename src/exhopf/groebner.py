@@ -21,6 +21,20 @@ add per tail term.  lm divides m when the guard-bit test of
 
 Bases are completed to reduced form (monic, inter-reduced, sorted), so
 identical inputs always produce bit-identical bases and remainders.
+
+A basis can be extended: `buchberger(gens, d, base=G)`, with G the reduced
+d0-truncated basis of an ideal I and d >= d0, returns the reduced
+d-truncated basis of I + <gens>.  Every S-pair of G whose lcm weighs at
+most d0 is settled without being formed.  Its S-polynomial already reduces
+to zero by G, which is a standard representation, and that stays one as
+the basis grows, so the pair also serves the chain criterion.  Only the
+pairs of G with lcm weight in (d0, d] and the pairs with a new element are
+formed.  An element of G stays reduced unless a new element weighs no more
+than it does; in a chain of columns the new generator NF(theta_r) weighs
+d0 = r, so the elements of G of weight d0 are divided again.  The reduced
+d-truncated basis of a homogeneous ideal is unique, so the extension equals
+the build from scratch term for term; a build from scratch is the
+extension of the empty basis, through the same loop.
 """
 
 import heapq
@@ -66,6 +80,7 @@ class GroebnerBasis:
         self.truncation = truncation
         self.basis = list(basis)
         self._divisors = [_divisor(g, ring) for g in self.basis]
+        self.stats = None  # S-pair counts, set by `buchberger`
 
     def __len__(self):
         return len(self.basis)
@@ -118,18 +133,29 @@ def _divide(terms, divisors, ring):
     return remainder
 
 
-def buchberger(gens, truncation=None, ring=None):
+def buchberger(gens, truncation=None, ring=None, base=None):
     """Compute a (possibly degree-truncated) reduced Groebner basis.
 
     Generators must be homogeneous; `truncation`, when given, must be at
     least the largest generator weight.  With truncation d, the returned
     basis gives normal forms valid for all inputs of weight <= d.
+
+    With `base`, a basis this function returned with a truncation d0 <= d,
+    the result is the d-truncated basis of the base's ideal plus `gens`
+    (see the module docstring for the pairs it settles).
+
+    The result's `stats` counts the S-pairs of this call: `formed` (within
+    the truncation and not settled), `product` and `chain` (skipped by
+    those criteria), `zero` (reduced to zero) and `settled` (inherited).
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
-        if not gens:
+        if base is not None:
+            ring = base.ring
+        elif not gens:
             raise ValueError("empty generator list needs an explicit ring")
-        ring = gens[0].ring
+        else:
+            ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
@@ -141,10 +167,24 @@ def buchberger(gens, truncation=None, ring=None):
             raise ValueError(
                 f"truncation {truncation} below maximal generator weight {top}"
             )
+    settled_weight = None
+    if base is not None:
+        if base.ring != ring:
+            raise ValueError("base and generators live in different rings")
+        settled_weight = base.truncation
+        if settled_weight is None:
+            raise ValueError("a base without truncation cannot be extended")
+        if truncation is not None and truncation < settled_weight:
+            raise ValueError(
+                f"truncation {truncation} below the base's truncation {settled_weight}"
+            )
 
     key = ring.order_key
-    basis = []
-    divisors = []  # (lm, packed lm, tail) of each basis element, see `_divisor`
+    basis = list(base.basis) if base is not None else []
+    # (lm, packed lm, tail) of each basis element, see `_divisor`
+    divisors = list(base._divisors) if base is not None else []
+    inherited = len(basis)
+    stats = dict.fromkeys(("formed", "product", "chain", "zero", "settled"), 0)
     pair_heap = []
     processed = set()
 
@@ -155,6 +195,13 @@ def buchberger(gens, truncation=None, ring=None):
             w = ring.wdeg(lcm)
             if truncation is not None and w > truncation:
                 continue
+            if j < inherited and w <= settled_weight:
+                # the base is a settled_weight-truncated basis, so this
+                # S-polynomial already reduces to zero by its elements
+                processed.add((i, j))
+                stats["settled"] += 1
+                continue
+            stats["formed"] += 1
             heapq.heappush(pair_heap, (w, key(lcm), i, j))
 
     def add(h):
@@ -163,6 +210,8 @@ def buchberger(gens, truncation=None, ring=None):
         divisors.append(_divisor(h, ring))
         push_pairs(len(basis) - 1)
 
+    for j in range(1, inherited):
+        push_pairs(j)
     for g in sorted(gens, key=lambda f: (f.weight(), key(f.leading_monomial()))):
         rem = _divide(g.terms, divisors, ring)
         if rem:
@@ -170,13 +219,12 @@ def buchberger(gens, truncation=None, ring=None):
 
     while pair_heap:
         w, lcmkey, i, j = heapq.heappop(pair_heap)
-        if (i, j) in processed:
-            continue
         processed.add((i, j))
         lmi, lmj = divisors[i][0], divisors[j][0]
         lcm = ring.mon_lcm(lmi, lmj)
         if lcm == lmi + lmj:
-            continue  # coprime leading monomials (product criterion)
+            stats["product"] += 1  # coprime leading monomials (product criterion)
+            continue
         skip = False
         for k2 in range(len(basis)):
             if k2 in (i, j):
@@ -188,6 +236,7 @@ def buchberger(gens, truncation=None, ring=None):
                     skip = True  # chain criterion
                     break
         if skip:
+            stats["chain"] += 1
             continue
         # both basis elements are monic
         si = basis[i] * Polynomial(ring, {lcm - lmi: 1})
@@ -195,11 +244,22 @@ def buchberger(gens, truncation=None, ring=None):
         rem = _divide((si - sj).terms, divisors, ring)
         if rem:
             add(Polynomial(ring, rem))
+        else:
+            stats["zero"] += 1
 
-    return _finalize(ring, truncation, basis, divisors)
+    gb = _finalize(ring, truncation, basis, divisors, inherited)
+    gb.stats = stats
+    return gb
 
 
-def _finalize(ring, truncation, basis, divisors):
+def _finalize(ring, truncation, basis, divisors, inherited):
+    """The reduced basis of `basis`, whose first `inherited` elements are
+    the reduced elements of a base.
+
+    A term of weight w is divisible only by leading monomials of weight
+    <= w, so an inherited element that weighs less than every new element
+    is already reduced against the result and is not divided again.
+    """
     # drop redundant leading monomials deterministically
     lms = [d[0] for d in divisors]
     order = sorted(range(len(basis)), key=lambda i: (basis[i].weight(), ring.order_key(lms[i])))
@@ -208,9 +268,13 @@ def _finalize(ring, truncation, basis, divisors):
         if any(ring.mon_divides(lms[j], lms[i]) for j in kept):
             continue
         kept.append(i)
+    lightest_new = min((basis[i].weight() for i in kept if i >= inherited), default=None)
     # inter-reduce tails against the other elements
     reduced = []
     for n, i in enumerate(kept):
+        if i < inherited and (lightest_new is None or basis[i].weight() < lightest_new):
+            reduced.append(basis[i])
+            continue
         others = [divisors[j] for j in kept[:n] + kept[n + 1 :]]
         rem = _divide(basis[i].terms, others, ring)
         h = Polynomial(ring, rem)
@@ -235,17 +299,18 @@ def normal_form(f, gb):
 
 
 def solve_linear_coefficient(lhs, pivot, gb):
-    """The unique a in F_p with NF(lhs - a*pivot) = 0.
+    """The unique a in F_p with NF(lhs) = a * NF(pivot).
 
-    Implemented as two reductions and a proportionality solve; raises
+    `pivot` is the pivot's `normal_form` against gb, so a caller that
+    solves several left sides against one pivot reduces it once.  Raises
     NoSolution when no scalar works and Ambiguous when the pivot itself
     reduces to zero (it then lies in the ideal and a is undetermined).
     Homogeneity is read off the weights that `normal_form` reports.
     """
-    n1, n2 = normal_form(lhs, gb), normal_form(pivot, gb)
-    if n1.weights and n2.weights and len({*n1.weights, *n2.weights}) > 1:
+    n1 = normal_form(lhs, gb)
+    if n1.weights and pivot.weights and len({*n1.weights, *pivot.weights}) > 1:
         raise ValueError("lhs and pivot must be homogeneous of equal weight")
-    r1, r2 = n1.remainder, n2.remainder
+    r1, r2 = n1.remainder, pivot.remainder
     if r2.is_zero():
         if r1.is_zero():
             raise Ambiguous("pivot reduces to zero; solution is not unique")

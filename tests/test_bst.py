@@ -10,7 +10,7 @@ from exhopf.bst import (
     full_table,
     verify_lemma22,
 )
-from exhopf.groebner import normal_form
+from exhopf.groebner import buchberger, normal_form
 
 
 def test_admissible_pairs_and_instability():
@@ -118,22 +118,72 @@ def _assert_both_matches_method2(group, p):
     return table
 
 
-@pytest.mark.slow
 def test_both_strategy_agreement_e7_p3():
     table = _assert_both_matches_method2("E7", 3)
     assert verify_lemma22("E7", 3, table)["pass"]
 
 
-@pytest.mark.slow
 def test_both_strategy_agreement_e8_p2():
     table = _assert_both_matches_method2("E8", 2)
     assert verify_lemma22("E8", 2, table)["extra"] == ["8,14", "8,15"]
 
 
+def _scratch_basis(group, p, downstairs, t):
+    """The basis of <theta_j : j < t> truncated at t, built from scratch on
+    the thetas themselves (test oracle for the chain of `bst._basis`)."""
+    ts = liedata.theta_set(group, p)
+    ring, theta = bst._presentation(ts, downstairs)
+    gens = [theta(j) for j in ts.profile.r_set if j < t]
+    return buchberger(gens, truncation=t, ring=ring)
+
+
+def _terms(f):
+    return list(f.terms.items())
+
+
+CHERN_PAIRS = [("F4", 2), ("E6", 2), ("E7", 2), ("E8", 2),
+               ("F4", 3), ("E6", 3), ("E7", 3), ("E8", 3), ("E8", 5)]
+UPSTAIRS_PAIRS = [("G2", 2), ("F4", 2), ("E6", 2), ("F4", 3), ("E6", 3)]
+
+
+@pytest.mark.parametrize(
+    "group, p, downstairs",
+    [(g, p, True) for g, p in CHERN_PAIRS] + [(g, p, False) for g, p in UPSTAIRS_PAIRS],
+    ids=lambda v: v if isinstance(v, str) else str(v),
+)
+def test_basis_chain_matches_scratch_oracle(group, p, downstairs):
+    # each link of the chain equals the basis built from scratch, term for
+    # term and in order, and its cached pivot is theta_t reduced by that basis
+    _, theta = bst._presentation(liedata.theta_set(group, p), downstairs)
+    for t in liedata.profile(group, p).r_set:
+        gb, pivot = bst._basis(group, p, downstairs, t)
+        oracle = _scratch_basis(group, p, downstairs, t)
+        assert gb.truncation == oracle.truncation == t
+        assert [_terms(g) for g in gb.basis] == [_terms(g) for g in oracle.basis], t
+        want = normal_form(theta(t), oracle)
+        assert _terms(pivot.remainder) == _terms(want.remainder), t
+        assert pivot.weights == want.weights, t
+
+
+def test_e6_p3_upstairs_chain_forms_fewer_spairs():
+    r_set = liedata.profile("E6", 3).r_set
+    chain = sum(bst._basis("E6", 3, False, t)[0].stats["formed"] for t in r_set)
+    scratch = sum(_scratch_basis("E6", 3, False, t).stats["formed"] for t in r_set)
+    assert 0 < chain < scratch, (chain, scratch)
+
+
+def test_reduce_refuses_pairs_outside_r_or_off_the_step():
+    # (E6,3): r = 2, 4, 5, 6, 8, 9; an admissible pair needs t - s = 2k, 1 <= k < s
+    assert compute_bst_method1("E6", 3, 4, 6) in range(3)
+    for s, t in ((3, 5), (2, 3), (5, 7), (6, 4), (5, 5), (2, 6)):
+        with pytest.raises(BstError, match="not an admissible pair"):
+            compute_bst_method1("E6", 3, s, t)
+
+
 def test_eq24_witness_f4_p3():
     # the defining relation: NF(P^k theta_s - b theta_t) = 0, NF(theta_t) != 0
     ts = liedata.theta_set("F4", 3)
-    gb = bst._basis("F4", 3, False, 4)
+    gb, _ = bst._basis("F4", 3, False, 4)
     lhs = steenrod.power(1, ts.omega(2))
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1

@@ -58,7 +58,7 @@ def test_g2_linear_solve():
     theta3 = R.parse("w2^3")
     gb = buchberger([theta2], truncation=3)
     lhs = R.parse("w1^2*w2+w1*w2^2")  # P^1 theta_2
-    assert solve_linear_coefficient(lhs, theta3, gb) == 1
+    assert solve_linear_coefficient(lhs, normal_form(theta3, gb), gb) == 1
     # Eq (2.4) witness: the residue of lhs - theta_3 is zero
     assert normal_form(lhs - theta3, gb).remainder.is_zero()
     assert not normal_form(theta3, gb).remainder.is_zero()
@@ -68,20 +68,20 @@ def test_solve_zero_lhs():
     R = ring(3, ("x", "y"))
     gb = buchberger([R.parse("x^2")], truncation=4)
     pivot = R.parse("y^2")
-    assert solve_linear_coefficient(R.zero(), pivot, gb) == 0
+    assert solve_linear_coefficient(R.zero(), normal_form(pivot, gb), gb) == 0
 
 
 def test_solve_ambiguous_and_nosolution():
     R = ring(3, ("x", "y"))
     gb = buchberger([R.parse("x^2")], truncation=4)
-    inside = R.parse("x^2*y")  # pivot in the ideal
+    inside = normal_form(R.parse("x^2*y"), gb)  # pivot in the ideal
     with pytest.raises(Ambiguous):
         solve_linear_coefficient(R.parse("x^3*y") - R.parse("x^3*y"), inside, gb)
     with pytest.raises(NoSolution):
         solve_linear_coefficient(R.parse("y^3"), inside, gb)
     with pytest.raises(NoSolution):
         # residues not proportional
-        solve_linear_coefficient(R.parse("y^3"), R.parse("x*y^2"), gb)
+        solve_linear_coefficient(R.parse("y^3"), normal_form(R.parse("x*y^2"), gb), gb)
 
 
 def test_nf_idempotent_and_fixed_points():
@@ -157,11 +157,11 @@ def test_solve_rejects_unequal_or_inhomogeneous_weights():
     gb = buchberger([R.parse("x^2")], truncation=3)
     msg = "lhs and pivot must be homogeneous of equal weight"
     with pytest.raises(ValueError, match=msg):
-        solve_linear_coefficient(R.parse("x*y"), R.parse("y^3"), gb)
+        solve_linear_coefficient(R.parse("x*y"), normal_form(R.parse("y^3"), gb), gb)
     with pytest.raises(ValueError, match=msg):
-        solve_linear_coefficient(R.parse("x*y+y^3"), R.parse("y^3"), gb)
+        solve_linear_coefficient(R.parse("x*y+y^3"), normal_form(R.parse("y^3"), gb), gb)
     with pytest.raises(ValueError, match=msg):
-        solve_linear_coefficient(R.parse("y^3"), R.parse("x*y+y^3"), gb)
+        solve_linear_coefficient(R.parse("y^3"), normal_form(R.parse("x*y+y^3"), gb), gb)
     assert normal_form(R.parse("x*y+y^3"), gb).weights == (2, 3)
     assert normal_form(R.zero(), gb).weights is None
 
@@ -182,7 +182,7 @@ def test_solve_independent_of_precedence():
         theta3 = R.parse("w2^3")
         gb = buchberger([theta2], truncation=3)
         lhs = R.parse("w1^2*w2+w1*w2^2")
-        assert solve_linear_coefficient(lhs, theta3, gb) == 1
+        assert solve_linear_coefficient(lhs, normal_form(theta3, gb), gb) == 1
 
 
 def _random_homogeneous(R, weight, rng, density=0.5):
@@ -250,7 +250,7 @@ def test_heap_division_matches_rescan_oracle_e6_method1():
     for s, t, k in bst.admissible_pairs(prof):
         if k >= s:
             continue
-        gb = bst._basis("E6", 2, False, t)
+        gb, _ = bst._basis("E6", 2, False, t)
         _assert_matches_oracle(steenrod.power(k, ts.omega(s)), gb)
 
 
@@ -332,5 +332,72 @@ def test_degenerate_basis_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(groebner, "_divide", lambda terms, *args, **kwargs: {})
     basis = [g.monic() for g in gens]
     with pytest.raises(DegenerateBasis) as info:
-        groebner._finalize(R, None, basis, [groebner._divisor(g, R) for g in basis])
+        groebner._finalize(R, None, basis, [groebner._divisor(g, R) for g in basis], 0)
     assert isinstance(info.value, GroebnerError)
+
+
+def _terms(gb):
+    """A basis term for term and in order: keys and coefficients as stored."""
+    return [list(g.terms.items()) for g in gb.basis]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("precedence", [None, (2, 0, 3, 1)])
+def test_extension_matches_scratch_on_random_ideals(p, precedence):
+    """A basis extended step by step equals the one built from scratch on
+    all the generators, term for term, whether the new generators weigh
+    less than, as much as or more than the base's truncation."""
+    rng = random.Random(500 + 10 * p + (precedence is not None))
+    R = ring(p, ("x", "y", "z", "t"), weights=(1, 1, 2, 3), precedence=precedence)
+    for _ in range(5):
+        gens = [g for g in (_random_homogeneous(R, w, rng) for w in (2, 3, 3, 4, 5))
+                if not g.is_zero()]
+        for steps in ((3, 5, 8), (2, 4, 6, 8), (4, 4, 7)):
+            gb = None
+            for n, d in enumerate(steps):
+                chunk = [g for g in gens if g.weight() <= d and (n == 0 or g.weight() > steps[n - 1])]
+                gb = buchberger(chunk, truncation=d, ring=R, base=gb)
+                scratch = buchberger([g for g in gens if g.weight() <= d], truncation=d, ring=R)
+                assert _terms(gb) == _terms(scratch), (steps, d)
+        # generators lighter than the base's truncation
+        base = buchberger(gens[2:], truncation=6, ring=R)
+        extended = buchberger(gens[:2], truncation=8, ring=R, base=base)
+        assert _terms(extended) == _terms(buchberger(gens, truncation=8, ring=R))
+
+
+def test_extension_refuses_a_base_of_another_ring():
+    base = buchberger([ring(2, ("x", "y")).parse("x^2")], truncation=3)
+    other = ring(3, ("x", "y"))
+    with pytest.raises(ValueError, match="base and generators live in different rings"):
+        buchberger([other.parse("y^3")], truncation=4, ring=other, base=base)
+    with pytest.raises(ValueError, match="live in different rings"):
+        buchberger([other.parse("y^3")], truncation=4, base=base)
+    with pytest.raises(ValueError, match="base and generators live in different rings"):
+        buchberger([], truncation=4, ring=other, base=base)
+
+
+def test_extension_refuses_a_truncation_below_the_base():
+    R = ring(2, ("x", "y"))
+    base = buchberger([R.parse("x^2")], truncation=5)
+    with pytest.raises(ValueError, match="truncation 4 below the base's truncation 5"):
+        buchberger([R.parse("y^3")], truncation=4, base=base)
+
+
+def test_extension_refuses_an_untruncated_base():
+    R = ring(2, ("x", "y"))
+    base = buchberger([R.parse("x^2")])
+    with pytest.raises(ValueError, match="a base without truncation cannot be extended"):
+        buchberger([R.parse("y^3")], truncation=4, base=base)
+
+
+def test_spair_statistics_on_a_small_ideal():
+    R = ring(2, ("x", "y", "z", "t"))
+    gens = [R.parse("x*y"), R.parse("x*z"), R.parse("x*t+z*t")]
+    scratch = buchberger(gens, truncation=4)
+    assert scratch.stats == {"formed": 6, "product": 1, "chain": 1, "zero": 3, "settled": 0}
+    base = buchberger(gens[:2], truncation=3)
+    # the one pair of x*y and x*z has lcm x*y*z of weight 3 and reduces to zero
+    assert base.stats == {"formed": 1, "product": 0, "chain": 0, "zero": 1, "settled": 0}
+    extended = buchberger(gens[2:], truncation=4, base=base)
+    assert extended.stats == {"formed": 5, "product": 1, "chain": 1, "zero": 2, "settled": 1}
+    assert _terms(extended) == _terms(scratch)
