@@ -2,11 +2,13 @@
 
 The model is the free module on basis monomials x^r * alpha_S (truncated
 x-exponents, squarefree odd part), with the product normalized through
-the printed squares at p = 2, the Bockstein and reduced powers extended
-from generator tables, and the reduced coproduct propagated from the few
-printed values by naturality.  At p = 2 every even generator is a square
-of a polynomial in the odd ones, which is what determines the full
-Sq-action on the x's; odd squares there rewrite through the square table.
+the printed squares at p = 2, and the Bockstein and reduced powers
+extended from generator tables.  The reduced coproduct is derived from
+the printed primitives and two printed values, by naturality and by
+solving delta- and P-compatibility (`HopfModel.derive_coproducts`).  At
+p = 2 every even generator is a square of a polynomial in the odd ones,
+which is what determines the full Sq-action on the x's; odd squares
+there rewrite through the square table.
 
 The reduced-power action on the odd generators is read from the entries
 of the computed b-table (the first-principles reconstruction, which
@@ -45,7 +47,7 @@ class HopfError(Exception):
 
 
 class UnreachableGenerator(HopfError):
-    """A coproduct is neither printed nor derivable from printed actions."""
+    """No input, reduced-power route or unique solve fixes a coproduct."""
 
 
 class Inconsistent(HopfError):
@@ -155,36 +157,25 @@ ZETA_DATA = {
     },
 }
 
-# Theorem 2: the printed reduced coproducts ((coeff, xmon, target s));
-# generators listed with [] are printed primitive, everything else derives
+# Theorem 2: the printed reduced coproducts ((coeff, xmon, target s)) that
+# `derive_coproducts` takes as inputs: the generators printed primitive
+# (listed with []), and the two printed values the solve cannot fix.  The
+# other printed values derive and are checks (tests/printed_coproducts.py).
 COPRODUCT_DATA = {
     ("G2", 2): {2: []},
     ("F4", 2): {2: [], 8: []},
+    # phi(alpha_15) = x_6 ⊗ alpha_9: no route reaches alpha_15, and its
+    # solve is underdetermined; alpha_23 then follows from it
     ("E6", 2): {2: [], 8: [(1, {3: 1}, 5)]},
-    ("E7", 2): {2: [], 8: [(1, {5: 1}, 3), (1, {3: 1}, 5)]},
-    ("E8", 2): {2: [], 8: [(1, {5: 1}, 3), (1, {3: 1}, 5), (1, {3: 2}, 2)]},
-    ("F4", 3): {2: [], 4: [], 6: [(-1, {4: 1}, 2)]},
-    ("E6", 3): {2: [], 4: [], 5: [], 9: [], 6: [(-1, {4: 1}, 2)]},
-    ("E7", 3): {
-        2: [],
-        4: [],
-        10: [],
-        6: [(-1, {4: 1}, 2)],
-        18: [(1, {4: 1}, 14), (1, {4: 2}, 10)],
-    },
-    ("E8", 3): {
-        2: [],
-        4: [],
-        10: [],
-        8: [(-1, {4: 1}, 4)],
-        18: [(1, {4: 1}, 14), (1, {4: 2}, 10), (1, {4: 1, 10: 1}, 4), (-1, {10: 1}, 8)],
-    },
-    ("E8", 5): {
-        2: [],
-        8: [(2, {6: 1}, 2)],
-        14: [(2, {6: 1}, 8), (2, {6: 2}, 2)],
-        20: [(3, {6: 1}, 14), (3, {6: 2}, 8), (2, {6: 3}, 2)],
-    },
+    ("E7", 2): {2: []},
+    ("E8", 2): {2: []},
+    ("F4", 3): {2: [], 4: []},
+    ("E6", 3): {2: [], 4: [], 5: [], 9: []},
+    # phi(alpha_35): with every other coproduct known its solve is
+    # underdetermined of dimension 2, along x_8 ⊗ alpha_27 and x_8^2 ⊗ alpha_19
+    ("E7", 3): {2: [], 4: [], 10: [], 18: [(1, {4: 1}, 14), (1, {4: 2}, 10)]},
+    ("E8", 3): {2: [], 4: [], 10: []},
+    ("E8", 5): {2: []},
 }
 
 # p = 2: each even generator is the square of this element ((coeff, xmon, s)
@@ -672,60 +663,82 @@ class HopfModel:
     # -- coproducts ---------------------------------------------------------------
 
     def derive_coproducts(self):
-        """The reduced coproduct of every odd generator, from the printed seeds.
+        """The reduced coproduct of every odd generator, by one fixpoint.
 
         mu* is a ring map, so one table `mu` of full generator coproducts,
         keyed by generator degree as `_split` names the generators, fixes
-        it everywhere (`_mu_of`).  The alphas come first, in order of s,
-        because every x_{2t} is built from them while a route to
-        alpha_{2s-1} reads only lower alphas, never an even coproduct.  An
-        unlisted alpha must be reachable as P^k of a lower one with nonzero
-        table coefficient; every available route is computed and
-        cross-checked.  Then x_{2t} in order of t: at p = 2 x_{2t} = w^2
-        with w built from alphas and smaller x's, so mu*(x_{2t}) =
-        (mu* w)^2; at odd p
-        x_{2t} = u^{-1} delta(alpha_{2t-1}) and mu* commutes with delta.
+        it everywhere (`_mu_of`).  Each step settles one alpha into the
+        partial table (`_settle`).  Routes go first: a pending alpha with an
+        input (`COPRODUCT_DATA`) or incoming reduced-power routes, which must
+        all agree.  Failing that, the first unique `solve_coproduct`, in
+        order of s, among the alphas whose delta is made of generators in
+        the table.  The order matters at (E8,3): the solve of alpha_47 is
+        `Inconsistent` (the pinned b_{18,24} sign), its route from alpha_35
+        is not.  A step that settles nothing raises `UnreachableGenerator`.
         """
         if self._mu is None:
-            printed = COPRODUCT_DATA[(self.group, self.p)]
-            phi = {}
-            for s in self.r_list:
-                routes = []
-                if s in printed:
-                    seed = TensorElement(self, {})
-                    for coeff, xmon, target in printed[s]:
-                        x_part = coeff * self.x_monomial(xmon)
-                        seed = seed + tensor(self, x_part, self.alpha(target))
-                    routes.append(("printed", seed))
-                for k, src, route in self._incoming_routes(s, phi):
-                    routes.append((f"P^{k} alpha_{2*src-1}", route))
-                if not routes:
-                    raise UnreachableGenerator(
-                        f"alpha_{2*s-1} of ({self.group},{self.p}) has no printed "
-                        "coproduct and no reduced-power route"
-                    )
-                first = routes[0][1]
-                for name, other in routes[1:]:
-                    if other != first:
-                        raise Inconsistent(
-                            f"coproduct routes disagree at alpha_{2*s-1}: "
-                            f"{routes[0][0]} vs {name}"
-                        )
-                phi[s] = first
-            mu = {2 * s - 1: (self._primitive(self.alpha(s)) + phi[s]).terms for s in self.r_list}
-            for t in self.e_list:
-                if self.p == 2:
-                    root = self._mu_of(self._from_data(SQUARE_ROOT_OF_X[t]), mu)
-                    mu[2 * t] = self._koszul(root, root)
-                else:
-                    uinv = self._bockstein_unit_inverse(t)
-                    odd = TensorElement(self, mu[2 * t - 1])
-                    mu[2 * t] = self.tensor_bockstein(odd).scale(uinv).terms
+            phi, mu = {}, {}
+            while len(phi) < len(self.r_list):
+                s, phi[s] = self._next_coproduct(phi, mu)
+                self._settle(mu, s, phi[s])
             self._mu = mu
         return {
             s: TensorElement(self, self._mu[2 * s - 1]) - self._primitive(self.alpha(s))
             for s in self.r_list
         }
+
+    def _next_coproduct(self, known, mu):
+        """(s, phi(alpha_{2s-1})) for the next pending alpha of the fixpoint."""
+        inputs = COPRODUCT_DATA[(self.group, self.p)]
+        pending = [s for s in self.r_list if s not in known]
+        for s in pending:
+            routes = [("input", self._coproduct_from_data(inputs[s]))] if s in inputs else []
+            for k, src, route in self._incoming_routes(s, known):
+                routes.append((f"P^{k} alpha_{2*src-1}", route))
+            for name, other in routes[1:]:
+                if other != routes[0][1]:
+                    raise Inconsistent(
+                        f"coproduct routes disagree at alpha_{2*s-1}: {routes[0][0]} vs {name}"
+                    )
+            if routes:
+                return s, routes[0][1]
+        for s in pending:
+            if self._generators(self.bockstein_table[s]) <= mu.keys():
+                try:
+                    return s, self._solve(s, known, mu)
+                except Underdetermined:
+                    pass
+        names = ", ".join(f"alpha_{2*s-1}" for s in pending)
+        raise UnreachableGenerator(f"{names} of ({self.group},{self.p}): no input, "
+                                   "no reduced-power route and no unique solve")
+
+    def _settle(self, mu, s, phi):
+        """Enter alpha_{2s-1}, with reduced coproduct `phi`, in the generator
+        table `mu`, then each x_{2t} whose ingredients are now there.  At
+        p = 2 x_{2t} = w^2 with w built from alphas and smaller x's
+        (`SQUARE_ROOT_OF_X`), so mu*(x_{2t}) = (mu* w)^2; at odd p
+        x_{2t} = u^{-1} delta(alpha_{2t-1}) and mu* commutes with delta."""
+        mu[2 * s - 1] = (self._primitive(self.alpha(s)) + phi).terms
+        for t in self.e_list:
+            if self.p == 2 and 2 * t not in mu:
+                root = self._from_data(SQUARE_ROOT_OF_X[t])
+                if self._generators(root) <= mu.keys():
+                    root = self._mu_of(root, mu)
+                    mu[2 * t] = self._koszul(root, root)
+            elif self.p > 2 and t == s:
+                odd = TensorElement(self, mu[2 * t - 1])
+                mu[2 * t] = self.tensor_bockstein(odd).scale(self._bockstein_unit_inverse(t)).terms
+
+    def _coproduct_from_data(self, data):
+        """The sum of coeff * x^xmon ⊗ alpha_s over (coeff, xmon, s) entries
+        in the format of `COPRODUCT_DATA`."""
+        terms = (tensor(self, c * self.x_monomial(xmon), self.alpha(s)) for c, xmon, s in data)
+        return sum(terms, TensorElement(self, {}))
+
+    def _generators(self, elem):
+        """The degrees of the generators that occur in `elem`."""
+        xs = {2 * t for xexp, _ in elem.terms for t, e in zip(self.e_list, xexp) if e}
+        return xs | {2 * s - 1 for _, odds in elem.terms for s in odds}
 
     def _incoming_routes(self, s, known):
         """Every route to phi(alpha_{2s-1}) through an incoming reduced power.
@@ -742,7 +755,9 @@ class HopfModel:
 
     def _primitive(self, elem):
         """elem ⊗ 1 + 1 ⊗ elem."""
-        return tensor(self, elem, self.one()) + tensor(self, self.one(), elem)
+        unit = self.one().terms
+        both = add_into(_outer(elem.terms, unit), _outer(unit, elem.terms), 1, self.p)
+        return TensorElement(self, both)
 
     def _mu_of(self, elem, mu):
         """The terms of mu* of `elem` from the generator table `mu`: on each
@@ -750,11 +765,14 @@ class HopfModel:
         walk that `_total` makes for Sq/P.  The ten check suites ask mu* of
         1,260 basis elements, 110 of them distinct; without the memo
         `_coproducts` `models` takes 46% longer (0.0292 s against 0.0200 s
-        in the runs `_total` cites).
+        in the runs `_total` cites).  The memo serves the final table only:
+        a partial one (the fixpoint's, or a solve's) walks with a fresh memo.
         """
+        unit = (self._zero_x, ())
+        memo = self._coproducts if mu is self._mu else {unit: {(unit, unit): 1}}
         out = {}
         for b, c in elem.terms.items():
-            add_into(out, self._walk(self._coproducts, mu, self._koszul, b), c, self.p)
+            add_into(out, self._walk(memo, mu, self._koszul, b), c, self.p)
         return out
 
     def mu_star(self, elem):
@@ -773,54 +791,53 @@ class HopfModel:
     def solve_coproduct(self, s, known):
         """Reproduce phi(alpha_{2s-1}) from delta- and P-compatibility.
 
-        `known` maps other generator indices to their coproducts.  Returns
-        the unique solution or raises Inconsistent/Underdetermined.
+        `known` maps other generator indices to their reduced coproducts;
+        the rows read nothing else (never `self.phi`), which lets
+        `derive_coproducts` take this as its general step.  Returns the
+        unique solution or raises Inconsistent/Underdetermined.
         """
-        target_deg = 2 * s - 1
+        mu = {}
+        for t, value in known.items():
+            self._settle(mu, t, value)
+        return self._solve(s, known, mu)
+
+    def _solve(self, s, known, mu):
+        """`solve_coproduct` with `mu` the generator table of `known`.  The
+        unknowns are the coefficients of x-monomial ⊗ alpha in degree 2s - 1
+        (the Theorem 2 ansatz).  The rows: delta phi(alpha) = phi(delta
+        alpha) once `mu` holds every generator in delta alpha (at odd p
+        delta alpha_{2s-1} may be u x_{2s}, whose coproduct comes from this
+        very alpha); P^k phi(alpha) = b phi(alpha_{2t-1}) for each b-table
+        entry with t in `known`; phi(alpha) = each of `_incoming_routes`.
+        """
         unknowns = []
-        for xexp in iproduct(*[range(k) for k in self.k_list]):
-            d = sum(2 * t * e for t, e in zip(self.e_list, xexp))
-            if d <= 0:
-                continue
-            for s2 in self.r_list:
-                if d + 2 * s2 - 1 == target_deg:
-                    unknowns.append((xexp, s2))
+        bounds = [min(k, s // t + 1) for t, k in zip(self.e_list, self.k_list)]  # t * e <= s
+        for xexp in iproduct(*map(range, bounds)):
+            s2 = s - sum(t * e for t, e in zip(self.e_list, xexp))
+            if s2 != s and s2 in self.r_list:
+                unknowns.append((xexp, s2))
         unknowns.sort(key=lambda u: (sum(u[0]), u))
+        basis = [TensorElement(self, {((xexp, ()), (self._zero_x, (s2,))): 1})
+                 for xexp, s2 in unknowns]
         rows = []
 
-        def add_equations(lhs_per_unknown, rhs):
-            keys = set(rhs.terms)
-            for te in lhs_per_unknown:
-                keys |= set(te.terms)
-            for key in sorted(keys):
-                row = [te.terms.get(key, 0) % self.p for te in lhs_per_unknown]
+        def add_equations(lhss, rhs):
+            for key in sorted(set(rhs.terms).union(*(te.terms for te in lhss))):
+                row = [te.terms.get(key, 0) % self.p for te in lhss]
                 rows.append((row, rhs.terms.get(key, 0) % self.p))
 
-        def unknown_tensor(i):
-            xexp, s2 = unknowns[i]
-            return TensorElement(self, {((xexp, ()), (self._zero_x, (s2,))): 1})
-
-        # delta-compatibility
-        rhs = self.phi(self.bockstein_table[s])
-        lhss = [self.tensor_bockstein(unknown_tensor(i)) for i in range(len(unknowns))]
-        add_equations(lhss, rhs)
-
-        # outgoing powers: P^k alpha_s = b alpha_t with phi(alpha_t) known
+        delta = self.bockstein_table[s]
+        if self._generators(delta) <= mu.keys():
+            rhs = TensorElement(self, self._mu_of(delta, mu)) - self._primitive(delta)
+            add_equations([self.tensor_bockstein(u) for u in basis], rhs)
         for t in self.r_list:
             e = self.bst_table.entries.get((s, t))
             if e is not None and e.value and t in known:
-                lhss = [self.tensor_power(e.k, unknown_tensor(i)) for i in range(len(unknowns))]
-                add_equations(lhss, known[t].scale(e.value))
-
-        # incoming powers: P^k alpha_src = b alpha_s with phi(alpha_src) known
+                add_equations([self.tensor_power(e.k, u) for u in basis], known[t].scale(e.value))
         for _, _, rhs in self._incoming_routes(s, known):
-            add_equations([unknown_tensor(i) for i in range(len(unknowns))], rhs)
-
+            add_equations(basis, rhs)
         solution = _solve_mod_p(rows, len(unknowns), self.p)
-        return TensorElement(self, {
-            ((xexp, ()), (self._zero_x, (s2,))): c
-            for c, (xexp, s2) in zip(solution, unknowns) if c
-        })
+        return sum((u.scale(c) for c, u in zip(solution, basis)), TensorElement(self, {}))
 
     # -- zeta basis -----------------------------------------------------------------
 
@@ -859,35 +876,26 @@ class HopfModel:
 
 def _solve_mod_p(rows, n, p):
     """Solve the linear system over F_p; unique solution or raise."""
-    mat = [list(r) + [v] for r, v in rows if any(r) or v]
+    mat = [list(r) + [v] for r, v in rows]
     pivots = []
-    r = 0
     for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] % p:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = inverse(mat[r][col], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                mat[i] = [(x - f * y) % p for x, y in zip(row, mat[r])]
         pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][n] % p:
-            raise Inconsistent("coproduct constraints admit no solution")
+    if any(row[n] for row in mat[len(pivots):]):
+        raise Inconsistent("coproduct constraints admit no solution")
     if len(pivots) < n:
         raise Underdetermined(n - len(pivots))
-    solution = [0] * n
-    for i, col in enumerate(pivots):
-        solution[col] = mat[i][n] % p
-    return solution
+    return [row[n] for row in mat[:n]]
 
 
 def build_model(group, p, table=None):
@@ -946,39 +954,35 @@ def check_suite(model):
     poincare = model.poincare_polynomial()
     report["graded_dimension"] = poincare == poincare[::-1] and len(poincare) - 1 == prof.dim
 
-    coassoc = True
-    for _, g in gens:
-        mu = model.mu_star(g)
-        left = {}
-        right = {}
-        for (b1, b2), c in mu.terms.items():
+    def coassociative(g):
+        left, right = {}, {}
+        for (b1, b2), c in model.mu_star(g).terms.items():
             mu1 = model.mu_star(AlgebraElement(model, {b1: c})).terms
             add_into(left, {(m1, m2, b2): v for (m1, m2), v in mu1.items()}, 1, p)
             mu2 = model.mu_star(AlgebraElement(model, {b2: c})).terms
             add_into(right, {(b1, m1, m2): v for (m1, m2), v in mu2.items()}, 1, p)
-        if left != right:
-            coassoc = False
-            break
-    report["coassociativity"] = coassoc
+        return left == right
 
-    report["delta_compatibility"] = all(
-        model.mu_star(model.bockstein(g)) == model.tensor_bockstein(model.mu_star(g))
-        for _, g in gens
-    )
-    report["cartan_compatibility"] = all(
-        model.mu_star(model.reduced_power(k, g)) == model.tensor_power(k, model.mu_star(g))
-        for idx, g in gens
-        for k in range(1, idx + 1)
-    )
+    try:
+        report["coassociativity"] = all(coassociative(g) for _, g in gens)
+    except (Inconsistent, UnreachableGenerator):  # no coproduct: its items fail
+        report.update(coassociativity=False, delta_compatibility=False, cartan_compatibility=False)
+    else:
+        report["delta_compatibility"] = all(
+            model.mu_star(model.bockstein(g)) == model.tensor_bockstein(model.mu_star(g))
+            for _, g in gens
+        )
+        report["cartan_compatibility"] = all(
+            model.mu_star(model.reduced_power(k, g)) == model.tensor_power(k, model.mu_star(g))
+            for idx, g in gens
+            for k in range(1, idx + 1)
+        )
 
     zetas = model.zeta_basis()
-    zeta_ok = True
-    for s in model.r_list:
-        expect = -model.x(s) if s in prof.e_set else model.zero()
-        if model.bockstein(zetas[s]) != expect:
-            zeta_ok = False
-            break
-    report["zeta_bockstein"] = zeta_ok
+    report["zeta_bockstein"] = all(
+        model.bockstein(zetas[s]) == (-model.x(s) if s in prof.e_set else model.zero())
+        for s in model.r_list
+    )
 
     if p == 2:
         # alpha_s^2 is read from the square table; delta P^{s-1} alpha_s is not
@@ -995,13 +999,9 @@ def check_suite(model):
         if model.group == "E8":
             cor44[8] = model.x(15)
             cor44[12] = model.x(3, 6) * model.x(5)
-        z_ok = True
-        for s in model.r_list:
-            zsq = zetas[s] * zetas[s]
-            if zsq != cor44.get(s, model.zero()):
-                z_ok = False
-                break
-        report["corollary44_zeta_squares"] = z_ok
+        report["corollary44_zeta_squares"] = all(
+            zetas[s] * zetas[s] == cor44.get(s, model.zero()) for s in model.r_list
+        )
 
         remark43 = {}
         a = model.alpha

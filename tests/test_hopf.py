@@ -10,10 +10,13 @@ from exhopf.hopf import (
     Inconsistent,
     InvariantError,
     TensorElement,
+    Underdetermined,
+    UnreachableGenerator,
     build_model,
     check_suite,
     tensor,
 )
+from printed_coproducts import PRINTED_COPRODUCTS
 
 
 def model(group, p):
@@ -342,17 +345,90 @@ def test_solver_worked_cases():
     assert sol18 == expect18
 
 
+# leave-one-out solves that fix nothing: (E6,3) alpha_17 (printed primitive)
+# and (E7,3) alpha_35 (an input) are free along x_8 ⊗ alpha_9, and along
+# x_8 ⊗ alpha_27 and x_8^2 ⊗ alpha_19; (E8,3) alpha_47 is the b_{18,24} sign
+SOLVER_EXCEPTIONS = {
+    ("E6", 3, 9): Underdetermined,
+    ("E7", 3, 18): Underdetermined,
+    ("E8", 3, 24): Inconsistent,
+}
+
+
 def test_solver_matches_derived_everywhere():
-    for group, p in (("F4", 3), ("E7", 2), ("E8", 5)):
+    # every other coproduct known, the solve gives the derived value
+    for group, p in liedata.SUPPORTED_PAIRS:
         m = model(group, p)
         phi = m.derive_coproducts()
         for s in m.r_list:
             known = {k: v for k, v in phi.items() if k != s}
-            try:
-                sol = m.solve_coproduct(s, known)
-            except HopfError:
-                continue  # underdetermined without its own seed; fine
-            assert sol == phi[s], (group, p, s)
+            expected = SOLVER_EXCEPTIONS.get((group, p, s))
+            if expected is None:
+                assert m.solve_coproduct(s, known) == phi[s], (group, p, s)
+            else:
+                with pytest.raises(expected):
+                    m.solve_coproduct(s, known)
+
+
+def test_alpha47_route_holds_where_its_solve_is_inconsistent():
+    # (E8,3): with every other coproduct known, the delta rows of alpha_47
+    # contradict the rest (the pinned b_{18,24} sign); the fixpoint takes the
+    # route from alpha_35 first, and that is the value check_suite reads
+    m = model("E8", 3)
+    phi = m.derive_coproducts()
+    known = {k: v for k, v in phi.items() if k != 24}
+    with pytest.raises(Inconsistent):
+        m.solve_coproduct(24, known)
+    routes = {src: route for _, src, route in m._incoming_routes(24, known)}
+    assert routes[18] == phi[24] == m.phi(m.alpha(24))
+    assert not phi[24].is_zero()
+
+
+def _printed_mismatches(group, p, printed):
+    """The s whose derived phi(alpha_{2s-1}) differs from `printed`."""
+    m = model(group, p)
+    phi = m.derive_coproducts()
+    return [s for s, data in printed.items() if phi[s] != m._coproduct_from_data(data)]
+
+
+@pytest.mark.parametrize("group,p", sorted(PRINTED_COPRODUCTS))
+def test_printed_coproducts_are_derived(group, p):
+    printed = PRINTED_COPRODUCTS[(group, p)]
+    assert not printed.keys() & hopf.COPRODUCT_DATA[(group, p)].keys()
+    assert _printed_mismatches(group, p, printed) == []
+
+
+def test_printed_coproduct_check_sees_a_flipped_coefficient():
+    # (E8,5) phi(alpha_39) with 3 x_12 ⊗ alpha_27 turned into 4 x_12 ⊗ alpha_27
+    printed = dict(PRINTED_COPRODUCTS[("E8", 5)])
+    (c, xmon, t), *rest = printed[20]
+    printed[20] = [(c + 1, xmon, t)] + rest
+    assert _printed_mismatches("E8", 5, printed) == [20]
+
+
+def test_inputs_are_the_printed_primitives_and_two_values():
+    entries = [(pair, data) for pair, table in hopf.COPRODUCT_DATA.items()
+               for data in table.values()]
+    assert len(entries) == 21
+    assert sorted(pair for pair, data in entries if data) == [("E6", 2), ("E7", 3)]
+    printed = sum(len(table) for table in PRINTED_COPRODUCTS.values())
+    assert len(entries) + printed == 31
+
+
+@pytest.mark.parametrize("pair,s,pending", [
+    (("E6", 2), 8, "alpha_15, alpha_23 of"),
+    (("E7", 3), 18, "alpha_35 of"),
+])
+def test_each_kept_input_is_needed(monkeypatch, pair, s, pending):
+    # without it neither a route nor a unique solve reaches these alphas;
+    # the check suite then fails the coproduct items and still decides the rest
+    monkeypatch.delitem(hopf.COPRODUCT_DATA[pair], s)
+    with pytest.raises(UnreachableGenerator, match=f"^{pending}"):
+        build_model(*pair).derive_coproducts()
+    report = check_suite(build_model(*pair))
+    coproduct_items = ("coassociativity", "delta_compatibility", "cartan_compatibility")
+    assert [report[k] for k in coproduct_items] == [False] * 3
+    assert report["delta_squared_zero"] and report["graded_dimension"]
 
 
 def test_zeta_basis_examples():
@@ -721,9 +797,13 @@ def test_q1_term_is_reached_only_by_refused_tables():
     with pytest.raises(InvariantError, match="P\\^2 x_8"):
         build_model("E8", 3, _with_values("E8", 3, {(4, 8): 1}))
     # (F4,3) with b_{4,6} = b_{4,8} = 1: the Q_1 term cancels delta(P^2 alpha_7),
-    # so the model builds only through it, and the printed coproduct of
-    # alpha_11 then contradicts its P^1 alpha_7 route
+    # so the model builds only through it.  Its alpha_11 then takes the P^1
+    # alpha_7 route and comes out primitive, against the printed coproduct of
+    # alpha_11, and the check suite fails
     m = build_model("F4", 3, _with_values("F4", 3, {(4, 6): 1, (4, 8): 1}))
     assert m.reduced_power(2, m.x(4)).is_zero()
-    with pytest.raises(Inconsistent, match="alpha_11"):
-        m.derive_coproducts()
+    assert m.derive_coproducts()[6].is_zero()
+    printed = m._coproduct_from_data(PRINTED_COPRODUCTS[("F4", 3)][6])
+    assert printed == tensor(m, -m.x(4), m.alpha(2))
+    report = check_suite(m)
+    assert not report["delta_compatibility"] and not report["pass"]
