@@ -22,8 +22,9 @@ import hashlib
 import json
 from functools import lru_cache
 from importlib import resources
+from operator import mul
 
-from .ffpoly import RingContext, render
+from .ffpoly import FIELD_BITS, Polynomial, RingContext, render
 
 GROUP_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 GROUP_DIM = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
@@ -376,29 +377,43 @@ def _mixed_thetas(group, p):
     if p != 2 or group not in ("E6", "E7"):
         raise UnsupportedPair(f"({group}, {p})")
     source = _mixed_thetas("E8", 2)
-    killed = {"E6": ("c7", "c8"), "E7": ("c8",)}[group]
     r_here = PROFILE_TABLE[(group, 2)][0]
-    big = mixed_ring("E8", 2)
-    mapping = {}
-    for name in big.names:
-        mapping[name] = ring.zero() if name in killed else ring.variable(name)
-    return {s: source[s].substitute(mapping, target_ring=ring) for s in r_here}
+    return {s: _kill(source[s], ring) for s in r_here}
+
+
+def _kill(f, dst):
+    """f with every variable that `dst` lacks set to zero, as an element of
+    `dst`: the terms containing such a variable are dropped and the rest
+    re-keyed, variable for variable by name.  This is the substitution
+    sending the kept variables to themselves, without the variable powers
+    and products of `Polynomial.substitute`: the 58 restrictions of the
+    ten theta loads take 0.4-0.8 ms, against 3.3-4.9 ms through it
+    (in-process minima, 2-core VM, Python 3.11.7).  The kept variables
+    must be `dst`'s, in its order and with its weights."""
+    src = f.ring
+    keep = [i for i, name in enumerate(src.names) if name in dst.index]
+    if [(src.names[i], src.weights[i]) for i in keep] != list(zip(dst.names, dst.weights)):
+        raise ValueError(f"{dst} is not a subring of {src}")
+    field = (1 << FIELD_BITS) - 1  # variable i owns field n - 1 - i of a key
+    dead = sum(field << FIELD_BITS * (src.nvars - 1 - i)
+               for i in range(src.nvars) if i not in keep)
+    coeffs = [0] * src.nvars
+    for i, k in zip(keep, dst.coeffs):
+        coeffs[i] = k
+    return Polynomial(dst, {
+        sum(map(mul, src.exponents(key), coeffs)): c
+        for key, c in f.terms.items()
+        if not key & dead
+    })
 
 
 def restrict_kappa(f, group, p):
     """kappa*: kill the distinguished weight omega_r (and with it c_1)."""
     if group == "G2":
         raise UnsupportedPair("G2 has no kappa restriction")
-    src = mixed_ring(group, p)
-    dst = restricted_ring(group, p)
-    if f.ring != src:
+    if f.ring != mixed_ring(group, p):
         raise ValueError("restrict_kappa expects the mixed presentation")
-    r = DISTINGUISHED[group]
-    mapping = {f"w{r}": dst.zero()}
-    for name in src.names:
-        if name != f"w{r}":
-            mapping[name] = dst.variable(name)
-    return f.substitute(mapping, target_ring=dst)
+    return _kill(f, restricted_ring(group, p))
 
 
 def expand_in_weights(f, group, p):

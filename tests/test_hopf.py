@@ -565,6 +565,27 @@ def test_adem_check_fails_on_a_broken_table():
     assert report["pass"] is False
 
 
+@pytest.mark.parametrize("group,p,s,t", [("F4", 3, 6, 8), ("E7", 2, 8, 12), ("E8", 5, 8, 12)])
+def test_cartan_check_sees_a_broken_reduced_power(group, p, s, t):
+    # after the coproducts are derived, break P^k alpha_{2s-1} = b alpha_{2t-1}
+    # in the operation table (doubled at odd p, dropped at p = 2); phi(alpha_{2t-1})
+    # is nonzero, so mu* no longer commutes with that P^k.  mu* itself, and
+    # with it coassociativity and delta-compatibility, is untouched: only the
+    # Cartan item can see this, and by comparison, not through a failed solve
+    m = model(group, p)
+    assert not m.derive_coproducts()[t].is_zero()
+    e = m.bst_table.entries[(s, t)]
+    ops = m._ops[2 * s - 1]
+    if p == 2:
+        del ops[2 * e.k]
+    else:
+        ops[e.k] = {b: 2 * c % p for b, c in ops[e.k].items()}
+    unit = (m._zero_x, ())
+    m._totals = {unit: {0: {unit: 1}}}
+    report = check_suite(m)
+    assert [k for k, v in report.items() if not v] == ["cartan_compatibility", "pass"]
+
+
 def test_e8_p3_sign_diagnostic():
     # flipping the single disputed entry b_{18,24} (equivalently, globally
     # negating theta_24 as transcribed) makes every (E8,3) check pass --
@@ -700,24 +721,47 @@ def _tensor_cartan_sum(m, k, tens, ops):
     return out
 
 
-@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
-def test_tensor_power_is_the_cartan_sum_of_single_operations(group, p):
-    # tensor_power reads the sparse `_total` tables of both sides; the
-    # oracle builds every term from the public operations instead
-    m = model(group, p)
-    _, cap = _op(m)
-    rng = random.Random(f"tensor-{group}-{p}")
+def _test_tensors(m, rng):
+    """mu* of every generator and four random three-term tensors."""
     basis = list(m.basis_elements())
     tensors = [m.mu_star(m.alpha(s)) for s in m.r_list] + [m.mu_star(m.x(t)) for t in m.e_list]
     for _ in range(4):
         tensors.append(TensorElement(m, {
-            (rng.choice(basis), rng.choice(basis)): rng.randrange(1, p) for _ in range(3)
+            (rng.choice(basis), rng.choice(basis)): rng.randrange(1, m.p) for _ in range(3)
         }))
+    return tensors
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_tensor_power_is_the_cartan_sum_of_single_operations(group, p):
+    # tensor_power builds one table {k: P^k} per element from the sparse
+    # `_total` tables of both sides, on its first call; the oracle builds
+    # every term from the public operations instead.  Each element is asked
+    # for every k in turn, so a table that is stale, or shared between
+    # elements or indices, fails here
+    m = model(group, p)
+    _, cap = _op(m)
     ops = {}
-    for tens in tensors:
+    for tens in _test_tensors(m, random.Random(f"tensor-{group}-{p}")):
         top = max(cap(m.basis_degree(a) + m.basis_degree(b)) for a, b in tens.terms)
         for k in range(top + 2):
             assert m.tensor_power(k, tens) == _tensor_cartan_sum(m, k, tens, ops), (tens, k)
+
+
+@pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
+def test_tensor_bockstein_is_the_sum_of_single_bocksteins(group, p):
+    # tensor_bockstein reads the memoised delta of each basis element; the
+    # oracle is delta(a) ⊗ b + (-1)^|a| a ⊗ delta(b) over the terms c * a ⊗ b,
+    # each delta one public `bockstein` call on a single basis element
+    m = model(group, p)
+    for tens in _test_tensors(m, random.Random(f"tensor-delta-{group}-{p}")):
+        want = TensorElement(m, {})
+        for (a, b), c in tens.terms.items():
+            left, right = AlgebraElement(m, {a: 1}), AlgebraElement(m, {b: 1})
+            sign = -c if m.basis_parity(a) else c
+            want = want + tensor(m, m.bockstein(left), right).scale(c)
+            want = want + tensor(m, left, m.bockstein(right)).scale(sign)
+        assert m.tensor_bockstein(tens) == want, tens
 
 
 @pytest.mark.parametrize("group,p", list(liedata.SUPPORTED_PAIRS))
@@ -754,11 +798,11 @@ def test_split_peels_off_one_generator(group, p):
 
 
 def test_memo_entries_are_never_mutated():
-    # `_total` tables and mu* terms of basis elements are shared without a
-    # copy: after the coproducts and the check suite, every entry must still
-    # equal the same entry rebuilt in a fresh model.  A fresh model fills its
-    # memos through the same code, so each entry must also still be its
-    # rest's entry times its generator's table entry
+    # `_total` tables, mu* terms and deltas of basis elements are shared
+    # without a copy: after the coproducts and the check suite, every entry
+    # must still equal the same entry rebuilt in a fresh model.  A fresh
+    # model fills its memos through the same code, so each walk entry must
+    # also still be its rest's entry times its generator's table entry
     for group, p in liedata.SUPPORTED_PAIRS:
         m = model(group, p)
         m.derive_coproducts()
@@ -777,6 +821,10 @@ def test_memo_entries_are_never_mutated():
                 if b != unit:
                     rest, gen = m._split(b)
                     assert value == product(memo[rest], table[gen]), (group, p, b)
+        # delta of each basis element is shared the same way
+        assert len(m._deltas) > 1, (group, p)
+        for b, value in m._deltas.items():
+            assert value == fresh._delta(b), (group, p, b)
 
 
 def _with_values(group, p, values):

@@ -1,7 +1,7 @@
 import pytest
 
 from exhopf import liedata
-from exhopf.ffpoly import parse, render
+from exhopf.ffpoly import RingContext, parse, render
 from exhopf.liedata import (
     EXAMPLE_58_TEXT,
     SUPPORTED_PAIRS,
@@ -262,3 +262,34 @@ def test_checksum_mismatch_is_an_error(monkeypatch):
     monkeypatch.setattr(liedata, "_stored_checksums", lambda: stored)
     with pytest.raises(ChecksumError, match="mismatch"):
         liedata._verify_checksums("G2", 2, theta_c)
+
+
+def test_kill_matches_substitution_on_every_theta():
+    # restrict_kappa and the E6/E7 tables at p = 2 drop the terms with a
+    # killed variable and re-key the rest; the oracle is the substitution
+    # sending each killed variable to zero and every other to itself
+    def substituted(f, dst):
+        mapping = {n: dst.variable(n) if n in dst.index else dst.zero() for n in f.ring.names}
+        return f.substitute(mapping, target_ring=dst)
+
+    for g, p in SUPPORTED_PAIRS:
+        if g == "G2":
+            continue
+        ts = theta_set(g, p)
+        for s, f in ts.theta_c.items():
+            assert ts.theta_restricted[s] == substituted(f, ts.restricted_ring), (g, p, s)
+    source = theta_set("E8", 2).theta_c
+    for g in ("E6", "E7"):
+        for s, f in theta_set(g, 2).theta_c.items():
+            assert f == substituted(source[s], mixed_ring(g, 2)), (g, s)
+
+
+def test_kill_refuses_a_ring_that_is_not_a_subring():
+    # a kept variable must keep its place and its weight
+    f = mixed_ring("E8", 2).parse("c2*c3")
+    for dst in (
+        RingContext(2, [("c3", 3), ("c2", 2)]),
+        RingContext(2, [("c2", 1), ("c3", 3)]),
+    ):
+        with pytest.raises(ValueError, match="not a subring"):
+            liedata._kill(f, dst)
