@@ -2,6 +2,10 @@
 
 A ring's `RingContext` carries its prime p; coefficients are canonical
 residues 0..p-1, and `inverse` is the one modular inverse of the package.
+Residues are reduced only in `inverse`, `add_into` (the sum step) and
+`mul_into` (the product step): the constructors (`constant`, `monomial`,
+`from_terms`) and the linear operations (`+`, `-`, negation, scaling by
+an int) are `add_into` calls.
 
 Every variable carries a positive integer weight (its half-topological
 degree: a degree-2 class has weight 1, a Chern-type class c_k has weight
@@ -213,10 +217,7 @@ class RingContext:
         return self.constant(1)
 
     def constant(self, c):
-        c %= self.p
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {0: c})
+        return Polynomial(self, add_into({}, {0: 1}, c, self.p))
 
     def variable(self, name):
         if name not in self.index:
@@ -225,22 +226,13 @@ class RingContext:
 
     def monomial(self, exps, coeff=1):
         """Build coeff * prod(v^e) from an exponent tuple."""
-        key = self.key(exps)
-        c = coeff % self.p
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {key: c})
+        return Polynomial(self, add_into({}, {self.key(exps): 1}, coeff, self.p))
 
     def from_terms(self, terms):
         """Build a polynomial from an iterable of (exponent tuple, coeff) pairs."""
         acc = {}
         for exps, c in terms:
-            key = self.key(exps)
-            c = (acc.get(key, 0) + c) % self.p
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
+            add_into(acc, {self.key(exps): 1}, c, self.p)
         return Polynomial(self, acc)
 
     def parse(self, text):
@@ -324,26 +316,20 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
+        return Polynomial(self.ring, add_into({}, self.terms, -1, self.ring.p))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.constant(other)
-        return self + (-other)
+        self._check(other)
+        return Polynomial(self.ring, add_into(dict(self.terms), other.terms, -1, self.ring.p))
 
     def __rsub__(self, other):
         return self.ring.constant(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
-            p = self.ring.p
-            c = other % p
-            if c == 0:
-                return self.ring.zero()
-            if c == 1:
-                return self
-            return Polynomial(self.ring, {m: (a * c) % p for m, a in self.terms.items()})
+            return Polynomial(self.ring, add_into({}, self.terms, other, self.ring.p))
         self._check(other)
         ring = self.ring
         a, b = self.terms, other.terms
@@ -389,23 +375,15 @@ class Polynomial:
 
     # -- term access --------------------------------------------------------
 
-    def items_sorted(self):
-        """Terms in descending monomial order (the canonical iteration order)."""
-        key = self.ring.order_key
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)]
-
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=self.ring.order_key)
 
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
-
     def monic(self):
         if not self.terms:
             return self
-        return self * inverse(self.leading_coeff(), self.ring.p)
+        return self * inverse(self.terms[self.leading_monomial()], self.ring.p)
 
     # -- substitution --------------------------------------------------------
 
@@ -464,9 +442,6 @@ class Polynomial:
 
     # -- text ------------------------------------------------------------------
 
-    def render(self):
-        return render(self)
-
     def __str__(self):
         return render(self)
 
@@ -492,7 +467,8 @@ def render(f):
     if not f.terms:
         return "0"
     chunks = []
-    for key, c in f.items_sorted():
+    for key in sorted(f.terms, key=ring.order_key, reverse=True):
+        c = f.terms[key]
         negative = p > 2 and c == p - 1
         factors = []
         for i, e in enumerate(ring.exponents(key)):

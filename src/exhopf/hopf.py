@@ -1005,6 +1005,13 @@ def check_suite(model):
     table and P^k mu*(g) off the table that the first `tensor_power` call
     builds on mu*(g).  A coproduct that does not derive (`Inconsistent`,
     `UnreachableGenerator`) fails all three items.
+
+    `delta_compatibility` never reaches the Koszul sign term of
+    `tensor_bockstein`: every term of a generator's mu* has an x-monomial
+    or 1 on the left, where the sign is +1, except alpha ⊗ 1, and delta of
+    its right factor 1 is 0.  The test
+    `test_tensor_bockstein_is_the_sum_of_single_bocksteins` is the one that
+    sees that sign.
     """
     report = {}
     p = model.p

@@ -80,12 +80,6 @@ class GroupProfile:
         if not set(e) <= set(r):
             raise ValueError("e(G,p) must be contained in r(G,p)")
 
-    def dimension_identity(self):
-        """dim G = sum (2s-1) + sum 2(k_t - 1) t."""
-        return self.dim == sum(2 * s - 1 for s in self.r_set) + sum(
-            2 * (self.k_map[t] - 1) * t for t in self.e_set
-        )
-
     def __repr__(self):
         return f"GroupProfile({self.group}, p={self.p})"
 
@@ -452,14 +446,18 @@ def theta_set(group, p):
 # -- transcription checksums -------------------------------------------------
 
 
+def _theta_digest(f):
+    """sha256 of the canonical text of a theta."""
+    return hashlib.sha256(render(f).encode()).hexdigest()
+
+
 def checksum_payload():
     """Canonical-text digests of every theta, for the pinning file."""
-    out = {}
-    for group, p in SUPPORTED_PAIRS:
-        for s, f in _mixed_thetas(group, p).items():
-            digest = hashlib.sha256(render(f).encode()).hexdigest()
-            out[f"{group}:{p}:{s}"] = digest
-    return out
+    return {
+        f"{group}:{p}:{s}": _theta_digest(f)
+        for group, p in SUPPORTED_PAIRS
+        for s, f in _mixed_thetas(group, p).items()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -480,8 +478,7 @@ def _verify_checksums(group, p, theta_c):
         key = f"{group}:{p}:{s}"
         if key not in stored:
             raise ChecksumError(f"no pinned theta checksum for {key}")
-        digest = hashlib.sha256(render(f).encode()).hexdigest()
-        if stored[key] != digest:
+        if stored[key] != _theta_digest(f):
             raise ChecksumError(f"theta checksum mismatch for {key}")
 
 

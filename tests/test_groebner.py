@@ -326,6 +326,21 @@ def test_exponent_below_guard_bit_divides():
     assert normal_form(R.monomial((top, 0)), gb).remainder == R.monomial((top, 0))
 
 
+def test_spair_past_the_guard_bit_is_a_typed_error():
+    # f and g each weigh 2^14 + 2, but the lcm x^(a-1) y^a of their leading
+    # monomials weighs 2^15 + 1: the untruncated pair loop must refuse to
+    # form that S-polynomial rather than let an exponent spill over
+    R = ring(2, ("x", "y"))
+    a = (1 << 14) + 1
+    f = R.monomial((a, 1)) + R.monomial((a - 1, 2))
+    g = R.monomial((1, a)) + R.monomial((2, a - 1))
+    assert f.weight() == g.weight() == (1 << 14) + 2
+    lcm = R.mon_lcm(f.leading_monomial(), g.leading_monomial())
+    assert R.exponents(lcm) == (a - 1, a) and R.wdeg(lcm) == (1 << 15) + 1
+    with pytest.raises(ExponentOverflow):
+        buchberger([f, g], ring=R)
+
+
 def test_degenerate_basis_is_a_typed_error(monkeypatch):
     R = ring(2, ("x", "y"))
     gens = [R.parse("x^2+y^2"), R.parse("x*y")]

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -240,3 +241,16 @@ def test_benchmark_digests_hold(monkeypatch):
         a, f, msgs = run.check_ops(workload, [sample], recorded)
         attempted, failed, problems = attempted + a, failed + f, problems + msgs
     assert (attempted, failed) == (60, 0), problems
+
+
+def test_benchmark_selftest_passes():
+    # bench/selftest.py checks, among others, that every traced layer moves on
+    # the workloads that exercise it (`ffpoly.mul.calls` and
+    # `ffpoly.order_key.calls` on `crosscheck`, say); a change that stops a
+    # layer from moving fails here, not only in a traced benchmark run.  It
+    # writes only under the git-ignored .bench_out/
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

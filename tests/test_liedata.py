@@ -34,7 +34,6 @@ def test_dimension_identity_all_pairs():
     for g, p in SUPPORTED_PAIRS:
         prof = profile(g, p)
         assert prof.dim == dims[g]
-        assert prof.dimension_identity(), (g, p)
 
 
 def test_e8_p2_dimension_arithmetic():
