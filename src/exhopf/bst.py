@@ -1,18 +1,16 @@
 """Structure constants b_{s,t} of the reduced-power action on the thetas.
 
 For every admissible pair s < t in r(G,p) with t - s = k(p-1), the unique
-b with P^k(theta_s) = b*theta_t mod <theta_j : j < t> is computed either
-upstairs in the weight ring (Method I) or downstairs in the restricted
-Chern ring after kappa* (Method II, much smaller and the default).  The
-p = 2, t = 9 column is the one place kappa*theta_t vanishes; there the
-two term-exact Case 1 identities certify the values instead
-(`steenrod.verify_case1`, decided in F_2[c_1..c_N], which embeds in the
-weight ring).
-
-Both methods are one reduction step (`_reduce`) on a presentation of the
-thetas (`ThetaSet.omega` upstairs, `ThetaSet.theta_restricted` downstairs):
-P^k theta_s modulo a Groebner basis of <theta_j : j < t> truncated at
-degree t, solved for b against theta_t.
+b with P^k(theta_s) = b*theta_t mod <theta_j : j < t> is one reduction
+step (`_reduce`): P^k theta_s modulo a Groebner basis of <theta_j : j < t>
+truncated at degree t, solved for b against theta_t.  It runs on one
+presentation of the thetas (`_presentation`): upstairs in the weight ring
+(Method I), downstairs in the restricted Chern ring after kappa* (Method
+II, much smaller and the default), or in the mixed ring F_p[omega_r,
+c_2..c_N] of the printed thetas.  The last decides the p = 2, t = 9 column
+of E6, E7 and E8, where kappa*theta_t vanishes (the `case1` entries):
+there c_1 = 3 omega_2 = omega_2, so the mixed ring is F_2[c_1..c_N], the
+ring of the Case 1 identities (`steenrod.verify_case1`).
 
 Those ideals are nested, so the bases of one pair and presentation form
 one chain (`_basis`): the basis for t is the basis for the previous r in
@@ -108,84 +106,79 @@ def admissible_pairs(prof):
     return out
 
 
-def _presentation(ts, downstairs):
-    """(ring, s -> theta_s): the weight ring with `ts.omega` (Method I), or
-    the restricted Chern ring with `ts.theta_restricted` (Method II)."""
-    if downstairs:
+def _presentation(ts, presentation):
+    """(ring, s -> theta_s) of one presentation: "weight", the weight ring
+    with `ts.omega` (Method I); "restricted", the restricted Chern ring
+    with `ts.theta_restricted` (Method II); "mixed", the mixed ring with
+    `ts.theta_c` (the Case 1 column)."""
+    if presentation == "weight":
+        return ts.weight_ring, ts.omega
+    if presentation == "restricted":
         return ts.restricted_ring, ts.theta_restricted.__getitem__
-    return ts.weight_ring, ts.omega
+    return ts.mixed_ring, ts.theta_c.__getitem__
 
 
 # One chain of bases per (pair, presentation), one link per t, shared by
 # every s of the column and by the next link.  Measured in one process
 # (2-core VM, Python 3.11.7): the ten default tables ask for 5 bases and
 # build 11 links upstairs (G2 up to t = 3, F4 and E6 at p = 3 up to t = 8
-# for their Method I fallback entries), and ask for 76 and build 58 links
-# downstairs; the `crosscheck` pairs ask for 17 and 16 and build 22 and 20.
-# Peak RSS after either pass is 18.5-18.8 MB.
+# for their Method I fallback entries), ask for 76 and build 58 links
+# downstairs, and ask for 6 and build 15 mixed links (E6, E7 and E8 at
+# p = 2 up to t = 9, for the Case 1 column); the `crosscheck` pairs ask for
+# 17, 16 and 2 and build 22, 20 and 5.  Peak RSS after either pass is
+# 19.1-19.6 MB.
 @lru_cache(maxsize=None)
-def _basis(group, p, downstairs, t):
+def _basis(group, p, presentation, t):
     """(basis, pivot): the basis of <theta_j : j < t> truncated at t, and
     the `normal_form` of theta_t against it."""
     ts = liedata.theta_set(group, p)
-    ring, theta = _presentation(ts, downstairs)
+    ring, theta = _presentation(ts, presentation)
     lower = [r for r in ts.profile.r_set if r < t]
     base, gens = None, []
     if lower:
-        base, pivot = _basis(group, p, downstairs, max(lower))
+        base, pivot = _basis(group, p, presentation, max(lower))
         gens = [pivot.remainder]
     gb = buchberger(gens, truncation=t, ring=ring, base=base)
     # through the module, whose `normal_form` the traced benchmark wraps
     return gb, groebner.normal_form(theta(t), gb)
 
 
-def _reduce(group, p, s, t, downstairs):
-    """The one reduction step of both methods: the b with
+def _reduce(group, p, s, t, presentation):
+    """The one reduction step of every method: the b with
     P^k theta_s = b theta_t mod <theta_j : j < t> in one presentation."""
     r_set = liedata.profile(group, p).r_set
     k, rest = divmod(t - s, p - 1)
     if rest or not 1 <= k < s or s not in r_set or t not in r_set:
         raise BstError(f"({s},{t}) of ({group},{p}) is not an admissible pair with k < s")
-    _, theta = _presentation(liedata.theta_set(group, p), downstairs)
+    _, theta = _presentation(liedata.theta_set(group, p), presentation)
     if theta(t).is_zero():
         raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
-    gb, pivot = _basis(group, p, downstairs, t)
+    gb, pivot = _basis(group, p, presentation, t)
     return solve_linear_coefficient(steenrod.power(k, theta(s)), pivot, gb)
 
 
 def compute_bst_method1(group, p, s, t):
     """b_{s,t} by Groebner reduction in the weight ring."""
-    return _reduce(group, p, s, t, False)
+    return _reduce(group, p, s, t, "weight")
 
 
 def compute_bst_method2(group, p, s, t):
     """b_{s,t} by the same reduction downstairs in the restricted ring."""
     if group == "G2":
         raise BstError("G2 has no Chern presentation; use Method I")
-    return _reduce(group, p, s, t, True)
-
-
-# The identities hold per pair, not per entry: the ten default tables ask
-# for 6 Case 1 entries and run `verify_case1` 3 times, once for each of
-# E6, E7 and E8 at p = 2.  The three runs take 0.002 s of the 0.08-0.09 s
-# that the ten tables take in one process (2-core VM, Python 3.11.7).
-@lru_cache(maxsize=None)
-def _case1_values(group, p):
-    report = steenrod.verify_case1(group, p)
-    if not report["pass"]:
-        raise BstError(f"case 1 identities failed for ({group},{p}): {report}")
-    return {(8, 9): 1, (5, 9): 1}
+    return _reduce(group, p, s, t, "restricted")
 
 
 def full_table(group, p, strategy="auto"):
     """Every admissible entry of the pair, by the requested strategy.
 
     "auto" takes each entry downstairs by Method II, falls back to Method I
-    where the pivot degenerates in the restricted ideal, and lets the Case 1
-    identities fill the p = 2, t = 9 column; G2, which has no Chern layer,
-    runs Method I throughout.  "method1" runs Method I on every entry.
-    "both" is "auto" that also runs Method I on every Method II entry and
-    requires agreement.  Every entry records the method that decided it.
+    where the pivot degenerates in the restricted ideal, and reduces in the
+    mixed ring where kappa*theta_t = 0 (the p = 2, t = 9 column); G2, which
+    has no Chern layer, runs Method I throughout.  "method1" runs Method I
+    on every entry.  "both" is "auto" that also runs Method I on every
+    Method II entry and requires agreement.  Every entry records the method
+    that decided it.
     """
     if strategy not in ("auto", "method1", "both"):
         raise BstError(f"unknown strategy {strategy!r}")
@@ -207,7 +200,7 @@ def full_table(group, p, strategy="auto"):
                 value = compute_bst_method2(group, p, s, t)
                 method = "method2"
             except Case1Required:
-                value = _case1_values(group, p)[(s, t)]
+                value = _reduce(group, p, s, t, "mixed")
                 method = "case1"
             except Ambiguous:
                 # kappa*theta_t degenerates into the lower restricted ideal

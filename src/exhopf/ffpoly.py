@@ -291,13 +291,6 @@ class Polynomial:
             raise ValueError(f"polynomial is not homogeneous (weights {ws})")
         return hi
 
-    def homogeneous_components(self):
-        comps = {}
-        wdeg = self.ring.wdeg
-        for m, c in self.terms.items():
-            comps.setdefault(wdeg(m), {})[m] = c
-        return {w: Polynomial(self.ring, d) for w, d in sorted(comps.items())}
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other):

@@ -186,16 +186,6 @@ COPRODUCT_DATA = {
     ("E8", 5): {2: []},
 }
 
-# p = 2: each even generator is the square of this element ((coeff, xmon, s)
-# summands), which pins the whole Sq-action on it
-SQUARE_ROOT_OF_X = {
-    3: [(1, {}, 2)],
-    5: [(1, {}, 3)],
-    9: [(1, {}, 5)],
-    15: [(1, {}, 8), (1, {3: 1}, 5)],  # x_30 = (alpha_15 + x_6 alpha_9)^2
-}
-
-
 class _Combination:
     """A sparse F_p combination: `terms` maps keys to nonzero residues."""
 
@@ -571,10 +561,11 @@ class HopfModel:
         P^k alpha_{2s-1} = b alpha_{2t-1} from each nonzero b-table entry;
         at p = 2 Sq^{2k} = P^k and Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t}
         in order of t, through `_act`, which reads only entries already
-        made.  At p = 2 x_{2t} = w^2 (`SQUARE_ROOT_OF_X`: alphas and smaller
-        x's), so Sq^a x_{2t} is (Sq^{a/2} w)^2 for even a and 0 for odd a
-        (the Cartan terms pair off).  At odd p x_{2t} = u^{-1} delta(alpha)
-        with alpha = alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with
+        made.  At p = 2 x_{2t} = w^2 with w = zeta_{2s-1}, t = 2s - 1
+        (Corollary 4.4; `_zeta`: alphas and smaller x's), so Sq^a x_{2t}
+        is (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan terms pair
+        off).  At odd p x_{2t} = u^{-1} delta(alpha) with
+        alpha = alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with
         Q_1 = P^1 Q_0 - Q_0 P^1 (Milnor, Ann. Math. 1958).  P^1 kills every
         even generator of these models (t + p - 1 never lands back in
         e(G,p)), so
@@ -607,7 +598,7 @@ class HopfModel:
         for t in self.e_list:
             put(0, 2 * t, self.x(t))
             if p == 2:
-                w = self._from_data(SQUARE_ROOT_OF_X[t])
+                w = self._zeta((t + 1) // 2)
                 for a in range(2, 2 * t + 1, 2):
                     half = self._act(a // 2, w)
                     put(a, 2 * t, half * half)
@@ -762,13 +753,14 @@ class HopfModel:
     def _settle(self, mu, s, phi):
         """Enter alpha_{2s-1}, with reduced coproduct `phi`, in the generator
         table `mu`, then each x_{2t} whose ingredients are now there.  At
-        p = 2 x_{2t} = w^2 with w built from alphas and smaller x's
-        (`SQUARE_ROOT_OF_X`), so mu*(x_{2t}) = (mu* w)^2; at odd p
-        x_{2t} = u^{-1} delta(alpha_{2t-1}) and mu* commutes with delta."""
+        p = 2 x_{2t} = w^2 with w = zeta_{2s-1}, t = 2s - 1 (Corollary 4.4),
+        built from alphas and smaller x's, so mu*(x_{2t}) = (mu* w)^2; at
+        odd p x_{2t} = u^{-1} delta(alpha_{2t-1}) and mu* commutes with
+        delta."""
         mu[2 * s - 1] = (self._primitive(self.alpha(s)) + phi).terms
         for t in self.e_list:
             if self.p == 2 and 2 * t not in mu:
-                root = self._from_data(SQUARE_ROOT_OF_X[t])
+                root = self._zeta((t + 1) // 2)
                 if self._generators(root) <= mu.keys():
                     root = self._mu_of(root, mu)
                     mu[2 * t] = self._koszul(root, root)
@@ -895,8 +887,12 @@ class HopfModel:
     # -- zeta basis -----------------------------------------------------------------
 
     def zeta_basis(self):
+        return {s: self._zeta(s) for s in self.r_list}
+
+    def _zeta(self, s):
+        """zeta_{2s-1} of Theorem 4.1 (`ZETA_DATA`), else alpha_{2s-1}."""
         data = ZETA_DATA.get((self.group, self.p), {})
-        return {s: self._from_data(data[s]) if s in data else self.alpha(s) for s in self.r_list}
+        return self._from_data(data[s]) if s in data else self.alpha(s)
 
     def basis_dimension(self):
         total = 1
@@ -1009,9 +1005,10 @@ def check_suite(model):
     `delta_compatibility` never reaches the Koszul sign term of
     `tensor_bockstein`: every term of a generator's mu* has an x-monomial
     or 1 on the left, where the sign is +1, except alpha ⊗ 1, and delta of
-    its right factor 1 is 0.  The test
-    `test_tensor_bockstein_is_the_sum_of_single_bocksteins` is the one that
-    sees that sign.
+    its right factor 1 is 0.  The tests
+    `test_tensor_bockstein_is_the_sum_of_single_bocksteins` and
+    `test_mu_star_commutes_with_delta_on_products_of_two_alphas` (the same
+    compatibility on every product of two alphas) see that sign.
     """
     report = {}
     p = model.p

@@ -18,13 +18,13 @@ action on one slot, `_on_slot`, is fixed by the variable itself:
   identically on these subrings at p = 2, so the pure P-Cartan recursion
   is exact there too.)
 
-`power(k, f)` reads these rules from `f.ring`.  Beside Chern classes the
-one weight-1 variable allowed is `c1`, so that ring is BU(n) =
-F_p[c_1..c_n] or a subring of it: c_1 is a sum of degree-2 classes, so
-P^1 c_1 = c_1^p (the weight-1 rule) and the Wu formulas of the other c_m
-read it as c_1.  Any other weight-1 variable beside Chern classes is
-refused: the ring does not say what c_1 maps to, and the Wu formulas need
-that image.
+`power(k, f)` reads these rules from `f.ring`, which must keep the naming
+rule of `symfun._chern_forms`: beside Chern classes the one weight-1
+variable is `c1` (BU(n) or a subring) or the distinguished `w<r>` (the
+mixed ring of `liedata`, c_1 = 3 omega_r).  Either is a degree-2 class,
+so P^1 v = v^p (the weight-1 rule), and the Wu formulas read c_1 as the
+ring declares it.  Any other weight-1 variable beside Chern classes is
+refused: the ring does not say what c_1 maps to.
 
 The recursion is memoised on (k, slots) for one `power` call.  On the
 weight-ring calls of the `tables` benchmark workload the memo halves the
@@ -50,11 +50,9 @@ splits a monomial into its slots.
 
 from math import comb
 
-from .ffpoly import (
-    EXPONENT_LIMIT, ExponentOverflow, Polynomial, RingContext, add_into, mul_into,
-)
+from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
 from . import liedata
-from .symfun import wu_formula
+from .symfun import _chern_forms, wu_formula
 
 
 class SteenrodError(ValueError):
@@ -98,14 +96,13 @@ def _cartan(k, slots, ring, memo):
 
 def power(k, f):
     """The k-th reduced power of a homogeneous polynomial, by the rule of
-    each variable of `f.ring`.  A ring with a variable of weight m >= 2 not
-    named `c<m>`, or with such a variable beside a weight-1 variable not
-    named `c1`, raises `SteenrodError`, even for a constant."""
+    each variable of `f.ring`.  A ring outside the naming rule of
+    `symfun._chern_forms` raises `SteenrodError`, even for a constant."""
     ring = f.ring
-    chern = any(w > 1 for w in ring.weights)
-    for name, w in zip(ring.names, ring.weights):
-        if (w > 1 or chern) and name != f"c{w}":
-            raise SteenrodError(f"variable {name} of weight {w} must be named c{w}")
+    try:
+        _chern_forms(ring)
+    except ValueError as err:
+        raise SteenrodError(str(err)) from None
     if k < 0:
         raise SteenrodError("negative power index")
     try:
@@ -125,33 +122,23 @@ def power(k, f):
     return Polynomial(ring, acc)
 
 
-def _case1_thetas(group):
-    """theta_2, 3, 5, 8, 9 of (group, 2) in F_2[c_1, c_2..c_N]: the mixed
-    presentation with omega_2 renamed c1, at the same weight and position,
-    so each term dict carries over unchanged."""
-    mixed = liedata.mixed_ring(group, 2)
-    ring = RingContext(2, [("c1", 1), *zip(mixed.names[1:], mixed.weights[1:])])
-    thetas = liedata.theta_set(group, 2).theta_c
-    return ring, {s: Polynomial(ring, thetas[s].terms) for s in (2, 3, 5, 8, 9)}
-
-
 def verify_case1(group, p):
     """Term-exact certification of b_{5,9} = b_{8,9} = 1 at p = 2, t = 9.
 
-    Checks, in F_2[c_1, c_2..c_N] (c7 = 0 for E6, whose bundle stops at
-    c6):
+    Checks, in the mixed ring F_2[w2, c_2..c_N] of the printed thetas,
+    where c_1 = 3 w2 = w2 (c7 = 0 for E6, whose bundle stops at c6):
 
         P^1 theta_8 = theta_9
         P^4 theta_5 = theta_9 + c4 theta_5 + (c1^2 c4 + c6) theta_3
                       + (c1^2 c5 + c7) theta_2
 
-    The paper states them in the weight ring, with w2 for c1.  The small
-    ring decides them exactly.  The Chern forms t_i of `chern_substitution`
-    sum to c_1 = 3 omega_2, which is omega_2 mod 2, so the printed thetas
-    are the images of these under the splitting map c_k -> e_k(t).  The N
-    forms have rank N mod 2 for E6, E7 and E8, so the t_i are independent
-    and that map is injective; it commutes with P (splitting principle).
-    An identity therefore holds here exactly when it holds upstairs.
+    The paper states them in the weight ring.  The small ring decides them
+    exactly: the Chern forms t_i of `chern_substitution` sum to
+    c_1 = 3 omega_2 = omega_2 mod 2, so the mixed ring is F_2[c_1..c_N],
+    whose thetas map to the weight expansions under c_k -> e_k(t).  The N
+    forms have rank N mod 2 for E6, E7 and E8, so that map is injective;
+    it commutes with P (splitting principle).  An identity therefore holds
+    here exactly when it holds upstairs.
 
     The second identity is as displayed.  The first is displayed with an
     extra w2^4 theta_5 summand, which direct computation refutes (the two
@@ -161,10 +148,11 @@ def verify_case1(group, p):
     """
     if p != 2 or group not in ("E6", "E7", "E8"):
         raise SteenrodError(f"case 1 only occurs for p=2, G=E6/E7/E8, not ({group},{p})")
-    ring, th = _case1_thetas(group)
+    ts = liedata.theta_set(group, p)
+    ring, th = ts.mixed_ring, ts.theta_c
 
     def c(k):
-        name = f"c{k}"
+        name = f"c{k}" if k > 1 else "w2"
         return ring.variable(name) if name in ring.index else ring.zero()
 
     lhs1 = power(1, th[8])

@@ -19,10 +19,12 @@ apart makes each formula one coefficient, so a call computes only the
 coefficients below its own.
 
 `WuTable` holds that determinant for one ring of Chern classes, and every
-(k, m) of the ring reads from it.  A c_j the ring lacks is zero there, as
-the determinant commutes with the ring map that kills c_j; so one table
-serves BU(n) = F_p[c_1..c_n], its truncations and the restricted ring
-F_p[c_2..c_N] of `liedata` (c_1 = 0) alike.
+(k, m) of the ring reads from it.  The determinant commutes with every
+ring map of the c_j, so the ring only says what each c_j is
+(`_chern_forms`): zero where the ring lacks it, and c_1 = 3 omega_r in
+the mixed ring F_p[omega_r, c_2..c_N] of `liedata`.  So one table serves
+BU(n) = F_p[c_1..c_n], its truncations, the restricted ring F_p[c_2..c_N]
+(c_1 = 0) and the mixed ring alike.
 
 The independent oracle route (leading-term elimination in the
 monomial-symmetric basis, tableau-counted Kostka numbers, Giambelli
@@ -36,16 +38,42 @@ from functools import lru_cache
 from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
 
 
+def _chern_forms(ring):
+    """{w: c_w as a term dict of `ring`} for each c_w not zero there, under
+    the one naming rule (else `ValueError`): a variable of weight w >= 2 is
+    c_w, named `c<w>`; beside these at most one variable has weight 1,
+    `c1` itself or the distinguished weight `w<r>` of the mixed ring, with
+    c_1 = 3 omega_r (zero at p = 3).  Weight-1 variables alone keep no
+    rule; a `c1` among them is c_1.
+    """
+    forms, light = {}, []
+    for name, w, key in zip(ring.names, ring.weights, ring.coeffs):
+        if name == f"c{w}":
+            forms[w] = {key: 1}
+        elif w > 1:
+            raise ValueError(f"variable {name} of weight {w} is not the Chern class c{w}")
+        else:
+            light.append((name, key))
+    if light and max(ring.weights) > 1:
+        (name, key), *more = light
+        if more or 1 in forms or name[:1] != "w" or not name[1:].isdigit():
+            raise ValueError(f"{ring}: beside Chern classes the one weight-1 "
+                             "variable allowed is c1 or the distinguished w<r>")
+        if 3 % ring.p:
+            forms[1] = {key: 3 % ring.p}
+    return forms
+
+
 class WuTable:
     """Every P^k c_m in one ring of Chern classes, read off one resultant.
 
-    `ring` names each variable of weight w `c<w>` (anything else raises
-    `ValueError`); N is its largest weight, and a c_j with j <= N that the
-    ring lacks is zero.  The matrix of multiplication by E(s) on the basis
-    1, s, .., s^(p-1) has entries in F_p[c][a, b]; each is kept as a dict
-    (i, j) -> the coefficient of a^i b^j, a linear form in c_0 = 1 and the
-    c_j of the ring held as a term dict of `ring` (key -> residue, as in
-    `ffpoly`).  The determinant is expanded along its rows by Laplace,
+    `ring` keeps the naming rule of `_chern_forms`, which gives each c_j as
+    a linear form of the ring; N is its largest weight, and a c_j with
+    j <= N that has no form is zero.  The matrix of multiplication by E(s)
+    on the basis 1, s, .., s^(p-1) has entries in F_p[c][a, b]; each is
+    kept as a dict (i, j) -> the coefficient of a^i b^j, a linear form in
+    c_0 = 1 and the c_j, held as a term dict of `ring` (key -> residue, as
+    in `ffpoly`).  The determinant is expanded along its rows by Laplace,
     memoised on the columns still free and on (i, j), and each coefficient
     is computed only when a formula asks for it.  The memo holds term dicts
     too, one `ffpoly.mul_into` per product; `coefficient` wraps its dict in
@@ -56,9 +84,8 @@ class WuTable:
     """
 
     def __init__(self, ring):
-        for name, w in zip(ring.names, ring.weights):
-            if name != f"c{w}":
-                raise ValueError(f"variable {name} of weight {w} is not the Chern class c{w}")
+        # c_0 = 1 and each c_l that is not zero in the ring, as term dicts
+        unit = {0: {0: 1}, **_chern_forms(ring)}
         self.p = p = ring.p
         self.ring = ring
         n = max(ring.weights, default=0)
@@ -77,18 +104,15 @@ class WuTable:
                     dict(vec[p - 1]), {(i + 1, j): c for (i, j), c in top.items()}, 1, p
                 )
             reduced.append(vec)
-        # the key of c_0 = 1 and of each c_l of the ring (a variable's key is
-        # its coefficient); a c_l the ring lacks is zero and has no entry
-        unit = {0: 0, **dict(zip(ring.weights, ring.coeffs))}
         self.matrix = []
         for row in range(p):
             entries = []
             for col in range(p):
                 # row `row` of E(s) s^col = sum_l c_l s^(l + col)
                 acc = {}
-                for l, key in unit.items():
+                for l, form in unit.items():
                     for ij, c in reduced[l + col][row].items():
-                        acc.setdefault(ij, {})[key] = c
+                        add_into(acc.setdefault(ij, {}), form, c, p)
                 entries.append(acc)
             self.matrix.append(entries)
         self._minors = {}
@@ -120,11 +144,11 @@ class WuTable:
 
 # The ten default tables in one process read ten rings, with no eviction
 # (equal rings share a table: the restricted rings of F4 and E6 are one;
-# three of the ten are the F_2[c_1..c_N] of the Case 1 identities of E6,
-# E7 and E8).  A sweep over many n (the truncation tests) evicts: with 16
-# rings it runs within 10% of an unbounded cache, and the `slow` p = 5
-# sweep peaks at 80 MB RSS, against 115 MB unbounded and twice the time
-# with 8 rings.
+# three of the ten are the mixed rings F_2[w2, c_2..c_N] = F_2[c_1..c_N]
+# of E6, E7 and E8, where the Case 1 column is reduced).  A sweep over many
+# n (the truncation tests) evicts: with 16 rings it runs within 10% of an
+# unbounded cache, and the `slow` p = 5 sweep peaks at 80 MB RSS, against
+# 115 MB unbounded and twice the time with 8 rings.
 @lru_cache(maxsize=16)
 def _wu_table(ring):
     return WuTable(ring)

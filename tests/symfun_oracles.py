@@ -11,7 +11,8 @@ These are the independent routes that the tests hold the library against:
   rewriting of a symmetric t-polynomial in the c_i = e_i;
 - tableau-counted Kostka numbers and their exact inverse, and Giambelli
   determinants;
-- the inhomogeneous total Steenrod operation on a ring of degree-2 classes.
+- the inhomogeneous total Steenrod operation on a ring of degree-2 classes,
+  and the split of a polynomial into its homogeneous components.
 
 `SymContext` holds the explicit t-ring and its companion c-ring.  The
 library's own route is `exhopf.symfun.wu_formula` (one resultant per ring)
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from exhopf.ffpoly import RingContext
+from exhopf.ffpoly import Polynomial, RingContext
 from exhopf.steenrod import SteenrodError
 
 
@@ -456,3 +457,11 @@ def total_steenrod(f):
         raise SteenrodError("total_steenrod needs every variable of weight 1")
     mapping = {name: R.variable(name) + R.variable(name) ** R.p for name in R.names}
     return f.substitute(mapping, target_ring=R, check_weights=False)
+
+
+def homogeneous_components(f):
+    """{weight: the part of f of that weight}, in increasing weight."""
+    comps = {}
+    for m, c in f.terms.items():
+        comps.setdefault(f.ring.wdeg(m), {})[m] = c
+    return {w: Polynomial(f.ring, d) for w, d in sorted(comps.items())}

@@ -128,11 +128,11 @@ def test_both_strategy_agreement_e8_p2():
     assert verify_lemma22("E8", 2, table)["extra"] == ["8,14", "8,15"]
 
 
-def _scratch_basis(group, p, downstairs, t):
+def _scratch_basis(group, p, presentation, t):
     """The basis of <theta_j : j < t> truncated at t, built from scratch on
     the thetas themselves (test oracle for the chain of `bst._basis`)."""
     ts = liedata.theta_set(group, p)
-    ring, theta = bst._presentation(ts, downstairs)
+    ring, theta = bst._presentation(ts, presentation)
     gens = [theta(j) for j in ts.profile.r_set if j < t]
     return buchberger(gens, truncation=t, ring=ring)
 
@@ -146,18 +146,13 @@ CHERN_PAIRS = [("F4", 2), ("E6", 2), ("E7", 2), ("E8", 2),
 UPSTAIRS_PAIRS = [("G2", 2), ("F4", 2), ("E6", 2), ("F4", 3), ("E6", 3)]
 
 
-@pytest.mark.parametrize(
-    "group, p, downstairs",
-    [(g, p, True) for g, p in CHERN_PAIRS] + [(g, p, False) for g, p in UPSTAIRS_PAIRS],
-    ids=lambda v: v if isinstance(v, str) else str(v),
-)
-def test_basis_chain_matches_scratch_oracle(group, p, downstairs):
+def _assert_chain_matches_scratch_oracle(group, p, presentation, r_set):
     # each link of the chain equals the basis built from scratch, term for
     # term and in order, and its cached pivot is theta_t reduced by that basis
-    _, theta = bst._presentation(liedata.theta_set(group, p), downstairs)
-    for t in liedata.profile(group, p).r_set:
-        gb, pivot = bst._basis(group, p, downstairs, t)
-        oracle = _scratch_basis(group, p, downstairs, t)
+    _, theta = bst._presentation(liedata.theta_set(group, p), presentation)
+    for t in r_set:
+        gb, pivot = bst._basis(group, p, presentation, t)
+        oracle = _scratch_basis(group, p, presentation, t)
         assert gb.truncation == oracle.truncation == t
         assert [_terms(g) for g in gb.basis] == [_terms(g) for g in oracle.basis], t
         want = normal_form(theta(t), oracle)
@@ -165,10 +160,43 @@ def test_basis_chain_matches_scratch_oracle(group, p, downstairs):
         assert pivot.weights == want.weights, t
 
 
+@pytest.mark.parametrize(
+    "group, p, downstairs",
+    [(g, p, True) for g, p in CHERN_PAIRS] + [(g, p, False) for g, p in UPSTAIRS_PAIRS],
+    ids=lambda v: v if isinstance(v, str) else str(v),
+)
+def test_basis_chain_matches_scratch_oracle(group, p, downstairs):
+    # downstairs: the restricted ring of Method II; else the weight ring
+    presentation = "restricted" if downstairs else "weight"
+    _assert_chain_matches_scratch_oracle(group, p, presentation, liedata.profile(group, p).r_set)
+
+
+@pytest.mark.parametrize("group", ["E6", "E7", "E8"])
+def test_mixed_basis_chain_matches_scratch_oracle(group):
+    # the mixed links that `full_table` builds for the Case 1 column, t <= 9
+    r_set = [t for t in liedata.profile(group, 2).r_set if t <= 9]
+    _assert_chain_matches_scratch_oracle(group, 2, "mixed", r_set)
+
+
+def test_mixed_ring_reduction_equals_the_table():
+    # the mixed ring F_p[omega_r, c_2..c_N] adds one ingredient to Method II,
+    # the image c_1 = 3 omega_r; with it the one reduction step gives every
+    # non-instability entry of the nine Chern pairs, the method2, case1 and
+    # method1-fallback entries alike (with c_1 = 0, 31 entries of E6, E7
+    # and E8 at p = 2 and of (E8,5) change, most of them to NoSolution)
+    methods = {}
+    for group, p in CHERN_PAIRS:
+        for (s, t), e in full_table(group, p).entries.items():
+            if e.method != "instability-zero":
+                assert bst._reduce(group, p, s, t, "mixed") == e.value, (group, p, s, t)
+                methods[e.method] = methods.get(e.method, 0) + 1
+    assert methods == {"method2": 72, "case1": 6, "method1-fallback": 4}
+
+
 def test_e6_p3_upstairs_chain_forms_fewer_spairs():
     r_set = liedata.profile("E6", 3).r_set
-    chain = sum(bst._basis("E6", 3, False, t)[0].stats["formed"] for t in r_set)
-    scratch = sum(_scratch_basis("E6", 3, False, t).stats["formed"] for t in r_set)
+    chain = sum(bst._basis("E6", 3, "weight", t)[0].stats["formed"] for t in r_set)
+    scratch = sum(_scratch_basis("E6", 3, "weight", t).stats["formed"] for t in r_set)
     assert 0 < chain < scratch, (chain, scratch)
 
 
@@ -183,7 +211,7 @@ def test_reduce_refuses_pairs_outside_r_or_off_the_step():
 def test_eq24_witness_f4_p3():
     # the defining relation: NF(P^k theta_s - b theta_t) = 0, NF(theta_t) != 0
     ts = liedata.theta_set("F4", 3)
-    gb, _ = bst._basis("F4", 3, False, 4)
+    gb, _ = bst._basis("F4", 3, "weight", 4)
     lhs = steenrod.power(1, ts.omega(2))
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1
@@ -232,11 +260,10 @@ def test_shared_term_dicts_are_never_mutated():
     for group, p in (("E7", 2), ("E8", 5)):
         full_table(group, p)
         rings.append(liedata.theta_set(group, p).restricted_ring)
-    # the Case 1 identities of the p = 2, t = 9 column read F_2[c_1..c_N]
-    bst._case1_values.cache_clear()
+    # the p = 2, t = 9 column is reduced in the mixed ring F_2[w2, c_2..c_N]
     for group in ("E6", "E7", "E8"):
         full_table(group, 2)
-        rings.append(steenrod._case1_thetas(group)[0])
+        rings.append(liedata.mixed_ring(group, 2))
     for ring in rings:
         table = symfun._wu_table(ring)
         read = [(i, j) for cols, i, j in table._minors if len(cols) == ring.p]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 from naive_division import _order_key
+from symfun_oracles import homogeneous_components
 
 from exhopf.ffpoly import (
     EXPONENT_LIMIT,
@@ -107,7 +108,7 @@ def test_weight_and_homogeneity():
     assert not g.is_homogeneous()
     with pytest.raises(ValueError, match=r"not homogeneous \(weights \[1, 4\]\)"):
         g.weight()
-    comps = g.homogeneous_components()
+    comps = homogeneous_components(g)
     assert set(comps) == {1, 4}
 
 

@@ -250,7 +250,7 @@ def test_heap_division_matches_rescan_oracle_e6_method1():
     for s, t, k in bst.admissible_pairs(prof):
         if k >= s:
             continue
-        gb, _ = bst._basis("E6", 2, False, t)
+        gb, _ = bst._basis("E6", 2, "weight", t)
         _assert_matches_oracle(steenrod.power(k, ts.omega(s)), gb)
 
 

@@ -3,11 +3,12 @@ from math import comb
 
 import pytest
 
-from exhopf import bst, liedata, steenrod
+from exhopf import bst, liedata
 from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext
+from exhopf.groebner import NoSolution
 from exhopf.steenrod import SteenrodError, power, verify_case1
 from closed_forms import case1_in_weights
-from symfun_oracles import total_steenrod
+from symfun_oracles import homogeneous_components, total_steenrod
 
 
 def wring(p, n):
@@ -56,7 +57,7 @@ def test_g2_power_extracts_component():
     R = ts.weight_ring
     theta2 = ts.theta_c[2]
     total = total_steenrod(theta2)
-    comp = total.homogeneous_components()[3]
+    comp = homogeneous_components(total)[3]
     p1 = power(1, theta2)
     assert comp == p1 == R.parse("w1^2*w2+w1*w2^2")
 
@@ -113,7 +114,7 @@ def test_power_is_component_of_total_weight_mode():
         R = wring(p, 3)
         for w in (2, 3, 4):
             f = random_homogeneous(R, w, rng)
-            comps = total_steenrod(f).homogeneous_components()
+            comps = homogeneous_components(total_steenrod(f))
             for k in range(w + 2):
                 assert power(k, f) == comps.get(w + k * (p - 1), R.zero()), (p, w, k)
 
@@ -152,12 +153,13 @@ def test_power_refuses_output_weight_2_to_15_up_front():
 
 def test_chern_context_validates_names():
     # a variable of weight m >= 2 must be c_m; beside Chern classes the one
-    # degree-2 variable allowed is c_1, else the ring does not say what c_1
-    # maps to; every call refuses, before any shortcut, even on a constant
+    # degree-2 variable allowed is c_1 or the distinguished omega_r = w<r>,
+    # else the ring does not say what c_1 maps to; every call refuses,
+    # before any shortcut, even on a constant
     for variables in (
         [("cx", 2)],
         [("c3", 2)],
-        [("w1", 1), ("c2", 2)],
+        [("v1", 1), ("c2", 2)],
         [("c1", 1), ("w1", 1), ("c2", 2)],
     ):
         R = RingContext(3, variables)
@@ -170,6 +172,9 @@ def test_chern_context_validates_names():
     assert power(1, R.one()).is_zero()
     assert power(0, R.zero()).is_zero()
     assert power(1, R.variable("c1")) == R.variable("c1") ** 3
+    # F_3[w1, c2] is a mixed ring, with c_1 = 3 w1 = 0: P^1 c_2 = c_2^2
+    R = RingContext(3, [("w1", 1), ("c2", 2)])
+    assert power(1, R.variable("c2")) == R.variable("c2") ** 2
     # a ring without variables holds only constants, killed by P^k for k > 0
     R = RingContext(3, [])
     assert power(1, R.one()).is_zero()
@@ -276,7 +281,7 @@ def test_case1_identities():
         # the displayed extra w2^4 theta_5 summand does not survive computation
         assert not report["p1_theta8_as_printed"]
         assert report["p4_theta5_as_printed"]
-        # decided in F_2[c_1..c_N]; the weight ring must agree
+        # decided in the mixed ring F_2[w2, c_2..c_N]; the weight ring must agree
         assert report == case1_in_weights(group), group
     with pytest.raises(SteenrodError):
         verify_case1("E8", 3)
@@ -300,22 +305,22 @@ def _rank_mod2(forms):
 
 @pytest.mark.parametrize("group", ["E6", "E7", "E8"])
 def test_case1_ring_embeds_in_the_weight_ring(group):
-    # the splitting map F_2[c_1..c_N] -> F_2[w] that makes `verify_case1`
+    # the splitting map F_2[w2, c_2..c_N] -> F_2[w] that makes `verify_case1`
     # exact: the N Chern forms are independent mod 2, c_1 = 3 omega_2 is
-    # omega_2 mod 2, and each relabelled theta maps to its weight expansion
+    # omega_2 mod 2, and each mixed theta maps to its weight expansion
     ts = liedata.theta_set(group, 2)
     W = ts.weight_ring
     forms = liedata.chern_substitution(group, 2)
     assert len(forms) == liedata.CHERN_COUNT[group]
     assert _rank_mod2(forms) == len(forms)
     assert liedata.chern_poly(group, 2, 1) == W.variable("w2")
-    ring, thetas = steenrod._case1_thetas(group)
-    assert ring.names[0] == "c1"
-    images = {"c1": W.variable("w2")}
+    ring = ts.mixed_ring
+    assert ring.names[0] == "w2"
+    images = {"w2": W.variable("w2")}
     for name in ring.names[1:]:
         images[name] = liedata.chern_poly(group, 2, int(name[1:]))
-    for s, theta in thetas.items():
-        assert theta.substitute(images, target_ring=W) == ts.omega(s), (group, s)
+    for s in (2, 3, 5, 8, 9):
+        assert ts.theta_c[s].substitute(images, target_ring=W) == ts.omega(s), (group, s)
 
 
 @pytest.mark.parametrize("group", ["E6", "E7", "E8"])
@@ -331,15 +336,17 @@ def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
     monkeypatch.setattr(
         liedata, "theta_set", lambda g, p: bad if (g, p) == (group, 2) else load(g, p)
     )
-    bst._case1_values.cache_clear()
+    # the chain of bases is cached per pair; the perturbed links must neither
+    # meet the real ones nor outlive the test
+    bst._basis.cache_clear()
     try:
         for report in (verify_case1(group, 2), case1_in_weights(group)):
             assert not report["p1_theta8_equals_theta9"], report
             assert not report["pass"], report
-        with pytest.raises(bst.BstError):
-            bst._case1_values(group, 2)
+        with pytest.raises(NoSolution):
+            bst.full_table(group, 2)
     finally:
-        bst._case1_values.cache_clear()
+        bst._basis.cache_clear()
 
 
 def cross_engine_agrees(group, p, s, k):

@@ -16,6 +16,7 @@ from symfun_oracles import (
     conjugate,
     elementary,
     embed_c_poly,
+    homogeneous_components,
     kostka_inverse,
     kostka_matrix,
     kostka_number,
@@ -222,7 +223,7 @@ def test_wu_total_operation_route():
                 for i in range(1, n + 1)
             }
             total = elementary(m, ctx).substitute(total_map, target_ring=ctx.t_ring, check_weights=False)
-            comp = total.homogeneous_components().get(base, ctx.t_ring.zero())
+            comp = homogeneous_components(total).get(base, ctx.t_ring.zero())
             results.append(rewrite_in_elementary(comp, ctx))
         wide = results[1].ring
         assert embed_c_poly(results[0], wide) == results[1]
@@ -249,7 +250,7 @@ def test_wu_cartan_coherence():
         }
         prod = elementary(a, ctx) * elementary(b, ctx)
         total = prod.substitute(total_map, target_ring=ctx.t_ring, check_weights=False)
-        lhs_t = total.homogeneous_components().get(
+        lhs_t = homogeneous_components(total).get(
             a + b + k * (p - 1), ctx.t_ring.zero()
         )
         lhs = rewrite_in_elementary(lhs_t, ctx)
@@ -369,18 +370,21 @@ def test_wu_needs_at_least_m_variables():
     [
         ([("c1", 1), ("cx", 2)], 1),
         ([("c1", 1), ("c3", 2)], 3),
-        ([("w2", 1), ("c2", 2)], 2),
+        ([("v1", 1), ("c2", 2)], 2),
     ],
-    ids=["cx", "c3-of-weight-2", "w2"],
+    ids=["cx", "c3-of-weight-2", "v1"],
 )
 def test_wu_table_refuses_variables_other_than_chern_classes(variables, m):
+    # beside Chern classes a weight-1 variable must say what c_1 is: `c1`,
+    # or the distinguished `w<r>` with c_1 = 3 w<r>
     with pytest.raises(ValueError):
         wu_formula(1, m, RingContext(3, variables))
 
 
-@pytest.mark.parametrize(
-    "group,p", [pair for pair in liedata.SUPPORTED_PAIRS if pair[0] != "G2"]
-)
+CHERN_PAIRS = [pair for pair in liedata.SUPPORTED_PAIRS if pair[0] != "G2"]
+
+
+@pytest.mark.parametrize("group,p", CHERN_PAIRS)
 def test_wu_on_generator_matches_stable_route(group, p):
     # every P^k c_m of the restricted ring F_p[c_2..c_N], read off its own
     # resultant, against the BU(N) formula with c_1 = 0 substituted
@@ -392,6 +396,30 @@ def test_wu_on_generator_matches_stable_route(group, p):
     for m in range(2, n + 1):
         for k in range(m + 1):
             expected = wu(p, k, m, n).substitute(kill, target_ring=ring)
+            assert wu_formula(k, m, ring) == expected, (k, m)
+
+
+@pytest.mark.parametrize("group,p", CHERN_PAIRS)
+def test_c1_is_three_times_the_distinguished_weight(group, p):
+    # the Chern forms of `liedata.chern_substitution` sum to 3 omega_r, the
+    # image of c_1 that the mixed ring F_p[omega_r, c_2..c_N] declares
+    r = liedata.DISTINGUISHED[group]
+    omega = liedata.weight_ring(group, p).variable(f"w{r}")
+    assert liedata.chern_poly(group, p, 1) == 3 * omega
+    assert liedata.mixed_ring(group, p).names[0] == f"w{r}"
+
+
+@pytest.mark.parametrize("group,p", CHERN_PAIRS)
+def test_wu_on_the_mixed_ring_matches_stable_route(group, p):
+    # every P^k c_m of the mixed ring F_p[omega_r, c_2..c_N], read off its own
+    # resultant, against the BU(N) formula with c_1 = 3 omega_r substituted
+    ring = liedata.mixed_ring(group, p)
+    n = max(ring.weights)
+    omega = ring.variable(ring.names[0])
+    image = {f"c{i}": ring.variable(f"c{i}") if i > 1 else 3 * omega for i in range(1, n + 1)}
+    for m in range(2, n + 1):
+        for k in range(m + 1):
+            expected = wu(p, k, m, n).substitute(image, target_ring=ring)
             assert wu_formula(k, m, ring) == expected, (k, m)
 
 
