@@ -5,7 +5,8 @@ residues 0..p-1, and `inverse` is the one modular inverse of the package.
 Residues are reduced only in `inverse`, `add_into` (the sum step) and
 `mul_into` (the product step): the constructors (`constant`, `monomial`,
 `from_terms`) and the linear operations (`+`, `-`, negation, scaling by
-an int) are `add_into` calls.
+an int) are `add_into` calls.  `solve`, on `add_into` and `inverse`, is
+the one linear solve: b_{s,t} (`groebner`) and the coproducts (`hopf`).
 
 Every variable carries a positive integer weight (its half-topological
 degree: a degree-2 class has weight 1, a Chern-type class c_k has weight
@@ -40,6 +41,9 @@ field n-1-i of the packed exponent vector, and
 Exponent tuples exist only at the boundary: `RingContext.key` and
 `RingContext.exponents` convert, and construction (`monomial`,
 `from_terms`), `parse`, `render` and `substitute` go through them.
+`substitute` has two paths: a renaming (every image zero or a distinct
+variable) drops each term with a variable sent to zero (`field_masks`) and
+re-keys the rest to sum_i e_i * key(image of v_i); other maps multiply out.
 
 Polynomials are immutable value objects; arithmetic always builds fresh
 term dictionaries, so instances can be shared freely across threads.  A
@@ -48,6 +52,7 @@ term dicts between their memos and the polynomials they return.
 """
 
 import struct
+from functools import reduce
 from operator import mul
 
 FIELD_BITS = 16
@@ -119,6 +124,35 @@ def mul_into(acc, a, b, c, p):
     return acc
 
 
+def solve(vectors, target, p):
+    """(c, free): sum_i c[i] * vectors[i] = target over F_p, free = n - rank.
+
+    Term dicts with any keys.  c is None when the target is outside the
+    span, else the solution that is 0 at each vector dependent on earlier
+    ones.  Each vector is reduced by the rows kept so far; a remainder is
+    scaled to 1 at its first key and kept, with its combination of inputs.
+    """
+    rows = []  # (pivot key, row terms, combination {input index: coeff})
+
+    def eliminate(terms, comb):
+        for key, row, rcomb in rows:
+            c = terms.get(key)
+            if c:
+                add_into(terms, row, -c, p)
+                add_into(comb, rcomb, -c, p)
+        return terms, comb
+
+    for i, vector in enumerate(vectors):
+        terms, comb = eliminate(add_into({}, vector, 1, p), {i: 1})
+        if terms:
+            key = next(iter(terms))
+            inv = inverse(terms[key], p)
+            rows.append((key, add_into({}, terms, inv, p), add_into({}, comb, inv, p)))
+    rest, comb = eliminate(add_into({}, target, 1, p), {})  # rest = target + sum comb[i] v_i
+    c = None if rest else [-comb.get(i, 0) % p for i in range(len(vectors))]
+    return c, len(vectors) - len(rows)
+
+
 class RingMismatchError(ValueError):
     """Operands belong to different ring contexts."""
 
@@ -171,6 +205,8 @@ class RingContext:
             (1 << FIELD_BITS * (n - 1 - i)) - w * top for i, w in enumerate(weights)
         )
         self.mask = top - 1
+        # key & field_masks[i] is nonzero exactly when variable i occurs
+        self.field_masks = tuple((k & self.mask) * ((1 << FIELD_BITS) - 1) for k in self.coeffs)
         self.guard = sum(EXPONENT_LIMIT << FIELD_BITS * j for j in range(n))
         self._fields = struct.Struct(f">{n}H")
 
@@ -380,57 +416,59 @@ class Polynomial:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, mapping, target_ring=None, check_weights=True):
+    def substitute(self, mapping, target_ring=None):
         """Apply the ring homomorphism sending each variable to its image.
 
-        `mapping` maps variable names of this ring to
-        Polynomials in a common target ring; every variable occurring in
-        the polynomial must be mapped, and each image must be zero or
-        homogeneous of the variable's weight.  Pass check_weights=False
-        for deliberately inhomogeneous substitutions such as the total
-        Steenrod operation.
+        `mapping` maps variable names of this ring to Polynomials in a
+        common target ring; every variable occurring in the polynomial must
+        be mapped, and each image must be zero or homogeneous of the
+        variable's weight.  A renaming over one prime (each image zero or a
+        distinct variable) re-keys the terms in one pass: kappa* and the
+        E6/E7 thetas at p = 2.  Any other map multiplies out the images.
         """
-        images = [None] * self.ring.nvars
+        src = self.ring
+        # a renaming's image key per variable: 0 if zero or unmapped, None if no variable
+        rekey = [0] * src.nvars
+        dead = 0  # the fields of the variables sent to zero
         for name, img in mapping.items():
-            if name not in self.ring.index:
+            i = src.index.get(name)
+            if i is None:
                 raise ValueError(f"unknown variable {name!r}")
-            images[self.ring.index[name]] = img
-        for img in images:
-            if img is not None and target_ring is None:
+            if target_ring is None:
                 target_ring = img.ring
+            elif img.ring is not target_ring and img.ring != target_ring:
+                raise RingMismatchError("substitution images live in different rings")
+            terms = img.terms
+            if not terms:
+                dead |= src.field_masks[i]
+                continue
+            if len(terms) == 1:
+                [(key, c)] = terms.items()
+                weight = -(key >> target_ring.shift)
+                rekey[i] = key if c == 1 and key in target_ring.coeffs else None
+            else:
+                weight = img.weight()
+                rekey[i] = None
+            if weight != src.weights[i]:
+                raise ValueError(f"image of {name} is not homogeneous of weight {src.weights[i]}")
         if target_ring is None:
             raise ValueError("cannot infer target ring from an empty mapping")
-        for i, img in enumerate(images):
-            if img is None:
-                continue
-            if img.ring != target_ring:
-                raise RingMismatchError("substitution images live in different rings")
-            if check_weights and not img.is_zero() and img.weight() != self.ring.weights[i]:
-                raise ValueError(
-                    f"image of {self.ring.names[i]} is not homogeneous of weight "
-                    f"{self.ring.weights[i]}"
-                )
-        monos = [(self.ring.exponents(m), c) for m, c in self.terms.items()]
-        for i in sorted({i for mon, _ in monos for i, e in enumerate(mon) if e}):
-            if images[i] is None:
-                raise ValueError(f"variable {self.ring.names[i]} is not mapped")
-        pow_cache = {}
+        if len(mapping) < src.nvars:
+            for i, name in enumerate(src.names):
+                if name not in mapping and any(key & src.field_masks[i] for key in self.terms):
+                    raise ValueError(f"variable {name} is not mapped")
+        targets, exponents = [k for k in rekey if k], src.exponents
+        if None not in rekey and target_ring.p == src.p and len(set(targets)) == len(targets):
+            return Polynomial(target_ring, {
+                sum(map(mul, exponents(key), rekey)): c
+                for key, c in self.terms.items()
+                if not key & dead
+            })
 
-        def var_power(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[i] ** e
-            return pow_cache[key]
-
-        acc = {}
-        one = target_ring.one()
-        for mon, c in monos:
-            term = one
-            for i, e in enumerate(mon):
-                if e:
-                    # the first factor is taken as it is; c is applied in add_into
-                    term = var_power(i, e) if term is one else term * var_power(i, e)
-            add_into(acc, term.terms, c, target_ring.p)
+        acc, images = {}, [mapping.get(name) for name in src.names]
+        for key, c in self.terms.items():
+            factors = [img ** e for img, e in zip(images, exponents(key)) if e]
+            add_into(acc, reduce(mul, factors or [target_ring.one()]).terms, c, target_ring.p)
         return Polynomial(target_ring, acc)
 
     # -- text ------------------------------------------------------------------

@@ -39,7 +39,7 @@ extension of the empty basis, through the same loop.
 
 import heapq
 
-from .ffpoly import Polynomial, inverse
+from .ffpoly import Polynomial, solve
 
 
 class GroebnerError(Exception):
@@ -302,7 +302,8 @@ def solve_linear_coefficient(lhs, pivot, gb):
     """The unique a in F_p with NF(lhs) = a * NF(pivot).
 
     `pivot` is the pivot's `normal_form` against gb, so a caller that
-    solves several left sides against one pivot reduces it once.  Raises
+    solves several left sides against one pivot reduces it once.  One
+    `ffpoly.solve`, with the pivot's remainder as the only vector, raises
     NoSolution when no scalar works and Ambiguous when the pivot itself
     reduces to zero (it then lies in the ideal and a is undetermined).
     Homogeneity is read off the weights that `normal_form` reports.
@@ -310,19 +311,9 @@ def solve_linear_coefficient(lhs, pivot, gb):
     n1 = normal_form(lhs, gb)
     if n1.weights and pivot.weights and len({*n1.weights, *pivot.weights}) > 1:
         raise ValueError("lhs and pivot must be homogeneous of equal weight")
-    r1, r2 = n1.remainder, pivot.remainder
-    if r2.is_zero():
-        if r1.is_zero():
-            raise Ambiguous("pivot reduces to zero; solution is not unique")
-        raise NoSolution("pivot reduces to zero but the left side does not")
-    if r1.is_zero():
-        return 0
-    m1 = r1.leading_monomial()
-    m2 = r2.leading_monomial()
-    if m1 != m2:
-        raise NoSolution("residues are not proportional")
-    p = gb.ring.p
-    a = (r1.terms[m1] * inverse(r2.terms[m2], p)) % p
-    if r1 - a * r2 != gb.ring.zero():
-        raise NoSolution("residues are not proportional")
-    return a
+    c, free = solve([pivot.remainder.terms], n1.remainder.terms, gb.ring.p)
+    if c is None:
+        raise NoSolution("the residue of the left side is no multiple of the pivot's")
+    if free:
+        raise Ambiguous("pivot reduces to zero; solution is not unique")
+    return c[0]

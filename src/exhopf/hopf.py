@@ -47,7 +47,7 @@ from itertools import product as iproduct
 
 from . import bst as bst_mod
 from . import liedata
-from .ffpoly import add_into, inverse
+from .ffpoly import add_into, inverse, solve
 
 
 class HopfError(Exception):
@@ -854,6 +854,9 @@ class HopfModel:
         delta alpha_{2s-1} may be u x_{2s}, whose coproduct comes from this
         very alpha); P^k phi(alpha) = b phi(alpha_{2t-1}) for each b-table
         entry with t in `known`; phi(alpha) = each of `_incoming_routes`.
+        One `ffpoly.solve` takes every row, keys tagged by group.  Route rows
+        are empty inside the fixpoint, which takes routes first (22 solves over
+        the ten pairs, none with a route): they serve `solve_coproduct` alone.
         """
         unknowns = []
         bounds = [min(k, s // t + 1) for t, k in zip(self.e_list, self.k_list)]  # t * e <= s
@@ -864,24 +867,25 @@ class HopfModel:
         unknowns.sort(key=lambda u: (sum(u[0]), u))
         basis = [TensorElement(self, {((xexp, ()), (self._zero_x, (s2,))): 1})
                  for xexp, s2 in unknowns]
-        rows = []
-
-        def add_equations(lhss, rhs):
-            for key in sorted(set(rhs.terms).union(*(te.terms for te in lhss))):
-                row = [te.terms.get(key, 0) % self.p for te in lhss]
-                rows.append((row, rhs.terms.get(key, 0) % self.p))
-
+        groups = []  # (the unknowns' left sides, the right side) of each group of rows
         delta = self.bockstein_table[s]
         if self._generators(delta) <= mu.keys():
             rhs = TensorElement(self, self._mu_of(delta, mu)) - self._primitive(delta)
-            add_equations([self.tensor_bockstein(u) for u in basis], rhs)
+            groups.append(([self.tensor_bockstein(u) for u in basis], rhs))
         for t in self.r_list:
             e = self.bst_table.entries.get((s, t))
             if e is not None and e.value and t in known:
-                add_equations([self.tensor_power(e.k, u) for u in basis], known[t].scale(e.value))
+                groups.append(([self.tensor_power(e.k, u) for u in basis], known[t].scale(e.value)))
         for _, _, rhs in self._incoming_routes(s, known):
-            add_equations(basis, rhs)
-        solution = _solve_mod_p(rows, len(unknowns), self.p)
+            groups.append((basis, rhs))
+        vectors = [{(g, key): c for g, (lhss, _) in enumerate(groups)
+                    for key, c in lhss[j].terms.items()} for j in range(len(basis))]
+        target = {(g, key): c for g, (_, rhs) in enumerate(groups) for key, c in rhs.terms.items()}
+        solution, free = solve(vectors, target, self.p)
+        if solution is None:
+            raise Inconsistent("coproduct constraints admit no solution")
+        if free:
+            raise Underdetermined(free)
         return sum((u.scale(c) for c, u in zip(solution, basis)), TensorElement(self, {}))
 
     # -- zeta basis -----------------------------------------------------------------
@@ -925,30 +929,6 @@ class HopfModel:
 
     def __repr__(self):
         return f"HopfModel({self.group}, p={self.p})"
-
-
-def _solve_mod_p(rows, n, p):
-    """Solve the linear system over F_p; unique solution or raise."""
-    mat = [list(r) + [v] for r, v in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = inverse(mat[r][col], p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i != r and f:
-                mat[i] = [(x - f * y) % p for x, y in zip(row, mat[r])]
-        pivots.append(col)
-    if any(row[n] for row in mat[len(pivots):]):
-        raise Inconsistent("coproduct constraints admit no solution")
-    if len(pivots) < n:
-        raise Underdetermined(n - len(pivots))
-    return [row[n] for row in mat[:n]]
 
 
 def build_model(group, p, table=None):

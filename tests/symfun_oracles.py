@@ -451,12 +451,21 @@ def schur_giambelli(lam, ctx):
 
 
 def total_steenrod(f):
-    """The full (inhomogeneous) total operation on a ring of degree-2 classes."""
+    """The full (inhomogeneous) total operation on a ring of degree-2 classes:
+    every variable v goes to v + v^p.  The images are not homogeneous, which
+    `Polynomial.substitute` refuses, so each term's (v + v^p)^e is expanded
+    here."""
     R = f.ring
     if any(w != 1 for w in R.weights):
         raise SteenrodError("total_steenrod needs every variable of weight 1")
-    mapping = {name: R.variable(name) + R.variable(name) ** R.p for name in R.names}
-    return f.substitute(mapping, target_ring=R, check_weights=False)
+    totals = [R.variable(name) + R.variable(name) ** R.p for name in R.names]
+    out = R.zero()
+    for key, c in f.terms.items():
+        term = R.constant(c)
+        for total, e in zip(totals, R.exponents(key)):
+            term = term * total ** e
+        out = out + term
+    return out
 
 
 def homogeneous_components(f):

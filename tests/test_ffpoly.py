@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from naive_division import _order_key
@@ -10,10 +13,12 @@ from exhopf.ffpoly import (
     Polynomial,
     RingContext,
     RingMismatchError,
+    add_into,
     inverse,
     mul_into,
     parse,
     render,
+    solve,
 )
 from exhopf.groebner import buchberger, normal_form
 
@@ -138,6 +143,65 @@ def test_substitute_errors():
     with pytest.raises(ValueError):
         # inhomogeneous image for a weight-1 variable
         f.substitute({"w1": R.parse("w1^2"), "w2": R.variable("w2")})
+
+
+def test_renaming_substitution_checks_weights_and_maps_by_name():
+    # a map sending each variable to zero or to a distinct target variable
+    # re-keys the packed keys; it still refuses an image of another weight,
+    # follows the target's names in whatever order they are declared, and
+    # leaves a map that merges two variables to the general path
+    R = ring(3, ("c2", "c3"), (2, 3))
+    f = R.parse("c2*c3+c2^3")
+    lighter = ring(3, ("c2", "c3"), (1, 3))
+    with pytest.raises(ValueError, match="not homogeneous of weight 2"):
+        f.substitute({n: lighter.variable(n) for n in R.names})
+    reordered = ring(3, ("c3", "c2"), (3, 2))
+    image = f.substitute({n: reordered.variable(n) for n in R.names})
+    assert image == reordered.parse("c2*c3+c2^3")
+    S, Z = ring(3, ("x", "y")), ring(3, ("z",))
+    z = Z.variable("z")
+    # x + 2y goes to 3z = 0, x^2 + xy to 2z^2: the coefficients add mod 3
+    assert S.parse("x+2*y+x^2+x*y").substitute({"x": z, "y": z}) == Z.parse("2*z^2")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_matches_brute_force(p):
+    # n <= 3 random sparse vectors with keys of mixed types; enumerating all
+    # p^n combinations gives the span, the rank and every solution
+    rng = random.Random(p)
+    keys = [0, 1, "a", "b", (0, "c"), (1, 2)]
+
+    def combination(vectors, c):
+        acc = {}
+        for vector, ci in zip(vectors, c):
+            add_into(acc, vector, ci, p)
+        return acc
+
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(0, 3)
+        vectors = [
+            {k: rng.randrange(1, p) for k in rng.sample(keys, rng.randint(0, 3))}
+            for _ in range(n)
+        ]
+        if rng.random() < 0.5:
+            target = combination(vectors, [rng.randrange(p) for _ in range(n)])
+        else:
+            target = {k: rng.randrange(1, p) for k in rng.sample(keys, rng.randint(0, 2))}
+        span = {}
+        for c in product(range(p), repeat=n):
+            span.setdefault(frozenset(combination(vectors, c).items()), []).append(list(c))
+        rank = next(r for r in range(n + 1) if p**r == len(span))
+        solutions = span.get(frozenset(target.items()), [])
+        c, free = solve(vectors, target, p)
+        assert free == n - rank
+        if not solutions:
+            assert c is None
+            seen.add("outside the span")
+        else:
+            assert c in solutions and len(solutions) == p**free
+            seen.add("unique" if free == 0 else "dependent")
+    assert seen == {"unique", "outside the span", "dependent"}
 
 
 def test_unknown_variable_names_raise_value_error():

@@ -138,6 +138,58 @@ def test_dead_private_detector_sees_dead_names():
     ]
 
 
+# F_p arithmetic lives in ffpoly (`inverse`, `add_into`, `mul_into`, `solve`);
+# every `% p` elsewhere is pinned here, (module, function): (count, reason),
+# so a new hand-written elimination or sum fails the test below
+RESIDUE_SITES = {
+    ("groebner.py", "_divide"): (1, "the division step, the measured inner loop"),
+    ("hopf.py", "multiply_basis"): (1, "the sign of a basis product"),
+    ("hopf.py", "_bockstein_unit_inverse"): (1, "the check that u is a unit"),
+    ("liedata.py", "lemma22_printed"): (1, "canonical residues of the printed values"),
+    ("steenrod.py", "_on_slot"): (1, "the binomial coefficient mod p"),
+    ("symfun.py", "_chern_forms"): (2, "c_1 = 3 omega_r"),
+}
+
+
+def _residue_sites(tree):
+    """{innermost enclosing function: number of `% p` and `% <x>.p`}."""
+    sites = {}
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            right = node.right if isinstance(node, ast.BinOp) else node.value
+            if (isinstance(right, ast.Name) and right.id == "p") or (
+                isinstance(right, ast.Attribute) and right.attr == "p"
+            ):
+                sites[func] = sites.get(func, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_residue_arithmetic_stays_in_ffpoly():
+    found = {
+        (path.name, func): n
+        for path in SOURCES
+        if path.name != "ffpoly.py"
+        for func, n in _residue_sites(_tree(path)).items()
+    }
+    assert found == {site: n for site, (n, _) in RESIDUE_SITES.items()}
+
+
+def test_residue_detector_sees_a_hand_written_elimination():
+    module = ast.parse(
+        "def solve(rows, p, ring):\n"
+        "    def pivot(row):\n        return row[0] % p\n"
+        "    x = pivot(rows[0])\n    x %= ring.p\n    return x % 7\n"
+    )
+    assert _residue_sites(module) == {"pivot": 1, "solve": 1}
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_console_scripts_resolve():
     import tomllib

@@ -26,6 +26,7 @@ from symfun_oracles import (
     rewrite_in_elementary,
     schur_giambelli,
     steenrod_elementary_component,
+    total_steenrod,
     wu_formula_by_elimination,
 )
 
@@ -217,12 +218,7 @@ def test_wu_total_operation_route():
         results = []
         for n in (base, base + 1):
             ctx = SymContext(p, n)
-            total_map = {
-                f"t{i}": ctx.t_ring.variable(f"t{i}")
-                + ctx.t_ring.variable(f"t{i}") ** p
-                for i in range(1, n + 1)
-            }
-            total = elementary(m, ctx).substitute(total_map, target_ring=ctx.t_ring, check_weights=False)
+            total = total_steenrod(elementary(m, ctx))
             comp = homogeneous_components(total).get(base, ctx.t_ring.zero())
             results.append(rewrite_in_elementary(comp, ctx))
         wide = results[1].ring
@@ -244,12 +240,7 @@ def test_wu_cartan_coherence():
     for p, a, b, k in [(2, 1, 2, 1), (3, 2, 2, 1), (3, 1, 3, 2), (5, 1, 2, 1)]:
         n = a + b + k * (p - 1)
         ctx = SymContext(p, n)
-        total_map = {
-            f"t{i}": ctx.t_ring.variable(f"t{i}") + ctx.t_ring.variable(f"t{i}") ** p
-            for i in range(1, n + 1)
-        }
-        prod = elementary(a, ctx) * elementary(b, ctx)
-        total = prod.substitute(total_map, target_ring=ctx.t_ring, check_weights=False)
+        total = total_steenrod(elementary(a, ctx) * elementary(b, ctx))
         lhs_t = homogeneous_components(total).get(
             a + b + k * (p - 1), ctx.t_ring.zero()
         )
