@@ -10,7 +10,7 @@ II, much smaller and the default), or in the mixed ring F_p[omega_r,
 c_2..c_N] of the printed thetas.  The last decides the p = 2, t = 9 column
 of E6, E7 and E8, where kappa*theta_t vanishes (the `case1` entries):
 there c_1 = 3 omega_2 = omega_2, so the mixed ring is F_2[c_1..c_N], the
-ring of the Case 1 identities (`steenrod.verify_case1`).
+ring of the Case 1 identities (their records in `printed`).
 
 Those ideals are nested, so the bases of one pair and presentation form
 one chain (`_basis`): the basis for t is the basis for the previous r in
@@ -28,7 +28,7 @@ without any reduction.
 
 from functools import lru_cache
 
-from . import groebner, liedata, steenrod
+from . import groebner, liedata, printed, steenrod
 from .groebner import Ambiguous, buchberger, solve_linear_coefficient
 
 
@@ -220,24 +220,24 @@ def full_table(group, p, strategy="auto"):
 
 
 def verify_lemma22(group, p, table=None):
-    """Compare the computed nonzero set against the printed table."""
+    """Compare the computed nonzero set against Lemma 2.2 (`printed.lemma22`)."""
     if table is None:
         table = full_table(group, p)
     elif (table.profile.group, table.profile.p) != (group, p):
         raise BstError(f"b-table of {table.profile.group} at p={table.profile.p}")
     computed = table.nonzero()
-    printed = liedata.lemma22_printed(group, p)
-    missing = sorted(st for st in printed if st not in computed)
-    extra = sorted(st for st in computed if st not in printed)
+    claimed = {st: b for st, b in printed.lemma22(group, p).items() if b}
+    missing = sorted(st for st in claimed if st not in computed)
+    extra = sorted(st for st in computed if st not in claimed)
     wrong = sorted(
-        st for st in printed if st in computed and computed[st] != printed[st]
+        st for st in claimed if st in computed and computed[st] != claimed[st]
     )
     return {
         "group": group,
         "prime": p,
         "pass": not (missing or extra or wrong),
         "computed_nonzero": {f"{s},{t}": v for (s, t), v in sorted(computed.items())},
-        "printed_nonzero": {f"{s},{t}": v for (s, t), v in sorted(printed.items())},
+        "printed_nonzero": {f"{s},{t}": v for (s, t), v in sorted(claimed.items())},
         "missing": [f"{s},{t}" for s, t in missing],
         "extra": [f"{s},{t}" for s, t in extra],
         "wrong_value": [f"{s},{t}" for s, t in wrong],

@@ -4,8 +4,8 @@ The model is the free module on basis monomials x^r * alpha_S (truncated
 x-exponents, squarefree odd part), with the product normalized through
 the printed squares at p = 2, and the Bockstein and reduced powers
 extended from generator tables.  The reduced coproduct is derived from
-the printed primitives and two printed values, by naturality and by
-solving delta- and P-compatibility (`HopfModel.derive_coproducts`).  At
+three printed inputs (`COPRODUCT_DATA`), by naturality and by solving
+delta- and P-compatibility (`HopfModel.derive_coproducts`).  At
 p = 2 every even generator is a square of a polynomial in the odd ones,
 which is what determines the full Sq-action on the x's; odd squares
 there rewrite through the square table.
@@ -46,7 +46,7 @@ and then lookups.
 from itertools import product as iproduct
 
 from . import bst as bst_mod
-from . import liedata
+from . import liedata, printed
 from .ffpoly import add_into, inverse, solve
 
 
@@ -166,24 +166,18 @@ ZETA_DATA = {
 }
 
 # Theorem 2: the printed reduced coproducts ((coeff, xmon, target s)) that
-# `derive_coproducts` takes as inputs: the generators printed primitive
-# (listed with []), and the two printed values the solve cannot fix.  The
-# other printed values derive and are checks (tests/printed_coproducts.py).
+# `derive_coproducts` takes as inputs, because nothing derives them: with
+# each one left out the fixpoint raises `UnreachableGenerator`.  Every
+# other printed coproduct is derived, and is a claim in `printed`.
 COPRODUCT_DATA = {
-    ("G2", 2): {2: []},
-    ("F4", 2): {2: [], 8: []},
     # phi(alpha_15) = x_6 ⊗ alpha_9: no route reaches alpha_15, and its
     # solve is underdetermined; alpha_23 then follows from it
-    ("E6", 2): {2: [], 8: [(1, {3: 1}, 5)]},
-    ("E7", 2): {2: []},
-    ("E8", 2): {2: []},
-    ("F4", 3): {2: [], 4: []},
-    ("E6", 3): {2: [], 4: [], 5: [], 9: []},
+    ("E6", 2): {8: [(1, {3: 1}, 5)]},
+    # alpha_17 primitive: no route reaches it, and its solve is underdetermined
+    ("E6", 3): {9: []},
     # phi(alpha_35): with every other coproduct known its solve is
     # underdetermined of dimension 2, along x_8 ⊗ alpha_27 and x_8^2 ⊗ alpha_19
-    ("E7", 3): {2: [], 4: [], 10: [], 18: [(1, {4: 1}, 14), (1, {4: 2}, 10)]},
-    ("E8", 3): {2: [], 4: [], 10: []},
-    ("E8", 5): {2: []},
+    ("E7", 3): {18: [(1, {4: 1}, 14), (1, {4: 2}, 10)]},
 }
 
 class _Combination:
@@ -727,7 +721,7 @@ class HopfModel:
 
     def _next_coproduct(self, known, mu):
         """(s, phi(alpha_{2s-1})) for the next pending alpha of the fixpoint."""
-        inputs = COPRODUCT_DATA[(self.group, self.p)]
+        inputs = COPRODUCT_DATA.get((self.group, self.p), {})
         pending = [s for s in self.r_list if s not in known]
         for s in pending:
             routes = [("input", self._coproduct_from_data(inputs[s]))] if s in inputs else []
@@ -855,8 +849,9 @@ class HopfModel:
         very alpha); P^k phi(alpha) = b phi(alpha_{2t-1}) for each b-table
         entry with t in `known`; phi(alpha) = each of `_incoming_routes`.
         One `ffpoly.solve` takes every row, keys tagged by group.  Route rows
-        are empty inside the fixpoint, which takes routes first (22 solves over
-        the ten pairs, none with a route): they serve `solve_coproduct` alone.
+        are empty inside the fixpoint, which takes routes first (34 solves over
+        the ten pairs, 6 of them `Underdetermined` retries, none with a
+        route): they serve `solve_coproduct` alone.
         """
         unknowns = []
         bounds = [min(k, s // t + 1) for t, k in zip(self.e_list, self.k_list)]  # t * e <= s
@@ -982,6 +977,9 @@ def check_suite(model):
     builds on mu*(g).  A coproduct that does not derive (`Inconsistent`,
     `UnreachableGenerator`) fails all three items.
 
+    The two printed items (p = 2) decide the ledger's Corollary 4.4 and
+    Remark 4.3 claims on the model (`printed.holds`).
+
     `delta_compatibility` never reaches the Koszul sign term of
     `tensor_bockstein`: every term of a generator's mu* has an x-monomial
     or 1 on the left, where the sign is +1, except alpha ⊗ 1, and delta of
@@ -1050,29 +1048,10 @@ def check_suite(model):
             for s in model.r_list
         )
 
-        cor44 = {2: model.x(3)}
-        if model.group in ("E7", "E8"):
-            cor44[3] = model.x(5)
-            cor44[5] = model.x(9)
-        if model.group == "E8":
-            cor44[8] = model.x(15)
-            cor44[12] = model.x(3, 6) * model.x(5)
-        report["corollary44_zeta_squares"] = all(
-            zetas[s] * zetas[s] == cor44.get(s, model.zero()) for s in model.r_list
-        )
-
-        remark43 = {}
-        a = model.alpha
-        if model.group in ("E7", "E8"):
-            remark43[8] = a(2) ** 2 * a(3) ** 2
-            remark43[14] = a(3) ** 2 * a(5) ** 2
-        if model.group == "E7":
-            remark43[12] = a(2) ** 2 * a(5) ** 2
-        if model.group == "E8":
-            remark43[12] = a(2) ** 2 * a(5) ** 2 + a(2) ** 8
-            remark43[15] = a(8) ** 2
-        r43 = all(model.bockstein(a(s)) == val for s, val in remark43.items())
-        report["remark43_sq1_values"] = r43
+        claims = printed.claims(model.group, p)
+        for key, kind in (("corollary44_zeta_squares", "zeta_square"),
+                          ("remark43_sq1_values", "sq1")):
+            report[key] = all(printed.holds(c, model) for c in claims if c.kind == kind)
     else:
         # x_{2t}^{k_t} and alpha * alpha, each a basis element times a generator
         relations = [(model.x(t, k - 1), 2 * t) for t, k in zip(model.e_list, model.k_list)]

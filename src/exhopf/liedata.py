@@ -2,9 +2,9 @@
 
 Degree profiles, the weight substitutions defining the intermediate Chern
 classes, the generating polynomials of ker psi_p* (stored as source text
-in the canonical grammar and parsed at load), the circle-bundle
-restriction kappa*, and the nonzero structure-constant table that the
-whole computation reproduces.
+in the canonical grammar and parsed at load) and the circle-bundle
+restriction kappa*.  The printed values that serve only as checks live in
+`printed`.
 
 The theta tables were transcribed once from the printed propositions; a
 checksum file pins the transcription.  Every load re-checks the theta
@@ -273,61 +273,6 @@ THETA_TEXT = {
     },
 }
 
-# kappa* theta values printed for (E8, 5), term-exact fixtures
-EXAMPLE_58_TEXT = {
-    2: "-c2",
-    6: "-c6-2*c3^2",
-    8: "-c8-c3*c5-c4^2",
-    12: "-2*c5*c7+2*c6^2-c3*c4*c5+c3^4",
-    14: "-c3^2*c8+c7^2+2*c3*c4*c7+c4^2*c6+c4*c5^2+c3^2*c4^2",
-    18: "-2*c3*c7*c8-c3^2*c4*c8+c4*c7^2+c3^2*c5*c7-2*c3*c4^2*c7"
-    "+2*c3*c4*c5*c6-c3*c5^3",
-    20: "c4^3*c8+2*c3^4*c8+c3^2*c7^2+c3^3*c4*c7-2*c5^4+2*c3*c4^3*c5+2*c4^5",
-    24: "2*c3*c5*c8^2+c3*c6*c7*c8-2*c5^2*c6*c8+c3^4*c4*c8",
-}
-
-# the four worked reductions of P^1 kappa* theta_s for (E8, 5):
-# for each s, the quotient coefficients q_j with
-#   P^1 kappa*theta_s = sum_j q_j * kappa*theta_j
-# (a handful of printed quotient signs do not survive recomputation; the
-# values below are the computation-verified ones, and PRINTED_SIGN_FIXES
-# records exactly which displayed quotient coefficients had their sign
-# corrected)
-METHOD2_WORKED_REDUCTIONS = {
-    2: {6: "1", 2: "-c4+2*c2^2"},
-    8: {
-        12: "1",
-        8: "-c2^2+2*c4",
-        6: "-2*c3^2+2*c6",
-        2: "-2*c2*c8-2*c3*c7+c4*c6-2*c5^2",
-    },
-    14: {
-        18: "1",
-        8: "c2^2*c3^2+c2*c8+c3^2*c4+2*c3*c7-c4*c6+2*c5^2",
-        6: "-2*c4^3",
-        2: "-c2*c3^3*c5+c2*c3^2*c4^2-2*c2*c3*c4*c7-c2*c4^2*c6-c2*c4*c5^2"
-        "+c2*c7^2-c3^2*c4*c6-c3*c4^2*c5-c3*c6*c7+c4^2*c8-2*c4*c5*c7"
-        "-c4*c6^2+2*c5^2*c6-c8^2",
-    },
-    20: {
-        24: "1",
-        18: "c6",
-        14: "c3^2*c4-c3*c7-c4*c6+2*c5^2",
-        12: "-c3*c4*c5+c4^3-2*c4*c8+c5*c7",
-        8: "c2*c4^2*c6+2*c3*c5*c8+c4^2*c8-c4*c5*c7+c4*c6^2",
-        6: "c2^2*c7^2+c2*c3*c6*c7+2*c3^3*c4*c5+c3^2*c4^3+2*c3^2*c5*c7"
-        "-c3*c4*c5*c6-c3*c7*c8+c4^2*c5^2-2*c5^2*c8+2*c5*c6*c7",
-        2: "2*c2*c4^3*c8+c2*c5^4-c2*c6*c7^2+c3^3*c5*c8+c3^2*c4*c5*c7"
-        "-c3*c4^3*c7+c3*c4^2*c5*c6-c3*c5*c7^2-c3*c6^2*c7-c4^4*c6"
-        "-c4^3*c5^2-c5^3*c7",
-    },
-}
-
-# displayed quotient coefficients whose sign had to be flipped to make the
-# reduction identities hold term-exact (the leading kappa*theta_{s+4} coefficients,
-# i.e. the b-values, are unaffected)
-PRINTED_SIGN_FIXES = {2: (2,), 8: (2,), 14: (8, 6), 20: (12, 8, 6)}
-
 
 class ThetaSet:
     """All presentations of the generating polynomials of one pair.
@@ -469,43 +414,3 @@ def _verify_checksums(group, p, theta_c):
             raise ChecksumError(f"no pinned theta checksum for {key}")
         if stored[key] != _theta_digest(f):
             raise ChecksumError(f"theta checksum mismatch for {key}")
-
-
-# -- the printed nonzero structure constants ---------------------------------
-
-
-def _build_lemma22():
-    table = {pair: {} for pair in SUPPORTED_PAIRS}
-
-    def put(p, s, t, value, groups):
-        for g in groups:
-            table[(g, p)][(s, t)] = value
-
-    all2 = ("G2", "F4", "E6", "E7", "E8")
-    put(2, 2, 3, 1, all2)
-    put(2, 8, 12, 1, ("F4", "E6", "E7", "E8"))
-    for s, t in ((3, 5), (5, 9), (8, 9)):
-        put(2, s, t, 1, ("E6", "E7", "E8"))
-    put(2, 12, 14, 1, ("E7", "E8"))
-    put(2, 12, 15, 1, ("E8",))
-    put(2, 14, 15, 1, ("E8",))
-
-    put(3, 2, 4, 1, ("F4", "E6", "E7", "E8"))
-    put(3, 6, 8, 1, ("F4", "E6", "E7"))
-    for s, t in ((4, 10), (8, 14), (8, 10)):
-        put(3, s, t, 1, ("E7", "E8"))
-    put(3, 6, 10, -1, ("E7",))
-    for s, t in ((18, 20), (14, 20), (18, 24)):
-        put(3, s, t, 1, ("E8",))
-
-    for k in (2, 8, 14, 20):
-        put(5, k, k + 4, 1, ("E8",))
-    return table
-
-
-LEMMA22 = _build_lemma22()
-
-
-def lemma22_printed(group, p):
-    """The printed nonzero b_{s,t} values, as canonical residues mod p."""
-    return {st: v % p for st, v in LEMMA22[(group, p)].items()}

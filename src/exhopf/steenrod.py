@@ -51,7 +51,6 @@ splits a monomial into its slots.
 from math import comb
 
 from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
-from . import liedata
 from .symfun import _chern_forms, wu_formula
 
 
@@ -121,54 +120,3 @@ def power(k, f):
         add_into(acc, _cartan(k, slots, ring, memo), c, ring.p)
     return Polynomial(ring, acc)
 
-
-def verify_case1(group, p):
-    """Term-exact certification of b_{5,9} = b_{8,9} = 1 at p = 2, t = 9.
-
-    Checks, in the mixed ring F_2[w2, c_2..c_N] of the printed thetas,
-    where c_1 = 3 w2 = w2 (c7 = 0 for E6, whose bundle stops at c6):
-
-        P^1 theta_8 = theta_9
-        P^4 theta_5 = theta_9 + c4 theta_5 + (c1^2 c4 + c6) theta_3
-                      + (c1^2 c5 + c7) theta_2
-
-    The paper states them in the weight ring.  The small ring decides them
-    exactly: the Chern forms t_i of `chern_substitution` sum to
-    c_1 = 3 omega_2 = omega_2 mod 2, so the mixed ring is F_2[c_1..c_N],
-    whose thetas map to the weight expansions under c_k -> e_k(t).  The N
-    forms have rank N mod 2 for E6, E7 and E8, so that map is injective;
-    it commutes with P (splitting principle).  An identity therefore holds
-    here exactly when it holds upstairs.
-
-    The second identity is as displayed.  The first is displayed with an
-    extra w2^4 theta_5 summand, which direct computation refutes (the two
-    w2^4 c5 contributions of P^1 theta_8 cancel mod 2); since that term
-    lies in the lower-theta ideal, either reading gives b_{8,9} = 1.  The
-    report records both forms.
-    """
-    if p != 2 or group not in ("E6", "E7", "E8"):
-        raise SteenrodError(f"case 1 only occurs for p=2, G=E6/E7/E8, not ({group},{p})")
-    ts = liedata.theta_set(group, p)
-    ring, th = ts.mixed_ring, ts.theta_c
-
-    def c(k):
-        name = f"c{k}" if k > 1 else "w2"
-        return ring.variable(name) if name in ring.index else ring.zero()
-
-    lhs1 = power(1, th[8])
-    lhs2 = power(4, th[5])
-    rhs2 = (
-        th[9]
-        + c(4) * th[5]
-        + (c(1) ** 2 * c(4) + c(6)) * th[3]
-        + (c(1) ** 2 * c(5) + c(7)) * th[2]
-    )
-    report = {
-        "p1_theta8_equals_theta9": lhs1 == th[9],
-        "p1_theta8_as_printed": lhs1 == th[9] + c(1) ** 4 * th[5],
-        "p4_theta5_as_printed": lhs2 == rhs2,
-    }
-    report["pass"] = (
-        report["p1_theta8_equals_theta9"] and report["p4_theta5_as_printed"]
-    )
-    return report

@@ -4,13 +4,13 @@ These build the fixture polynomials for P^k(c_m) directly from the
 printed formulas, in a given c-ring; the generator under test never
 calls into this module.  The falling-factorial binomial handles the
 negative upper arguments the p=2 formula needs.  `case1_in_weights`
-checks the printed Case 1 identities where the paper states them, in the
-weight ring, as the oracle of `steenrod.verify_case1`.
+decides the ledger's Case 1 claims where the paper states them, in the
+weight ring, as the oracle of their mixed-ring check in `printed`.
 """
 
 from math import factorial
 
-from exhopf import liedata
+from exhopf import liedata, printed
 from exhopf.steenrod import power
 
 
@@ -178,34 +178,15 @@ REMARK52_STABLE_M = {(3, 1): 1, (3, 2): 3, (3, 3): 5, (5, 1): 3}
 
 
 def case1_in_weights(group):
-    """`steenrod.verify_case1(group, 2)` decided in the weight ring, with the
-    Chern polynomials substituted (c7 = 0 for E6, whose bundle stops at c6)."""
+    """The ledger's Case 1 claims on (group, 2) decided in the weight ring,
+    where the paper states them: {key: agree}, each theta and quotient
+    expanded by c_k -> c_k(G) (`liedata.expand_in_weights`)."""
     ts = liedata.theta_set(group, 2)
-    R = ts.weight_ring
-    th = {s: ts.omega(s) for s in (2, 3, 5, 8, 9)}
-    w2 = R.variable("w2")
-
-    def cp(k):
-        return (
-            liedata.chern_poly(group, 2, k)
-            if k <= liedata.CHERN_COUNT[group]
-            else R.zero()
-        )
-
-    lhs1 = power(1, th[8])
-    lhs2 = power(4, th[5])
-    rhs2 = (
-        th[9]
-        + cp(4) * th[5]
-        + (w2 ** 2 * cp(4) + cp(6)) * th[3]
-        + (w2 ** 2 * cp(5) + cp(7)) * th[2]
-    )
-    report = {
-        "p1_theta8_equals_theta9": lhs1 == th[9],
-        "p1_theta8_as_printed": lhs1 == th[9] + w2 ** 4 * th[5],
-        "p4_theta5_as_printed": lhs2 == rhs2,
-    }
-    report["pass"] = (
-        report["p1_theta8_equals_theta9"] and report["p4_theta5_as_printed"]
-    )
-    return report
+    out = {}
+    for claim in printed.claims(group, 2):
+        if claim.source == "Case 1":
+            _, k, s = claim.key
+            rhs = sum((liedata.expand_in_weights(ts.mixed_ring.parse(q), group, 2) * ts.omega(j)
+                       for j, q in claim.value.items()), ts.weight_ring.zero())
+            out[claim.key] = power(k, ts.omega(s)) == rhs
+    return out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from exhopf import hopf, liedata
+from exhopf import hopf, liedata, printed
 from exhopf.hopf import (
     AlgebraElement,
     HopfError,
@@ -16,7 +16,6 @@ from exhopf.hopf import (
     check_suite,
     tensor,
 )
-from printed_coproducts import PRINTED_COPRODUCTS
 
 
 def model(group, p):
@@ -285,27 +284,18 @@ def test_instability_on_model():
     assert m.reduced_power(7, x).is_zero()
 
 
+def _coproduct_claims(group, p):
+    """The ledger's Theorem 2 claims on one pair, by s."""
+    return {c.key: c for c in printed.claims(group, p) if c.kind == "coproduct"}
+
+
 def test_derive_coproducts_examples():
+    # derived values that the paper does not print (its printed ones are claims)
     m = model("F4", 3)
-    phi = m.derive_coproducts()
-    assert phi[6] == tensor(m, -m.x(4), m.alpha(2))  # phi(a_11) = -x_8 (x) a_3
     # a_15 = P^1 a_11 is derived: phi(a_15) = -x_8 (x) a_7
-    assert phi[8] == tensor(m, -m.x(4), m.alpha(4))
-
-    m6 = model("E6", 2)
-    phi6 = m6.derive_coproducts()
-    assert phi6[8] == tensor(m6, m6.x(3), m6.alpha(5))
-    # alpha_17 = P^1 alpha_15 and both routes stay consistent
-    assert phi6[9].is_zero()
-
-    m85 = model("E8", 5)
-    phi85 = m85.derive_coproducts()
-    expect = (
-        tensor(m85, 3 * m85.x(6), m85.alpha(14))
-        + tensor(m85, 3 * m85.x(6, 2), m85.alpha(8))
-        + tensor(m85, 2 * m85.x(6, 3), m85.alpha(2))
-    )
-    assert phi85[20] == expect  # printed phi_5(alpha_39)
+    assert m.derive_coproducts()[8] == tensor(m, -m.x(4), m.alpha(4))
+    # (E6,2) alpha_17 = P^1 alpha_15 and both routes stay consistent
+    assert model("E6", 2).derive_coproducts()[9].is_zero()
 
 
 def test_derived_phi17_e7_e8():
@@ -316,33 +306,13 @@ def test_derived_phi17_e7_e8():
 
 
 def test_solver_worked_cases():
-    # (E8,2, s=8): ansatz a x_10 (x) a_5 + b x_6 (x) a_9 + c x_6^2 (x) a_3
-    m = model("E8", 2)
-    known = {k: v for k, v in m.derive_coproducts().items() if k != 8}
-    sol = m.solve_coproduct(8, known)
-    expect = (
-        tensor(m, m.x(5), m.alpha(3))
-        + tensor(m, m.x(3), m.alpha(5))
-        + tensor(m, m.x(3, 2), m.alpha(2))
-    )
-    assert sol == expect
-
-    # (E8,3, s=8): single unknown, a = -1
-    m3 = model("E8", 3)
-    known3 = {k: v for k, v in m3.derive_coproducts().items() if k != 8}
-    sol3 = m3.solve_coproduct(8, known3)
-    assert sol3 == tensor(m3, -m3.x(4), m3.alpha(4))
-
-    # (E8,3, s=18): a=e=-1, b=c=d=1 in the paper's unknowns
-    known18 = {k: v for k, v in m3.derive_coproducts().items() if k != 18}
-    sol18 = m3.solve_coproduct(18, known18)
-    expect18 = (
-        tensor(m3, m3.x(4), m3.alpha(14))
-        + tensor(m3, m3.x(4, 2), m3.alpha(10))
-        + tensor(m3, m3.x(4) * m3.x(10), m3.alpha(4))
-        + tensor(m3, -m3.x(10), m3.alpha(8))
-    )
-    assert sol18 == expect18
+    # the paper's worked solves give its printed coproducts: (E8,2) alpha_15,
+    # with three unknowns; (E8,3) alpha_15, with one, and alpha_35, with five
+    for group, p, s in (("E8", 2, 8), ("E8", 3, 8), ("E8", 3, 18)):
+        m = model(group, p)
+        known = {k: v for k, v in m.derive_coproducts().items() if k != s}
+        printed_value = m._coproduct_from_data(_coproduct_claims(group, p)[s].value)
+        assert m.solve_coproduct(s, known) == printed_value, (group, p, s)
 
 
 # leave-one-out solves that fix nothing: (E6,3) alpha_17 (printed primitive)
@@ -384,40 +354,36 @@ def test_alpha47_route_holds_where_its_solve_is_inconsistent():
     assert not phi[24].is_zero()
 
 
-def _printed_mismatches(group, p, printed):
-    """The s whose derived phi(alpha_{2s-1}) differs from `printed`."""
-    m = model(group, p)
-    phi = m.derive_coproducts()
-    return [s for s, data in printed.items() if phi[s] != m._coproduct_from_data(data)]
-
-
-@pytest.mark.parametrize("group,p", sorted(PRINTED_COPRODUCTS))
+@pytest.mark.parametrize("group,p", sorted(liedata.SUPPORTED_PAIRS))
 def test_printed_coproducts_are_derived(group, p):
-    printed = PRINTED_COPRODUCTS[(group, p)]
-    assert not printed.keys() & hopf.COPRODUCT_DATA[(group, p)].keys()
-    assert _printed_mismatches(group, p, printed) == []
+    claims = _coproduct_claims(group, p)
+    assert not claims.keys() & hopf.COPRODUCT_DATA.get((group, p), {}).keys()
+    m = model(group, p)
+    assert [s for s, c in claims.items() if not printed.holds(c, m)] == []
 
 
 def test_printed_coproduct_check_sees_a_flipped_coefficient():
     # (E8,5) phi(alpha_39) with 3 x_12 ⊗ alpha_27 turned into 4 x_12 ⊗ alpha_27
-    printed = dict(PRINTED_COPRODUCTS[("E8", 5)])
-    (c, xmon, t), *rest = printed[20]
-    printed[20] = [(c + 1, xmon, t)] + rest
-    assert _printed_mismatches("E8", 5, printed) == [20]
+    claim = _coproduct_claims("E8", 5)[20]
+    (c, xmon, t), *rest = claim.value
+    assert not printed.holds(claim._replace(value=[(c + 1, xmon, t)] + rest), model("E8", 5))
 
 
 def test_inputs_are_the_printed_primitives_and_two_values():
-    entries = [(pair, data) for pair, table in hopf.COPRODUCT_DATA.items()
-               for data in table.values()]
-    assert len(entries) == 21
-    assert sorted(pair for pair, data in entries if data) == [("E6", 2), ("E7", 3)]
-    printed = sum(len(table) for table in PRINTED_COPRODUCTS.values())
-    assert len(entries) + printed == 31
+    # the inputs are the one printed primitive and the two printed values
+    # that nothing derives; the other 28 printed coproducts are claims
+    entries = [(pair, s, data) for pair, table in hopf.COPRODUCT_DATA.items()
+               for s, data in table.items()]
+    assert [(pair, s) for pair, s, data in entries if not data] == [(("E6", 3), 9)]
+    assert sorted(pair for pair, _, data in entries if data) == [("E6", 2), ("E7", 3)]
+    claims = sum(len(_coproduct_claims(*pair)) for pair in liedata.SUPPORTED_PAIRS)
+    assert (len(entries), claims) == (3, 28)
 
 
 @pytest.mark.parametrize("pair,s,pending", [
     (("E6", 2), 8, "alpha_15, alpha_23 of"),
     (("E7", 3), 18, "alpha_35 of"),
+    (("E6", 3), 9, "alpha_17 of"),
 ])
 def test_each_kept_input_is_needed(monkeypatch, pair, s, pending):
     # without it neither a route nor a unique solve reaches these alphas;
@@ -871,7 +837,6 @@ def test_q1_term_is_reached_only_by_refused_tables():
     m = build_model("F4", 3, _with_values("F4", 3, {(4, 6): 1, (4, 8): 1}))
     assert m.reduced_power(2, m.x(4)).is_zero()
     assert m.derive_coproducts()[6].is_zero()
-    printed = m._coproduct_from_data(PRINTED_COPRODUCTS[("F4", 3)][6])
-    assert printed == tensor(m, -m.x(4), m.alpha(2))
+    assert not printed.holds(_coproduct_claims("F4", 3)[6], m)  # -x_8 ⊗ alpha_3
     report = check_suite(m)
     assert not report["delta_compatibility"] and not report["pass"]

@@ -1,16 +1,14 @@
 import pytest
 
-from exhopf import liedata
+from exhopf import liedata, printed
 from exhopf.ffpoly import parse, render
 from exhopf.liedata import (
-    EXAMPLE_58_TEXT,
     SUPPORTED_PAIRS,
     ChecksumError,
     UnsupportedPair,
     checksum_payload,
     chern_poly,
     chern_substitution,
-    lemma22_printed,
     mixed_ring,
     profile,
     restrict_kappa,
@@ -183,10 +181,10 @@ def test_e8_heavy_pairs_light_degrees():
 
 
 def test_example_58_restrictions():
+    # the printed kappa*theta_s of Example 5.8, every s of r(E8,5), term-exact
     ts = theta_set("E8", 5)
-    R = ts.restricted_ring
-    for s, text in EXAMPLE_58_TEXT.items():
-        assert ts.theta_restricted[s] == R.parse(text), s
+    claims = [c for c in printed.claims("E8", 5) if c.kind == "theta"]
+    assert {c.key[1]: printed.holds(c, ts) for c in claims} == dict.fromkeys(ts.profile.r_set, True)
 
 
 def test_kappa_kills_w_terms():
@@ -212,31 +210,6 @@ def test_checksums_pinned_and_match():
     stored = _stored_checksums()
     assert stored is not None, "theta_checksums.json missing"
     assert stored == checksum_payload()
-
-
-def test_lemma22_printed_values():
-    assert lemma22_printed("G2", 2) == {(2, 3): 1}
-    assert lemma22_printed("F4", 3) == {(2, 4): 1, (6, 8): 1}
-    e7 = lemma22_printed("E7", 3)
-    assert e7[(6, 10)] == 2  # -1 mod 3
-    assert set(e7) == {(2, 4), (6, 8), (4, 10), (8, 14), (8, 10), (6, 10)}
-    e8 = lemma22_printed("E8", 2)
-    assert set(e8) == {
-        (2, 3),
-        (8, 12),
-        (3, 5),
-        (5, 9),
-        (8, 9),
-        (12, 14),
-        (12, 15),
-        (14, 15),
-    }
-    assert lemma22_printed("E8", 5) == {
-        (2, 6): 1,
-        (8, 12): 1,
-        (14, 18): 1,
-        (20, 24): 1,
-    }
 
 
 def test_missing_checksum_file_is_an_error(monkeypatch):

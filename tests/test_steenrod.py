@@ -3,10 +3,10 @@ from math import comb
 
 import pytest
 
-from exhopf import bst, liedata
-from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext
+from exhopf import bst, liedata, printed
+from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext, render
 from exhopf.groebner import NoSolution
-from exhopf.steenrod import SteenrodError, power, verify_case1
+from exhopf.steenrod import SteenrodError, power
 from closed_forms import case1_in_weights
 from symfun_oracles import homogeneous_components, total_steenrod
 
@@ -222,36 +222,26 @@ def test_adem_p1p1_equals_2p2():
     assert power(1, power(1, f)) == 2 * power(2, f)
 
 
-def test_mode_b_worked_reductions_all_four():
-    # P^1 kappa*theta_s = sum_j q_j kappa*theta_j at (E8,5), term-exact
-    ts = liedata.theta_set("E8", 5)
-    R = ts.restricted_ring
-    for s, quots in liedata.METHOD2_WORKED_REDUCTIONS.items():
-        lhs = power(1, ts.theta_restricted[s])
-        rhs = R.zero()
-        for j, text in quots.items():
-            rhs = rhs + R.parse(text) * ts.theta_restricted[j]
-        assert lhs == rhs, s
+# the printed quotients of the (E8,5) worked reductions whose sign the
+# computation refutes: s -> the j whose q_j is printed negated
+PRINTED_SIGN_FIXES = {2: (2,), 8: (2,), 14: (8, 6), 20: (12, 8, 6)}
 
 
 def test_printed_quotient_sign_fixes():
-    # the printed quotients are the stored ones with the listed q_j negated;
-    # only the stored ones make P^1 kappa*theta_s = sum_j q_j kappa*theta_j hold
+    # P^1 kappa*theta_s = sum_j q_j kappa*theta_j fails as printed for all
+    # four s, and holds term-exact once the listed q_j are negated; the
+    # leading q_{s+4} = 1, which carries b_{s,s+4}, is never among them
     ts = liedata.theta_set("E8", 5)
     R = ts.restricted_ring
-    assert set(liedata.PRINTED_SIGN_FIXES) == set(liedata.METHOD2_WORKED_REDUCTIONS)
-    for s, flipped in liedata.PRINTED_SIGN_FIXES.items():
-        quots = liedata.METHOD2_WORKED_REDUCTIONS[s]
-        assert set(flipped) <= set(quots), s
-        lhs = power(1, ts.theta_restricted[s])
-        stored = R.zero()
-        printed = R.zero()
-        for j, text in quots.items():
-            term = R.parse(text) * ts.theta_restricted[j]
-            stored = stored + term
-            printed = printed + (-term if j in flipped else term)
-        assert lhs == stored, s
-        assert lhs != printed, s
+    quotients = [c for c in printed.claims("E8", 5) if c.kind == "reduction"]
+    assert len(quotients) == len(PRINTED_SIGN_FIXES)
+    for claim in quotients:
+        s = claim.key[2]
+        flipped = PRINTED_SIGN_FIXES[s]
+        assert set(flipped) <= set(claim.value) - {s + 4}, s
+        fixed = {j: render(-R.parse(q)) if j in flipped else q for j, q in claim.value.items()}
+        assert not printed.holds(claim, ts), s
+        assert printed.holds(claim._replace(value=fixed), ts), s
 
 
 def test_restricted_wu_formula_of_example58():
@@ -273,20 +263,22 @@ def test_restricted_wu_formula_of_example58():
         assert lhs == rhs, m
 
 
+def _case1_in_mixed(group, ts):
+    """The ledger's Case 1 claims on (group, 2) against `ts`: {key: agree}."""
+    return {c.key: printed.holds(c, ts) for c in printed.claims(group, 2) if c.source == "Case 1"}
+
+
 def test_case1_identities():
     for group in ("E6", "E7", "E8"):
-        report = verify_case1(group, 2)
-        assert report["pass"], (group, report)
-        assert report["p1_theta8_equals_theta9"]
-        # the displayed extra w2^4 theta_5 summand does not survive computation
-        assert not report["p1_theta8_as_printed"]
-        assert report["p4_theta5_as_printed"]
-        # decided in the mixed ring F_2[w2, c_2..c_N]; the weight ring must agree
-        assert report == case1_in_weights(group), group
-    with pytest.raises(SteenrodError):
-        verify_case1("E8", 3)
-    with pytest.raises(SteenrodError):
-        verify_case1("F4", 2)
+        ts = liedata.theta_set(group, 2)
+        # P^1 theta_8 = theta_9 exactly, in the mixed ring and in the weight ring
+        assert power(1, ts.theta_c[8]) == ts.theta_c[9]
+        assert power(1, ts.omega(8)) == ts.omega(9)
+        # so the printed w2^4 theta_5 summand does not survive; P^4 theta_5
+        # holds as printed, and the weight ring decides both claims alike
+        verdicts = _case1_in_mixed(group, ts)
+        assert verdicts == {("mixed", 1, 8): False, ("mixed", 4, 5): True}, group
+        assert case1_in_weights(group) == verdicts, group
 
 
 def _rank_mod2(forms):
@@ -305,9 +297,10 @@ def _rank_mod2(forms):
 
 @pytest.mark.parametrize("group", ["E6", "E7", "E8"])
 def test_case1_ring_embeds_in_the_weight_ring(group):
-    # the splitting map F_2[w2, c_2..c_N] -> F_2[w] that makes `verify_case1`
-    # exact: the N Chern forms are independent mod 2, c_1 = 3 omega_2 is
-    # omega_2 mod 2, and each mixed theta maps to its weight expansion
+    # the splitting map F_2[w2, c_2..c_N] -> F_2[w] that makes the mixed-ring
+    # check of the Case 1 claims exact: the N Chern forms are independent
+    # mod 2, c_1 = 3 omega_2 is omega_2 mod 2, and each mixed theta maps to
+    # its weight expansion
     ts = liedata.theta_set(group, 2)
     W = ts.weight_ring
     forms = liedata.chern_substitution(group, 2)
@@ -325,8 +318,8 @@ def test_case1_ring_embeds_in_the_weight_ring(group):
 
 @pytest.mark.parametrize("group", ["E6", "E7", "E8"])
 def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
-    # theta_9 + w2^9 keeps kappa* theta_9 = 0 but breaks P^1 theta_8 = theta_9:
-    # both routes and the b-table must notice
+    # theta_9 + w2^9 keeps kappa* theta_9 = 0 but breaks P^1 theta_8 = theta_9
+    # and P^4 theta_5 as printed: both rings and the b-table must notice
     real = liedata.theta_set(group, 2)
     w2 = real.mixed_ring.variable("w2")
     bad = liedata.ThetaSet(
@@ -340,9 +333,10 @@ def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
     # meet the real ones nor outlive the test
     bst._basis.cache_clear()
     try:
-        for report in (verify_case1(group, 2), case1_in_weights(group)):
-            assert not report["p1_theta8_equals_theta9"], report
-            assert not report["pass"], report
+        assert power(1, bad.theta_c[8]) != bad.theta_c[9]
+        assert power(1, bad.omega(8)) != bad.omega(9)
+        assert _case1_in_mixed(group, bad) == case1_in_weights(group) == {
+            ("mixed", 1, 8): False, ("mixed", 4, 5): False}
         with pytest.raises(NoSolution):
             bst.full_table(group, 2)
     finally:
