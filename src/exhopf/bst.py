@@ -24,12 +24,37 @@ unique, so every link equals the basis built from scratch on the thetas.
 Pairs with k >= s are forced to zero by instability (P^s theta_s =
 theta_s^p lies in the ideal, P^k theta_s = 0 above that) and recorded
 without any reduction.
+
+Upstairs the step reduces P^k rho_s, not P^k theta_s, where rho_s is the
+pivot remainder of column s: the full weight expansion of theta_s runs to
+thousands of terms ((E8,2) theta_14: 14,258), its remainder to a few
+((E8,2) rho_14: 65).  theta_s - rho_s lies in <theta_j : j < s>, and the
+theta-ideal is the kernel of the characteristic map, hence A_p-stable
+(Kac, Invent. Math. 80, 1985).  By the Cartan formula P^k(theta_s - rho_s)
+then lies in <theta_j : j < t>, and the b is the same.
+
+That stability is checked on every run, not assumed (`_stable`).  Before
+column t, each weight u < t is taken in increasing order: for every j in
+r(G,p) and 1 <= i < j with u = j + i(p-1), NF(P^i rho_j) against the link
+valid at u (the link of the least r >= u, whose ideal is <theta_r : r <
+u>) must be 0 when u is not in r(G,p), and a multiple of the pivot when it
+is.  By induction on u every such P^i theta_j lies in <theta_r : r <= u>
+(i >= j is instability), so P^k maps <theta_j : j < s> into <theta_j : j <
+t>.  A failure raises `NotStable`, naming j, i and u.
+
+Method II and the mixed ring keep P^k theta_s.  Their thetas are already
+small, so downstairs the same route with its check is slower: the Method II
+entries take 0.87 -> 1.07 ms on (E6,2), 1.75 -> 2.12 ms on (E8,2) and
+10.4 -> 11.5 ms on (E8,5) (medians of 9 cold processes, 2-core VM, Python
+3.11.7), and without the check they save at most 5%.  And the restricted
+ideal need not be stable: in (F4,2) Sq^4 c_3 has a c_5 term, so P^2
+theta_3 is not in <theta_2, theta_3> at weight 5, which the check reports.
 """
 
 from functools import lru_cache
 
 from . import groebner, liedata, printed, steenrod
-from .groebner import Ambiguous, buchberger, solve_linear_coefficient
+from .groebner import Ambiguous, NoSolution, buchberger, solve_linear_coefficient
 
 
 class BstError(Exception):
@@ -38,6 +63,17 @@ class BstError(Exception):
 
 class Case1Required(BstError):
     """kappa* theta_t = 0, so Method II cannot see this entry."""
+
+
+class NotStable(NoSolution):
+    """P^i theta_j is not in <theta_r : r <= u>, u = j + i(p-1): the
+    presentation's theta-ideal is not P-stable, so no left side may be
+    replaced by its pivot remainder."""
+
+    def __init__(self, group, p, presentation, j, i, u):
+        super().__init__(f"P^{i} theta_{j} is not in <theta_r : r <= {u}> "
+                         f"in the {presentation} presentation of ({group},{p})")
+        self.j, self.i, self.u = j, i, u
 
 
 class BstEntry:
@@ -119,14 +155,14 @@ def _presentation(ts, presentation):
 
 
 # One chain of bases per (pair, presentation), one link per t, shared by
-# every s of the column and by the next link.  Measured in one process
-# (2-core VM, Python 3.11.7): the ten default tables ask for 5 bases and
-# build 11 links upstairs (G2 up to t = 3, F4 and E6 at p = 3 up to t = 8
-# for their Method I fallback entries), ask for 76 and build 58 links
-# downstairs, and ask for 6 and build 15 mixed links (E6, E7 and E8 at
-# p = 2 up to t = 9, for the Case 1 column); the `crosscheck` pairs ask for
-# 17, 16 and 2 and build 22, 20 and 5.  Peak RSS after either pass is
-# 19.1-19.6 MB.
+# every s of the column, by the next link and, upstairs, by the stability
+# check.  Measured in one process (2-core VM, Python 3.11.7): the ten
+# default tables ask 34 times for a basis and build 11 links upstairs (G2
+# up to t = 3, F4 and E6 at p = 3 up to t = 8 for their Method I fallback
+# entries), ask 82 times and build 58 links downstairs, and ask 6 times and
+# build 15 mixed links (E6, E7 and E8 at p = 2 up to t = 9, for the Case 1
+# column); the `crosscheck` pairs ask 97, 18 and 2 times and build 22, 20
+# and 5.  Peak RSS after either pass is 19.0-19.6 MB.
 @lru_cache(maxsize=None)
 def _basis(group, p, presentation, t):
     """(basis, pivot): the basis of <theta_j : j < t> truncated at t, and
@@ -143,22 +179,84 @@ def _basis(group, p, presentation, t):
     return gb, groebner.normal_form(theta(t), gb)
 
 
+# The check and the entries of Method I share their work: each weight is
+# checked once per process, after the weights below it, and each P^k rho_s
+# is solved once, as an entry or in the check of weight t (the same step).
+# Measured on the `crosscheck` pairs (2-core VM, Python 3.11.7): 46 asks
+# check 34 weights, and 29 asks solve 19 left sides; their tables take
+# 0.0337 s (median of 15 cold processes), 0.0374 s with no memo on
+# `_stable` and 0.0367 s with none on `_solve_rho`.
+@lru_cache(maxsize=None)
+def _stable(group, p, presentation, u):
+    """Check that P^i theta_j lies in <theta_r : r <= u> for every j in
+    r(G,p) and 1 <= i < j with j + i(p-1) = u, and the same below u.
+
+    Raises `NotStable` at the first weight and j that fail.
+    """
+    r_set = liedata.profile(group, p).r_set
+    if u <= r_set[0]:
+        return
+    _stable(group, p, presentation, u - 1)
+    gb, _ = _basis(group, p, presentation, min(r for r in r_set if r >= u))
+    for j in r_set:
+        i, rest = divmod(u - j, p - 1)
+        if rest or not 1 <= i < j:
+            continue
+        if u in r_set:
+            try:
+                _solve_rho(group, p, presentation, j, u)
+            except Ambiguous:
+                pass  # P^i rho_j reduces to zero, as the pivot does
+            except NoSolution:
+                raise NotStable(group, p, presentation, j, i, u) from None
+        elif not groebner.normal_form(_power_rho(group, p, presentation, j, i), gb).remainder.is_zero():
+            raise NotStable(group, p, presentation, j, i, u)
+
+
+def _power_rho(group, p, presentation, s, k):
+    """P^k rho_s, rho_s the pivot remainder of column s."""
+    return steenrod.power(k, _basis(group, p, presentation, s)[1].remainder)
+
+
+@lru_cache(maxsize=None)
+def _solve_rho(group, p, presentation, s, t):
+    """The b with P^k rho_s = b theta_t mod <theta_j : j < t>."""
+    gb, pivot = _basis(group, p, presentation, t)
+    lhs = _power_rho(group, p, presentation, s, (t - s) // (p - 1))
+    return solve_linear_coefficient(lhs, pivot, gb)
+
+
 def _reduce(group, p, s, t, presentation):
     """The one reduction step of every method: the b with
-    P^k theta_s = b theta_t mod <theta_j : j < t> in one presentation."""
+    P^k theta_s = b theta_t mod <theta_j : j < t> in one presentation;
+    upstairs P^k rho_s stands for P^k theta_s (module docstring)."""
     r_set = liedata.profile(group, p).r_set
     k, rest = divmod(t - s, p - 1)
     if rest or not 1 <= k < s or s not in r_set or t not in r_set:
         raise BstError(f"({s},{t}) of ({group},{p}) is not an admissible pair with k < s")
-    _, theta = _presentation(liedata.theta_set(group, p), presentation)
-    if theta(t).is_zero():
-        raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
     gb, pivot = _basis(group, p, presentation, t)
-    return solve_linear_coefficient(steenrod.power(k, theta(s)), pivot, gb)
+    if pivot.weights is None:  # theta_t itself is zero
+        if presentation == "restricted":
+            raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
+        raise BstError(f"theta_{t} = 0 in the {presentation} presentation of ({group},{p})")
+    if presentation == "weight":
+        _stable(group, p, presentation, t - 1)
+        return _solve_rho(group, p, presentation, s, t)
+    lhs = _presentation(liedata.theta_set(group, p), presentation)[1](s)
+    return solve_linear_coefficient(steenrod.power(k, lhs), pivot, gb)
 
 
 def compute_bst_method1(group, p, s, t):
-    """b_{s,t} by Groebner reduction in the weight ring."""
+    """b_{s,t} by Groebner reduction in the weight ring.
+
+    The left side is P^k rho_s, rho_s the pivot remainder of theta_s: theta_s
+    - rho_s lies in <theta_j : j < s>, which P^k maps into <theta_j : j < t>
+    because the theta-ideal is P-stable, so the b is that of P^k theta_s.
+    Every weight below t is first checked for that stability, and
+    `NotStable` names the P^i theta_j that fails.  Method II and the mixed
+    ring keep P^k theta_s: their thetas are small, and the restricted ideal
+    of (F4,2) is not P-stable (module docstring).
+    """
     return _reduce(group, p, s, t, "weight")
 
 

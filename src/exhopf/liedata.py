@@ -280,7 +280,8 @@ class ThetaSet:
     The mixed presentation and its kappa-restriction are materialized at
     load.  The full weight-ring expansions are expensive for the top E_8
     degrees (hundreds of thousands of terms), so they are computed per
-    degree on first use; every expansion is homogeneity-checked.
+    degree when asked and not kept: `bst._basis` asks once per column and
+    keeps only the pivot remainder.  Every expansion is homogeneity-checked.
     """
 
     def __init__(self, prof, theta_c, theta_restricted):
@@ -292,18 +293,13 @@ class ThetaSet:
         self.restricted_ring = (
             restricted_ring(prof.group, prof.p) if prof.group != "G2" else None
         )
-        # the `crosscheck` pairs ask 56 times for 22 expansions; their tables take
-        # 0.051-0.089 s a process cached, 0.058-0.109 s uncached (12 processes each)
-        self._omega = {}
 
     def omega(self, s):
-        """theta_s fully expanded in the weights (cached)."""
-        if s not in self._omega:
-            f = expand_in_weights(self.theta_c[s], self.profile.group, self.profile.p)
-            if f.weight() != s:
-                raise ValueError(f"expanded theta_{s} is not homogeneous of weight {s}")
-            self._omega[s] = f
-        return self._omega[s]
+        """theta_s fully expanded in the weights."""
+        f = expand_in_weights(self.theta_c[s], self.profile.group, self.profile.p)
+        if f.weight() != s:
+            raise ValueError(f"expanded theta_{s} is not homogeneous of weight {s}")
+        return f
 
     def __repr__(self):
         return f"ThetaSet({self.profile.group}, p={self.profile.p})"

@@ -4,13 +4,15 @@ from exhopf import bst, liedata, steenrod, symfun
 from exhopf.bst import (
     BstError,
     Case1Required,
+    NotStable,
     admissible_pairs,
     compute_bst_method1,
     compute_bst_method2,
     full_table,
     verify_lemma22,
 )
-from exhopf.groebner import buchberger, normal_form
+from exhopf.ffpoly import Polynomial
+from exhopf.groebner import NoSolution, buchberger, normal_form, solve_linear_coefficient
 
 
 def test_admissible_pairs_and_instability():
@@ -270,3 +272,113 @@ def test_shared_term_dicts_are_never_mutated():
         fresh = symfun.WuTable(ring)
         for i, j in read:
             assert table.coefficient(i, j) == fresh.coefficient(i, j), (ring, i, j)
+
+
+def _direct_method1(group, p):
+    """Every non-instability b of the pair by the direct upstairs route, the
+    oracle of Method I: NF(P^k theta_s), theta_s fully expanded, solved
+    against the pivot of column t.  A failed solve maps to its error type."""
+    ts = liedata.theta_set(group, p)
+    omega = {}
+    out = {}
+    for s, t, k in admissible_pairs(ts.profile):
+        if k >= s:
+            continue
+        if s not in omega:
+            omega[s] = ts.omega(s)
+        gb, pivot = bst._basis(group, p, "weight", t)
+        try:
+            out[(s, t)] = solve_linear_coefficient(steenrod.power(k, omega[s]), pivot, gb)
+        except NoSolution as e:
+            out[(s, t)] = type(e)
+    return out
+
+
+@pytest.mark.parametrize("group, p", [("G2", 2), ("F4", 2), ("F4", 3), ("E6", 2), ("E6", 3),
+                                      ("E7", 2), ("E8", 2)])
+def test_method1_equals_the_direct_route(group, p):
+    direct = _direct_method1(group, p)
+    assert direct and all(isinstance(b, int) for b in direct.values())
+    for (s, t), b in direct.items():
+        assert compute_bst_method1(group, p, s, t) == b, (s, t)
+
+
+def test_method1_applies_powers_to_pivot_remainders_only(monkeypatch, fresh_bst_memos):
+    # every P^k that Method I takes upstairs acts on some rho_s, never on an
+    # expanded theta_s; on (E6,2) theta_12 has 964 terms and rho_12 has 7
+    seen = []
+    power = steenrod.power
+    monkeypatch.setattr(steenrod, "power", lambda k, f: seen.append(f) or power(k, f))
+    full_table("E6", 2, strategy="method1")
+    r_set = liedata.profile("E6", 2).r_set
+    rho = {s: bst._basis("E6", 2, "weight", s)[1].remainder for s in r_set}
+    assert seen and all(any(f == r for r in rho.values()) for f in seen)
+    ts = liedata.theta_set("E6", 2)
+    assert (len(ts.omega(12).terms), len(rho[12].terms)) == (964, 7)
+
+
+def _assert_method1_equals_method2_on_e8_p5(tmax):
+    entries = [(s, t) for s, t, k in admissible_pairs(liedata.profile("E8", 5))
+               if k < s and t <= tmax]
+    assert entries
+    for s, t in entries:
+        assert compute_bst_method1("E8", 5, s, t) == compute_bst_method2("E8", 5, s, t), (s, t)
+
+
+def test_method1_equals_method2_on_e8_p5_up_to_t14():
+    _assert_method1_equals_method2_on_e8_p5(14)
+
+
+@pytest.mark.slow
+def test_method1_equals_method2_on_e8_p5_up_to_t18():
+    _assert_method1_equals_method2_on_e8_p5(18)
+
+
+def test_stability_check_refuses_the_restricted_f4_p2_ideal(fresh_bst_memos):
+    # Sq^4 c_3 has a c_5 term, so P^2 theta_3 leaves <theta_2, theta_3>
+    # downstairs; every weight below 5 passes
+    bst._stable("F4", 2, "restricted", 4)
+    with pytest.raises(NotStable, match=r"P\^2 theta_3 is not in <theta_r : r <= 5>") as err:
+        bst._stable("F4", 2, "restricted", 5)
+    assert (err.value.j, err.value.i, err.value.u) == (3, 2, 5)
+    assert isinstance(err.value, NoSolution)
+
+
+def _patch_omega(monkeypatch, group, p, s, f):
+    """theta_s of the pair's weight presentation replaced by f."""
+    ts = liedata.theta_set(group, p)
+    expand = ts.omega
+    monkeypatch.setattr(ts, "omega", lambda r: f if r == s else expand(r))
+    return ts
+
+
+def test_stability_check_sees_a_dropped_term_of_theta3(monkeypatch, fresh_bst_memos):
+    # with one term of the (E6,2) theta_3 gone, the direct route still
+    # returns a b on three entries; the check refuses every column above 3
+    real = liedata.theta_set("E6", 2).omega(3)
+    drop = min(real.terms)
+    bad = Polynomial(real.ring, {m: c for m, c in real.terms.items() if m != drop})
+    _patch_omega(monkeypatch, "E6", 2, 3, bad)
+    direct = _direct_method1("E6", 2)
+    assert {st: b for st, b in direct.items() if isinstance(b, int)} == {
+        (5, 8): 0, (8, 9): 1, (9, 12): 0}
+    columns = {t for _, t in direct if t > 3}
+    assert columns == {5, 8, 9, 12}
+    for s, t in direct:
+        if t > 3:
+            with pytest.raises(NotStable) as err:
+                compute_bst_method1("E6", 2, s, t)
+            assert (err.value.j, err.value.i, err.value.u) == (2, 1, 3), (s, t)
+
+
+def test_zero_theta_t_is_case1_only_downstairs(monkeypatch, fresh_bst_memos):
+    # upstairs and in the mixed ring a vanishing theta_t is broken data, not
+    # the Case 1 column; the error names the presentation
+    ts = _patch_omega(monkeypatch, "F4", 2, 3, liedata.weight_ring("F4", 2).zero())
+    with pytest.raises(BstError, match="theta_3 = 0 in the weight presentation") as err:
+        compute_bst_method1("F4", 2, 2, 3)
+    assert not isinstance(err.value, Case1Required)
+    monkeypatch.setitem(ts.theta_c, 3, ts.mixed_ring.zero())
+    with pytest.raises(BstError, match="theta_3 = 0 in the mixed presentation") as err:
+        bst._reduce("F4", 2, 2, 3, "mixed")
+    assert not isinstance(err.value, Case1Required)

@@ -317,7 +317,7 @@ def test_case1_ring_embeds_in_the_weight_ring(group):
 
 
 @pytest.mark.parametrize("group", ["E6", "E7", "E8"])
-def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
+def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch, fresh_bst_memos):
     # theta_9 + w2^9 keeps kappa* theta_9 = 0 but breaks P^1 theta_8 = theta_9
     # and P^4 theta_5 as printed: both rings and the b-table must notice
     real = liedata.theta_set(group, 2)
@@ -329,18 +329,12 @@ def test_case1_fails_on_a_perturbed_theta9(group, monkeypatch):
     monkeypatch.setattr(
         liedata, "theta_set", lambda g, p: bad if (g, p) == (group, 2) else load(g, p)
     )
-    # the chain of bases is cached per pair; the perturbed links must neither
-    # meet the real ones nor outlive the test
-    bst._basis.cache_clear()
-    try:
-        assert power(1, bad.theta_c[8]) != bad.theta_c[9]
-        assert power(1, bad.omega(8)) != bad.omega(9)
-        assert _case1_in_mixed(group, bad) == case1_in_weights(group) == {
-            ("mixed", 1, 8): False, ("mixed", 4, 5): False}
-        with pytest.raises(NoSolution):
-            bst.full_table(group, 2)
-    finally:
-        bst._basis.cache_clear()
+    assert power(1, bad.theta_c[8]) != bad.theta_c[9]
+    assert power(1, bad.omega(8)) != bad.omega(9)
+    assert _case1_in_mixed(group, bad) == case1_in_weights(group) == {
+        ("mixed", 1, 8): False, ("mixed", 4, 5): False}
+    with pytest.raises(NoSolution):
+        bst.full_table(group, 2)
 
 
 def cross_engine_agrees(group, p, s, k):
