@@ -147,11 +147,11 @@ def chern_substitution(group, p):
     return forms
 
 
-# Cached per pair: every weight expansion asks for c_2..c_N, so the ten
-# default tables ask 45 times and build 2 (the Method I fallbacks of F4 and
-# E6 at p = 3), and the `crosscheck` tables ask 100 times and build 4.
-# Uncached, the builds take 0.016 s and 0.034 s of 0.07 s and 0.08 s, one
-# process each (2-core VM, Python 3.11.7).
+# Cached per pair: each pivot of `bst._basis` upstairs asks once for every
+# c_j of its theta, so the ten default tables ask 19 times and build 2 (the
+# Method I fallbacks of F4 and E6 at p = 3), and the `crosscheck` tables ask
+# 37 times and build 4.  Uncached, the builds take 0.004 s of 0.044 s and
+# 0.008 s of 0.034 s, one process each (2-core VM, Python 3.11.7).
 @lru_cache(maxsize=None)
 def _chern_polys(group, p):
     forms = chern_substitution(group, p)
@@ -279,9 +279,12 @@ class ThetaSet:
 
     The mixed presentation and its kappa-restriction are materialized at
     load.  The full weight-ring expansions are expensive for the top E_8
-    degrees (hundreds of thousands of terms), so they are computed per
-    degree when asked and not kept: `bst._basis` asks once per column and
-    keeps only the pivot remainder.  Every expansion is homogeneity-checked.
+    degrees (hundreds of thousands of terms), so `omega` computes one per
+    call and keeps none.  The library asks for none: `bst._basis` expands
+    each mixed theta_t with the Chern classes replaced by their normal
+    forms, which gives the same pivot remainder, and only the tests ask
+    for the full expansions.  Every expansion is homogeneity-checked
+    (`check_theta_weight`).
     """
 
     def __init__(self, prof, theta_c, theta_restricted):
@@ -296,10 +299,8 @@ class ThetaSet:
 
     def omega(self, s):
         """theta_s fully expanded in the weights."""
-        f = expand_in_weights(self.theta_c[s], self.profile.group, self.profile.p)
-        if f.weight() != s:
-            raise ValueError(f"expanded theta_{s} is not homogeneous of weight {s}")
-        return f
+        return check_theta_weight(
+            expand_in_weights(self.theta_c[s], self.profile.group, self.profile.p), s)
 
     def __repr__(self):
         return f"ThetaSet({self.profile.group}, p={self.profile.p})"
@@ -340,8 +341,20 @@ def _kappa(group, p):
     return _restriction(mixed_ring(group, p), restricted_ring(group, p))
 
 
-def expand_in_weights(f, group, p):
-    """Substitute the Chern polynomials into a mixed-presentation polynomial."""
+def check_theta_weight(f, s):
+    """f, an expansion of theta_s, refused with `ValueError` unless it is
+    zero or homogeneous of weight s."""
+    if f and (not f.is_homogeneous() or f.weight() != s):
+        raise ValueError(f"expanded theta_{s} is not homogeneous of weight {s}")
+    return f
+
+
+def expand_in_weights(f, group, p, chern=None):
+    """Substitute the Chern polynomials into a mixed-presentation polynomial.
+
+    Each c_j goes to `chern[j]` when `chern` is given, to c_j(G) otherwise;
+    a c_j that occurs in f and is missing from `chern` raises `ValueError`.
+    """
     src = f.ring
     dst = weight_ring(group, p)
     if group == "G2":
@@ -352,7 +365,11 @@ def expand_in_weights(f, group, p):
     mapping = {f"w{r}": dst.variable(f"w{r}")}
     for name in src.names:
         if name.startswith("c"):
-            mapping[name] = chern_poly(group, p, int(name[1:]))
+            j = int(name[1:])
+            if chern is None:
+                mapping[name] = chern_poly(group, p, j)
+            elif j in chern:
+                mapping[name] = chern[j]
     return f.substitute(mapping, target_ring=dst)
 
 

@@ -154,13 +154,13 @@ def lemma22(group, p):
 def _reduction(claim, thetas):
     ring_name, k, s = claim.key
     ring, theta = bst._presentation(thetas, ring_name)
-    rhs = sum((ring.parse(q) * theta(j) for j, q in claim.value.items()), ring.zero())
-    return steenrod.power(k, theta(s)) == rhs
+    rhs = sum((ring.parse(q) * theta[j] for j, q in claim.value.items()), ring.zero())
+    return steenrod.power(k, theta[s]) == rhs
 
 
 def _theta(claim, thetas):
     ring, theta = bst._presentation(thetas, claim.key[0])
-    return theta(claim.key[1]) == ring.parse(claim.value)
+    return theta[claim.key[1]] == ring.parse(claim.value)
 
 
 def _zeta_square(claim, model):

@@ -129,11 +129,18 @@ def test_both_strategy_agreement_e8_p2():
     assert verify_lemma22("E8", 2, table)["extra"] == ["8,14", "8,15"]
 
 
+def _full_presentation(ts, presentation):
+    """(ring, s -> theta_s) of one presentation, each theta_s in that ring:
+    upstairs the full expansion `ts.omega`."""
+    ring, theta = bst._presentation(ts, presentation)
+    return ring, ts.omega if presentation == "weight" else theta.__getitem__
+
+
 def _scratch_basis(group, p, presentation, t):
     """The basis of <theta_j : j < t> truncated at t, built from scratch on
     the thetas themselves (test oracle for the chain of `bst._basis`)."""
     ts = liedata.theta_set(group, p)
-    ring, theta = bst._presentation(ts, presentation)
+    ring, theta = _full_presentation(ts, presentation)
     gens = [theta(j) for j in ts.profile.r_set if j < t]
     return buchberger(gens, truncation=t, ring=ring)
 
@@ -150,7 +157,7 @@ UPSTAIRS_PAIRS = [("G2", 2), ("F4", 2), ("E6", 2), ("F4", 3), ("E6", 3)]
 def _assert_chain_matches_scratch_oracle(group, p, presentation, r_set):
     # each link of the chain equals the basis built from scratch, term for
     # term and in order, and its cached pivot is theta_t reduced by that basis
-    _, theta = bst._presentation(liedata.theta_set(group, p), presentation)
+    _, theta = _full_presentation(liedata.theta_set(group, p), presentation)
     for t in r_set:
         gb, pivot = bst._basis(group, p, presentation, t)
         oracle = _scratch_basis(group, p, presentation, t)
@@ -345,10 +352,13 @@ def test_stability_check_refuses_the_restricted_f4_p2_ideal(fresh_bst_memos):
 
 
 def _patch_omega(monkeypatch, group, p, s, f):
-    """theta_s of the pair's weight presentation replaced by f."""
+    """theta_s of the pair's weight presentation replaced by f: every
+    expansion of the mixed theta_s, full (`ts.omega`) or with reduced Chern
+    images (`bst._basis`), returns f."""
     ts = liedata.theta_set(group, p)
-    expand = ts.omega
-    monkeypatch.setattr(ts, "omega", lambda r: f if r == s else expand(r))
+    expand = liedata.expand_in_weights
+    monkeypatch.setattr(liedata, "expand_in_weights",
+                        lambda g, *args: f if g is ts.theta_c[s] else expand(g, *args))
     return ts
 
 
@@ -382,3 +392,43 @@ def test_zero_theta_t_is_case1_only_downstairs(monkeypatch, fresh_bst_memos):
     with pytest.raises(BstError, match="theta_3 = 0 in the mixed presentation") as err:
         bst._reduce("F4", 2, 2, 3, "mixed")
     assert not isinstance(err.value, Case1Required)
+
+
+@pytest.mark.parametrize("group, p", [("G2", 2), ("F4", 2), ("F4", 3), ("E6", 2), ("E6", 3),
+                                      ("E7", 2), ("E7", 3), ("E8", 2)])
+def test_pivot_equals_the_full_expansion_divided(group, p):
+    # the pivot divides theta_t with reduced Chern images substituted; it is
+    # the normal form of the full expansion, term for term and in order
+    ts = liedata.theta_set(group, p)
+    for t in ts.profile.r_set:
+        gb, pivot = bst._basis(group, p, "weight", t)
+        want = normal_form(ts.omega(t), gb)
+        assert _terms(pivot.remainder) == _terms(want.remainder), t
+        assert pivot.weights == want.weights == (t, t), t
+
+
+def test_pivot_substitutes_reduced_chern_images(monkeypatch, fresh_bst_memos):
+    # (E6,2) theta_12 = c6^2 + c4^3: only c4 and c6 are reduced, against the
+    # link of column 12, and the expansion divided has 141 terms, not 964
+    seen = []
+    expand = liedata.expand_in_weights
+    monkeypatch.setattr(liedata, "expand_in_weights",
+                        lambda *args: seen.append(args) or expand(*args))
+    gb, _ = bst._basis("E6", 2, "weight", 12)
+    f, group, p, chern = seen[-1]
+    assert (f, group, p) == (liedata.theta_set("E6", 2).theta_c[12], "E6", 2)
+    assert chern == {j: normal_form(liedata.chern_poly("E6", 2, j), gb).remainder
+                     for j in (4, 6)}
+    assert len(expand(*seen[-1]).terms) == 141
+
+
+@pytest.mark.parametrize("f", ["w1^2*w2+w3", "w1^4"], ids=["inhomogeneous", "weight-4"])
+def test_pivot_expansion_off_weight_t_is_refused(monkeypatch, fresh_bst_memos, f):
+    # an expansion of theta_3 that is not homogeneous of weight 3 is refused
+    # on both routes, with one error
+    ts = _patch_omega(monkeypatch, "F4", 2, 3, liedata.weight_ring("F4", 2).parse(f))
+    message = "expanded theta_3 is not homogeneous of weight 3"
+    with pytest.raises(ValueError, match=message):
+        bst._basis("F4", 2, "weight", 3)
+    with pytest.raises(ValueError, match=message):
+        ts.omega(3)
