@@ -14,9 +14,10 @@ action on one slot, `_on_slot`, is fixed by the variable itself:
   resultant that `symfun` keeps for the ring itself: the c_j the ring
   lacks (c_1 in the restricted ring) are zero there, and c_j for j above
   its largest weight never arises.  P^j(c_m^e) for e > 1 is the same
-  recursion on c_m * c_m^(e-1).  (Odd Steenrod squares vanish
-  identically on these subrings at p = 2, so the pure P-Cartan recursion
-  is exact there too.)
+  recursion on c_m * c_m^(e-1), kept in the slot table of the ring's
+  `symfun.WuTable` (below).  (Odd Steenrod squares vanish identically on
+  these subrings at p = 2, so the pure P-Cartan recursion is exact there
+  too.)
 
 `power(k, f)` reads these rules from `f.ring`, which must keep the naming
 rule of `symfun._chern_forms`: beside Chern classes the one weight-1
@@ -31,6 +32,16 @@ weight-ring calls of the `tables` benchmark workload the memo halves the
 products (11,929 -> 5,671; `crosscheck`: 8,946 -> 4,455).  A memo kept
 per ring saved only 1-14% more products and raised the peak RSS of both
 workloads by about 1 MB, so it does not outlive the call.
+
+What does outlive it is the slot table of a Chern ring, {(j, i, e):
+P^j(v_i^e)} for e > 1, held by the ring's `symfun.WuTable` (`_slots`)
+beside its Wu formulas: these powers are the same for every `power` call
+on the ring.  On `tables` it cuts the products of `power` from 1,928 to
+1,728 and its Wu reads from 1,889 to 1,512.  Against the same code
+without it, 8 alternating pairs of `bench/run.py --workload tables
+--seconds 12` give a median `norm_wall_s` of 0.0411 s against 0.0416 s,
+faster in 6 of the 8 pairs, and 0.05 MB more peak RSS (2-core VM,
+Python 3.11.7).
 
 The recursion works on term dicts end to end, keyed as in `ffpoly`: the
 memo values and the results of `_on_slot` are plain dicts, each product
@@ -51,25 +62,30 @@ splits a monomial into its slots.
 from math import comb
 
 from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
-from .symfun import _chern_forms, wu_formula
+from .symfun import _chern_forms, _wu_table, wu_formula
 
 
 class SteenrodError(ValueError):
     pass
 
 
-def _on_slot(j, i, e, ring, memo):
-    """P^j (v_i^e) as a term dict, by the rule of the variable v_i."""
+def _on_slot(j, i, e, ring, memo, powers):
+    """P^j (v_i^e) as a term dict, by the rule of the variable v_i;
+    `powers` is the slot table of a Chern ring (None in the weight ring)."""
     m = ring.weights[i]
     if m == 1:
         c = comb(e, j) % ring.p
         return {(e + j * (ring.p - 1)) * ring.coeffs[i]: c} if c else {}
     if e == 1:
         return wu_formula(j, m, ring).terms
-    return _cartan(j, ((i, 1), (i, e - 1)), ring, memo)
+    key = (j, i, e)
+    result = powers.get(key)
+    if result is None:
+        result = powers[key] = _cartan(j, ((i, 1), (i, e - 1)), ring, memo, powers)
+    return result
 
 
-def _cartan(k, slots, ring, memo):
+def _cartan(k, slots, ring, memo, powers):
     """P^k of the monomial prod v_i^e over `slots`, a tuple of (i, e), for
     k at most its weight, as a term dict that no caller may mutate.
 
@@ -78,7 +94,7 @@ def _cartan(k, slots, ring, memo):
     """
     (i, e), rest = slots[0], slots[1:]
     if not rest:
-        return _on_slot(k, i, e, ring, memo)
+        return _on_slot(k, i, e, ring, memo, powers)
     key = (k, slots)
     result = memo.get(key)
     if result is None:
@@ -86,9 +102,9 @@ def _cartan(k, slots, ring, memo):
         room = sum(weights[r] * f for r, f in rest)
         acc = {}
         for j in range(max(0, k - room), min(k, weights[i] * e) + 1):
-            head = _on_slot(j, i, e, ring, memo)
+            head = _on_slot(j, i, e, ring, memo, powers)
             if head:
-                mul_into(acc, head, _cartan(k - j, rest, ring, memo), 1, ring.p)
+                mul_into(acc, head, _cartan(k - j, rest, ring, memo, powers), 1, ring.p)
         result = memo[key] = acc
     return result
 
@@ -99,7 +115,7 @@ def power(k, f):
     `symfun._chern_forms` raises `SteenrodError`, even for a constant."""
     ring = f.ring
     try:
-        _chern_forms(ring)
+        forms = _chern_forms(ring)
     except ValueError as err:
         raise SteenrodError(str(err)) from None
     if k < 0:
@@ -115,8 +131,9 @@ def power(k, f):
     if w + k * (ring.p - 1) >= EXPONENT_LIMIT:
         raise ExponentOverflow(f"P^{k} of a weight-{w} class has weight 2^15 or more")
     acc, memo = {}, {}
+    powers = _wu_table(ring)._slots if forms else None
     for mon, c in f.terms.items():
         slots = tuple((i, e) for i, e in enumerate(ring.exponents(mon)) if e)
-        add_into(acc, _cartan(k, slots, ring, memo), c, ring.p)
+        add_into(acc, _cartan(k, slots, ring, memo, powers), c, ring.p)
     return Polynomial(ring, acc)
 

@@ -261,9 +261,11 @@ def test_zero_completeness_spot():
 
 
 def test_shared_term_dicts_are_never_mutated():
-    # resultant memo dicts are shared without a copy, as the `.terms` of each
-    # Wu formula: after the tables, every coefficient read from the ring's
-    # resultant must still equal one read from a fresh resultant
+    # the memo dicts of each ring's resultant are shared without a copy, as
+    # the `.terms` of its Wu formulas, and `steenrod` keeps products of them
+    # in the ring's slot table: after the tables, every formula read in the
+    # pass must still equal one read from a fresh resultant, and every
+    # P^j(c_m^e) of the slot table one from a fresh per-call Cartan product
     rings = []
     for group, p in (("E7", 2), ("E8", 5)):
         full_table(group, p)
@@ -272,13 +274,19 @@ def test_shared_term_dicts_are_never_mutated():
     for group in ("E6", "E7", "E8"):
         full_table(group, 2)
         rings.append(liedata.mixed_ring(group, 2))
+    slots = 0
     for ring in rings:
         table = symfun._wu_table(ring)
-        read = [(i, j) for cols, i, j in table._minors if len(cols) == ring.p]
-        assert read, ring
+        assert table._formulas, ring
         fresh = symfun.WuTable(ring)
-        for i, j in read:
-            assert table.coefficient(i, j) == fresh.coefficient(i, j), (ring, i, j)
+        for (k, m), formula in table._formulas.items():
+            expected = ring.zero() if k > m else fresh.coefficient(m - k, k)
+            assert formula == expected, (ring, k, m)
+        for (j, i, e), terms in table._slots.items():
+            fresh_slot = steenrod._cartan(j, ((i, 1), (i, e - 1)), ring, {}, {})
+            assert terms == fresh_slot, (ring, j, i, e)
+        slots += len(table._slots)
+    assert slots
 
 
 def _direct_method1(group, p):

@@ -16,6 +16,7 @@ from exhopf.ffpoly import (
     add_into,
     inverse,
     mul_into,
+    shift_into,
     parse,
     render,
     solve,
@@ -463,6 +464,24 @@ def test_mul_into_matches_tuple_keyed_product(data):
         assert 0 not in out.values()
     product = Polynomial(R, keyed(a)) * Polynomial(R, keyed(b))
     assert product.terms == mul_into({}, keyed(a), keyed(b), 1, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_operands(), st.integers(-12, 12))
+def test_shift_into_is_mul_into_by_one_term(data, c):
+    # the one-term product step of the Wu resultant: acc += c x^key terms,
+    # for any int c, equal to `mul_into` with the first factor {key: 1},
+    # term for term and in the same insertion order
+    R, a, b, pre, _ = data
+    p = R.p
+    keyed = {R.key(m): v for m, v in b.items()}
+    for mon in a or [(0,) * R.nvars]:
+        key = R.key(mon)
+        want = mul_into({R.key(m): v for m, v in pre.items()}, {key: 1}, keyed, c, p)
+        acc = {R.key(m): v for m, v in pre.items()}
+        out = shift_into(acc, key, c, keyed, p)
+        assert out is acc
+        assert list(out.items()) == list(want.items())
 
 
 def test_mul_into_cancellation_mod_p():

@@ -138,6 +138,49 @@ def test_dead_private_detector_sees_dead_names():
     ]
 
 
+def _uncommented_caches(tree, lines):
+    """Names of the functions decorated with `lru_cache` whose decorators
+    have no comment block directly above them that holds a number (what
+    the cache saves, as measured)."""
+    bare = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "attr", None) or getattr(target, "id", None)
+            if name != "lru_cache":
+                continue
+            first = min(d.lineno for d in node.decorator_list)
+            block = []
+            for line in reversed(lines[: first - 1]):
+                if not line.strip().startswith("#"):
+                    break
+                block.append(line)
+            if not any(ch.isdigit() for ch in "".join(block)):
+                bare.append(node.name)
+    return bare
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_says_what_it_saves(path):
+    # a measurement behind every cache that stays: the comment directly
+    # above each `@lru_cache` gives what it saves, in numbers
+    text = path.read_text()
+    assert _uncommented_caches(_tree(path), text.splitlines()) == []
+
+
+def test_cache_comment_detector_sees_a_bare_cache():
+    text = (
+        "from functools import lru_cache\n"
+        "# saves 3 ms a process\n@lru_cache(maxsize=None)\ndef measured(x):\n    return x\n"
+        "# cached\n@lru_cache\ndef vague(x):\n    return x\n"
+        "# saves 3 ms\n\n@lru_cache(maxsize=4)\ndef detached(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef bare(x):\n    return x\n"
+    )
+    assert _uncommented_caches(ast.parse(text), text.splitlines()) == ["vague", "detached", "bare"]
+
+
 # F_p arithmetic lives in ffpoly (`inverse`, `add_into`, `mul_into`, `solve`);
 # every `% p` elsewhere is pinned here, (module, function): (count, reason),
 # so a new hand-written elimination or sum fails the test below

@@ -436,3 +436,59 @@ def test_wu_formula_refuses_weight_2_to_15_before_building():
         with pytest.raises(ExponentOverflow):
             wu_formula(m, m, RingContext(5, variables))
     assert symfun._wu_table.cache_info().misses == built
+
+
+def _wu_test_rings():
+    """BU(n) for n <= 8 at p = 2, 3, 5, and the restricted and mixed rings
+    of the nine Chern pairs."""
+    rings = [
+        RingContext(p, [(f"c{i}", i) for i in range(1, n + 1)])
+        for p in (2, 3, 5) for n in range(1, 9)
+    ]
+    for group, p in CHERN_PAIRS:
+        rings += [liedata.restricted_ring(group, p), liedata.mixed_ring(group, p)]
+    return rings
+
+
+def test_every_resultant_entry_term_is_one_chern_class():
+    # the precondition of the flat kernel: the a^i b^j coefficient of entry
+    # (row, col) is one c_l, l = row - col + i + jp, by homogeneity
+    for ring in _wu_test_rings():
+        table = symfun.WuTable(ring)
+        p, forms = ring.p, {0: {0: 1}, **symfun._chern_forms(ring)}
+        assert len(table._rows) == p, ring
+        for row, cells in enumerate(table._rows):
+            assert len(cells) == p, ring
+            for col, cell in enumerate(cells):
+                assert len({(i, j) for i, j, *_ in cell}) == len(cell), (ring, row, col)
+                for i, j, drop, key, c in cell:
+                    l = row - col + i + j * p
+                    assert key in forms.get(l, {}), (ring, row, col, i, j)
+                    assert drop == (1 << col) + (i << p) + (j << (p + 16))
+                    assert c % p, (ring, row, col, i, j)
+
+
+def test_wu_formula_refuses_after_warm_reads():
+    # a cached read skips the argument checks, since only checked reads are
+    # stored: after every formula of the ring is warm, the refusals still hold
+    ring = liedata.restricted_ring("E8", 5)
+    for m in range(2, 9):
+        for k in range(m + 2):
+            assert wu_formula(k, m, ring) is wu_formula(k, m, ring)
+    table = symfun._wu_table(ring)
+    warm = dict(table._formulas)
+    for k, m in ((0, 0), (1, 0), (0, -1), (-1, 2), (-1, 8), (0, 1), (1, 1), (0, 9), (1, 9)):
+        with pytest.raises(ValueError):
+            wu_formula(k, m, ring)
+    assert table._formulas == warm
+
+
+def test_equal_rings_hash_equal_and_share_one_wu_table():
+    # the restricted rings of (F4,3) and (E6,3) are both F_3[c_2..c_6]; the
+    # hash is computed once per ring, so it must agree between equal rings
+    f4, e6 = liedata.restricted_ring("F4", 3), liedata.restricted_ring("E6", 3)
+    rebuilt = RingContext(3, list(zip(f4.names, f4.weights)))
+    assert f4 is not e6 and f4 == e6 == rebuilt
+    assert hash(f4) == hash(e6) == hash(rebuilt)
+    assert symfun._wu_table(f4) is symfun._wu_table(e6) is symfun._wu_table(rebuilt)
+    assert wu_formula(2, 3, f4) is wu_formula(2, 3, e6)
