@@ -4,13 +4,14 @@ For every admissible pair s < t in r(G,p) with t - s = k(p-1), the unique
 b with P^k(theta_s) = b*theta_t mod <theta_j : j < t> is one reduction
 step (`_reduce`): P^k theta_s modulo a Groebner basis of <theta_j : j < t>
 truncated at degree t, solved for b against theta_t.  It runs on one
-presentation of the thetas (`_presentation`): upstairs in the weight ring
-(Method I), downstairs in the restricted Chern ring after kappa* (Method
-II, much smaller and the default), or in the mixed ring F_p[omega_r,
-c_2..c_N] of the printed thetas.  The last decides the p = 2, t = 9 column
-of E6, E7 and E8, where kappa*theta_t vanishes (the `case1` entries):
-there c_1 = 3 omega_2 = omega_2, so the mixed ring is F_2[c_1..c_N], the
-ring of the Case 1 identities (their records in `printed`).
+presentation of the thetas (`ThetaSet.presentation`): upstairs in the
+weight ring (Method I), downstairs in the restricted Chern ring after
+kappa* (Method II, much smaller and the default), or in the mixed ring
+F_p[omega_r, c_2..c_N] of the printed thetas.  The last decides the
+p = 2, t = 9 column of E6, E7 and E8, where kappa*theta_t vanishes (the
+`case1` entries): there c_1 = 3 omega_2 = omega_2, so the mixed ring is
+F_2[c_1..c_N], the ring of the Case 1 identities (their records in
+`printed`).
 
 Those ideals are nested, so the bases of one pair and presentation form
 one chain (`_basis`): the basis for t is the basis for the previous r in
@@ -63,7 +64,8 @@ entries take 0.87 -> 1.07 ms on (E6,2), 1.75 -> 2.12 ms on (E8,2) and
 10.4 -> 11.5 ms on (E8,5) (medians of 9 cold processes, 2-core VM, Python
 3.11.7), and without the check they save at most 5%.  And the restricted
 ideal need not be stable: in (F4,2) Sq^4 c_3 has a c_5 term, so P^2
-theta_3 is not in <theta_2, theta_3> at weight 5, which the check reports.
+theta_3 is not in <theta_2, theta_3> at weight 5.  So the check, and with
+it `_stable`, `_power_rho` and `_solve_rho`, runs upstairs only.
 """
 
 from functools import lru_cache
@@ -82,12 +84,12 @@ class Case1Required(BstError):
 
 class NotStable(NoSolution):
     """P^i theta_j is not in <theta_r : r <= u>, u = j + i(p-1): the
-    presentation's theta-ideal is not P-stable, so no left side may be
+    weight presentation's theta-ideal is not P-stable, so no left side may be
     replaced by its pivot remainder."""
 
-    def __init__(self, group, p, presentation, j, i, u):
+    def __init__(self, group, p, j, i, u):
         super().__init__(f"P^{i} theta_{j} is not in <theta_r : r <= {u}> "
-                         f"in the {presentation} presentation of ({group},{p})")
+                         f"in the weight presentation of ({group},{p})")
         self.j, self.i, self.u = j, i, u
 
 
@@ -157,19 +159,6 @@ def admissible_pairs(prof):
     return out
 
 
-def _presentation(ts, presentation):
-    """(ring, {s: theta_s}) of one presentation: "weight", the weight ring
-    with the mixed thetas `ts.theta_c`, which `_basis` expands (Method I);
-    "restricted", the restricted Chern ring with `ts.theta_restricted`
-    (Method II); "mixed", the mixed ring with `ts.theta_c` (the Case 1
-    column)."""
-    if presentation == "weight":
-        return ts.weight_ring, ts.theta_c
-    if presentation == "restricted":
-        return ts.restricted_ring, ts.theta_restricted
-    return ts.mixed_ring, ts.theta_c
-
-
 # One chain of bases per (pair, presentation), one link per t, shared by
 # every s of the column, by the next link and, upstairs, by the stability
 # check.  Measured in one process (2-core VM, Python 3.11.7): the ten
@@ -186,7 +175,7 @@ def _basis(group, p, presentation, t):
     the `normal_form` of theta_t against it (upstairs of the congruent
     `_expand_reduced`)."""
     ts = liedata.theta_set(group, p)
-    ring, theta = _presentation(ts, presentation)
+    ring, theta = ts.presentation(presentation)
     lower = [r for r in ts.profile.r_set if r < t]
     base, gens = None, []
     if lower:
@@ -204,13 +193,10 @@ def _expand_reduced(group, p, theta, t, gb):
     """The mixed theta_t expanded in the weights with each c_j that occurs
     in it sent to NF(c_j(G)) against gb, the link of column t: congruent
     to theta_t modulo <theta_j : j < t> (module docstring)."""
-    ring = theta.ring
-    images = {}
-    for name, mask in zip(ring.names, ring.field_masks):
-        if name.startswith("c") and any(key & mask for key in theta.terms):
-            j = int(name[1:])
-            images[j] = groebner.normal_form(liedata.chern_poly(group, p, j), gb).remainder
-    return liedata.check_theta_weight(liedata.expand_in_weights(theta, group, p, images), t)
+    def image(j):
+        return groebner.normal_form(liedata.chern_poly(group, p, j), gb).remainder
+
+    return liedata.check_theta_weight(liedata.expand_in_weights(theta, group, p, image), t)
 
 
 # The check and the entries of Method I share their work: each weight is
@@ -221,7 +207,7 @@ def _expand_reduced(group, p, theta, t, gb):
 # 0.0337 s (median of 15 cold processes), 0.0374 s with no memo on
 # `_stable` and 0.0367 s with none on `_solve_rho`.
 @lru_cache(maxsize=None)
-def _stable(group, p, presentation, u):
+def _stable(group, p, u):
     """Check that P^i theta_j lies in <theta_r : r <= u> for every j in
     r(G,p) and 1 <= i < j with j + i(p-1) = u, and the same below u.
 
@@ -230,35 +216,35 @@ def _stable(group, p, presentation, u):
     r_set = liedata.profile(group, p).r_set
     if u <= r_set[0]:
         return
-    _stable(group, p, presentation, u - 1)
-    gb, _ = _basis(group, p, presentation, min(r for r in r_set if r >= u))
+    _stable(group, p, u - 1)
+    gb, _ = _basis(group, p, "weight", min(r for r in r_set if r >= u))
     for j in r_set:
         i, rest = divmod(u - j, p - 1)
         if rest or not 1 <= i < j:
             continue
         if u in r_set:
             try:
-                _solve_rho(group, p, presentation, j, u)
+                _solve_rho(group, p, j, u)
             except Ambiguous:
                 pass  # P^i rho_j reduces to zero, as the pivot does
             except NoSolution:
-                raise NotStable(group, p, presentation, j, i, u) from None
-        elif not groebner.normal_form(_power_rho(group, p, presentation, j, i), gb).remainder.is_zero():
-            raise NotStable(group, p, presentation, j, i, u)
+                raise NotStable(group, p, j, i, u) from None
+        elif not groebner.normal_form(_power_rho(group, p, j, i), gb).remainder.is_zero():
+            raise NotStable(group, p, j, i, u)
 
 
-def _power_rho(group, p, presentation, s, k):
-    """P^k rho_s, rho_s the pivot remainder of column s."""
-    return steenrod.power(k, _basis(group, p, presentation, s)[1].remainder)
+def _power_rho(group, p, s, k):
+    """P^k rho_s, rho_s the pivot remainder of column s upstairs."""
+    return steenrod.power(k, _basis(group, p, "weight", s)[1].remainder)
 
 
 # Measured with `_stable` above: 0.0367 s for the `crosscheck` tables
 # without this memo, against 0.0337 s.
 @lru_cache(maxsize=None)
-def _solve_rho(group, p, presentation, s, t):
-    """The b with P^k rho_s = b theta_t mod <theta_j : j < t>."""
-    gb, pivot = _basis(group, p, presentation, t)
-    lhs = _power_rho(group, p, presentation, s, (t - s) // (p - 1))
+def _solve_rho(group, p, s, t):
+    """The b with P^k rho_s = b theta_t mod <theta_j : j < t> upstairs."""
+    gb, pivot = _basis(group, p, "weight", t)
+    lhs = _power_rho(group, p, s, (t - s) // (p - 1))
     return solve_linear_coefficient(lhs, pivot, gb)
 
 
@@ -276,9 +262,9 @@ def _reduce(group, p, s, t, presentation):
             raise Case1Required(f"kappa*theta_{t} = 0 for ({group},{p})")
         raise BstError(f"theta_{t} = 0 in the {presentation} presentation of ({group},{p})")
     if presentation == "weight":
-        _stable(group, p, presentation, t - 1)
-        return _solve_rho(group, p, presentation, s, t)
-    lhs = _presentation(liedata.theta_set(group, p), presentation)[1][s]
+        _stable(group, p, t - 1)
+        return _solve_rho(group, p, s, t)
+    lhs = liedata.theta_set(group, p).presentation(presentation)[1][s]
     return solve_linear_coefficient(steenrod.power(k, lhs), pivot, gb)
 
 

@@ -1,14 +1,19 @@
 """Finite Hopf models of H*(G; F_p) over the Steenrod algebra.
 
 The model is the free module on basis monomials x^r * alpha_S (truncated
-x-exponents, squarefree odd part), with the product normalized through
-the printed squares at p = 2, and the Bockstein and reduced powers
-extended from generator tables.  The reduced coproduct is derived from
+x-exponents, squarefree odd part), with the Bockstein and reduced powers
+extended from generator tables.  The squares are not transcribed: at
+p = 2 the square of an odd generator is its top square, alpha^2 =
+Sq^{|alpha|} alpha, which the b-table and the Bockstein table fix,
+
+    alpha_{2s-1}^2 = Sq^1 P^{s-1} alpha_{2s-1} = b_{s,2s-1} delta alpha_{4s-3},
+
+and the product reads it off the operation table (`square_table` lists
+them); at odd p alpha^2 = 0.  The reduced coproduct is derived from
 three printed inputs (`COPRODUCT_DATA`), by naturality and by solving
-delta- and P-compatibility (`HopfModel.derive_coproducts`).  At
-p = 2 every even generator is a square of a polynomial in the odd ones,
-which is what determines the full Sq-action on the x's; odd squares
-there rewrite through the square table.
+delta- and P-compatibility (`HopfModel.derive_coproducts`).  At p = 2
+every even generator is a square of a polynomial in the odd ones, which
+is what determines the full Sq-action on the x's.
 
 The reduced-power action on the odd generators is read from the entries
 of the computed b-table (the first-principles reconstruction, which
@@ -115,20 +120,6 @@ BOCKSTEIN_DATA = {
         12: [(-1, {6: 2})],
         18: [(1, {6: 3})],
         24: [(2, {6: 4})],
-    },
-}
-
-# alpha_{2s-1}^2 at p = 2 (everything not listed squares to zero)
-SQUARE_DATA = {
-    "G2": {2: [(1, {3: 1})]},
-    "F4": {2: [(1, {3: 1})]},
-    "E6": {2: [(1, {3: 1})]},
-    "E7": {2: [(1, {3: 1})], 3: [(1, {5: 1})], 5: [(1, {9: 1})]},
-    "E8": {
-        2: [(1, {3: 1})],
-        3: [(1, {5: 1})],
-        5: [(1, {9: 1})],
-        8: [(1, {15: 1}), (1, {3: 2, 9: 1})],
     },
 }
 
@@ -307,11 +298,10 @@ class HopfModel:
         self.bockstein_table = {
             s: self._from_data(BOCKSTEIN_DATA[(group, p)].get(s, [])) for s in self.r_list
         }
-        if p == 2:
-            self.square_table = {
-                s: self._from_data(SQUARE_DATA[group].get(s, [])) for s in self.r_list
-            }
         self._fill_ops()
+        if p == 2:
+            self.square_table = {s: AlgebraElement(self, self._ops[2 * s - 1].get(2 * s - 1, {}))
+                                 for s in self.r_list}
 
     # -- basis plumbing ----------------------------------------------------
 
@@ -432,8 +422,8 @@ class HopfModel:
             inv = sum(1 for u in s1 for v in s2 if u > v)
             sign = 1 if (self.p == 2 or inv % 2 == 0) else -1
             result = {(xsum, tuple(sorted(set(s1) ^ set(s2)))): sign % self.p}
-            for s in sorted(common):  # p = 2: alpha_s^2 from the square table
-                result = self._mul_into({}, result, self.square_table[s].terms)
+            for s in sorted(common):  # p = 2: alpha_s^2 = Sq^{2s-1} alpha_s
+                result = self._mul_into({}, result, self._ops[2 * s - 1].get(2 * s - 1, {}))
         self._mul_cache[key] = result
         return result
 
@@ -553,12 +543,14 @@ class HopfModel:
 
         The alphas come first: P^0 = id (Sq^1 = delta at p = 2), and
         P^k alpha_{2s-1} = b alpha_{2t-1} from each nonzero b-table entry;
-        at p = 2 Sq^{2k} = P^k and Sq^{2k+1} = Sq^1 Sq^{2k}.  Then the x_{2t}
-        in order of t, through `_act`, which reads only entries already
-        made.  At p = 2 x_{2t} = w^2 with w = zeta_{2s-1}, t = 2s - 1
-        (Corollary 4.4; `_zeta`: alphas and smaller x's), so Sq^a x_{2t}
-        is (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan terms pair
-        off).  At odd p x_{2t} = u^{-1} delta(alpha) with
+        at p = 2 Sq^{2k} = P^k and Sq^{2k+1} = Sq^1 Sq^{2k}, and the top one,
+        Sq^{2s-1} alpha_{2s-1}, is the square that `multiply_basis` reads.
+        Then the x_{2t} in order of t, through `_act`, which reads only
+        entries already made, so every square is in place before the first
+        product of two alphas.  At p = 2 x_{2t} = w^2 with w = zeta_{2s-1},
+        t = 2s - 1 (Corollary 4.4; `_zeta`: alphas and smaller x's), so
+        Sq^a x_{2t} is (Sq^{a/2} w)^2 for even a and 0 for odd a (the Cartan
+        terms pair off).  At odd p x_{2t} = u^{-1} delta(alpha) with
         alpha = alpha_{2t-1}, and P^k Q_0 = Q_0 P^k + Q_1 P^{k-1} with
         Q_1 = P^1 Q_0 - Q_0 P^1 (Milnor, Ann. Math. 1958).  P^1 kills every
         even generator of these models (t + p - 1 never lands back in
@@ -947,9 +939,9 @@ def check_suite(model):
     through the Cartan recursion) and mu* (a ring map) from generator
     tables, so each is fixed by its values there.  For mu* that holds
     only if it respects the model's relations: x_{2t}^{k_t} = 0, and
-    alpha^2 = its square-table value at p = 2 or 0 at odd p.  The test
-    `test_mu_star_respects_the_relations` checks this on all ten pairs;
-    it is not a suite item, so the report keeps its keys.
+    alpha^2 = its top square Sq^{|alpha|} alpha at p = 2 or 0 at odd p.
+    The test `test_mu_star_respects_the_relations` checks this on all ten
+    pairs; it is not a suite item, so the report keeps its keys.
 
     `delta_squared_zero`: delta is an odd derivation, so delta^2 is a
     derivation (the cross terms cancel at odd p and are 2 delta(u)delta(v)
@@ -976,6 +968,14 @@ def check_suite(model):
     table and P^k mu*(g) off the table that the first `tensor_power` call
     builds on mu*(g).  A coproduct that does not derive (`Inconsistent`,
     `UnreachableGenerator`) fails all three items.
+
+    `squares_via_delta_power` (p = 2) compares the Sq^{2k+1} fill of
+    `_fill_ops` with delta: alpha_{2s-1}^2, which the model reads as the
+    Sq^{2s-1} entry, Sq^1 of the b-table image, against delta P^{s-1}
+    alpha_{2s-1} through `bockstein`.  The printed squares are not an
+    input: the Corollary 4.4 zeta^2 claims (`corollary44_zeta_squares`),
+    which with `ZETA_DATA` imply each of them, check them, and so does the
+    pinned oracle `test_square_table_equals_the_printed_squares`.
 
     The two printed items (p = 2) decide the ledger's Corollary 4.4 and
     Remark 4.3 claims on the model (`printed.holds`).
@@ -1041,7 +1041,7 @@ def check_suite(model):
     )
 
     if p == 2:
-        # alpha_s^2 is read from the square table; delta P^{s-1} alpha_s is not
+        # alpha_s^2, the Sq^{2s-1} fill, against delta of the Sq^{2s-2} one
         report["squares_via_delta_power"] = all(
             model.alpha(s) * model.alpha(s)
             == model.bockstein(model.reduced_power(s - 1, model.alpha(s)))

@@ -20,8 +20,9 @@ their expansions are too large.
 
 import hashlib
 import json
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from importlib import resources
+from operator import or_
 
 from .ffpoly import RingContext, render
 
@@ -280,10 +281,10 @@ class ThetaSet:
     The mixed presentation and its kappa-restriction are materialized at
     load.  The full weight-ring expansions are expensive for the top E_8
     degrees (hundreds of thousands of terms), so `omega` computes one per
-    call and keeps none.  The library asks for none: `bst._basis` expands
-    each mixed theta_t with the Chern classes replaced by their normal
-    forms, which gives the same pivot remainder, and only the tests ask
-    for the full expansions.  Every expansion is homogeneity-checked
+    call and keeps none.  The library asks for none: `bst` expands each
+    mixed theta_t with the Chern classes replaced by their normal forms,
+    which gives the same pivot remainder, and only the tests ask for the
+    full expansions.  Every expansion is homogeneity-checked
     (`check_theta_weight`).
     """
 
@@ -296,6 +297,16 @@ class ThetaSet:
         self.restricted_ring = (
             restricted_ring(prof.group, prof.p) if prof.group != "G2" else None
         )
+
+    def presentation(self, name):
+        """(ring, {s: theta_s}) of one presentation: "weight", the weight
+        ring with the mixed thetas `theta_c`, which `bst` expands (Method
+        I); "restricted", the restricted Chern ring with `theta_restricted`
+        (Method II); "mixed", the mixed ring with `theta_c` (the Case 1
+        column)."""
+        return {"weight": (self.weight_ring, self.theta_c),
+                "restricted": (self.restricted_ring, self.theta_restricted),
+                "mixed": (self.mixed_ring, self.theta_c)}[name]
 
     def omega(self, s):
         """theta_s fully expanded in the weights."""
@@ -352,8 +363,10 @@ def check_theta_weight(f, s):
 def expand_in_weights(f, group, p, chern=None):
     """Substitute the Chern polynomials into a mixed-presentation polynomial.
 
-    Each c_j goes to `chern[j]` when `chern` is given, to c_j(G) otherwise;
-    a c_j that occurs in f and is missing from `chern` raises `ValueError`.
+    Each c_j that occurs in f goes to `chern(j)`, a polynomial of the
+    weight ring, zero or homogeneous of weight j; `chern` defaults to
+    j -> c_j(G) and is called once for each such j and for no other.
+    This is where a variable name of the mixed ring becomes a Chern index.
     """
     src = f.ring
     dst = weight_ring(group, p)
@@ -361,15 +374,14 @@ def expand_in_weights(f, group, p, chern=None):
         if src != dst:
             raise ValueError("G2 thetas already live in the weight ring")
         return f
+    if chern is None:
+        chern = partial(chern_poly, group, p)
+    occurring = reduce(or_, f.terms, 0)
     r = DISTINGUISHED[group]
     mapping = {f"w{r}": dst.variable(f"w{r}")}
-    for name in src.names:
-        if name.startswith("c"):
-            j = int(name[1:])
-            if chern is None:
-                mapping[name] = chern_poly(group, p, j)
-            elif j in chern:
-                mapping[name] = chern[j]
+    for name, mask in zip(src.names, src.field_masks):
+        if name.startswith("c") and occurring & mask:
+            mapping[name] = chern(int(name[1:]))
     return f.substitute(mapping, target_ring=dst)
 
 

@@ -1,12 +1,13 @@
 """The paper's printed claims that serve only as checks, in one ledger.
 
 Inputs stay beside the code that reads them (the thetas in `liedata`; the
-Bockstein, square, zeta and three coproduct tables in `hopf`).  Every other
-printed value is one `Claim` here: source, pair, kind, key and the value
-as printed.  `compare` decides each claim of a pair with one check per kind:
-"b" (Lemma 2.2, b_{s,t} at (s, t)) against the b-table; "theta" (the text
-of theta_s at (ring, s)) and "reduction" (P^k theta_s = sum_j q_j theta_j
-at (ring, k, s), value {j: q_j}) in the `bst._presentation` ring named;
+Bockstein, zeta and three coproduct tables in `hopf`, which derives the
+squares at p = 2 from the b-table).  Every other printed value is one
+`Claim` here: source, pair, kind, key and the value as printed.  `compare`
+decides each claim of a pair with one check per kind: "b" (Lemma 2.2,
+b_{s,t} at (s, t)) against the b-table; "theta" (the text of theta_s at
+(ring, s)) and "reduction" (P^k theta_s = sum_j q_j theta_j at (ring, k,
+s), value {j: q_j}) in the presentation that `ThetaSet.presentation` names;
 "zeta_square" (zeta_{2s-1}^2), "sq1" (delta alpha_{2s-1}) and "coproduct"
 (phi(alpha_{2s-1})), each at s in the format of `HopfModel._from_data`,
 against the Hopf model.  The Case 1 ring is the mixed ring: c_1 = 3 omega_2
@@ -153,13 +154,13 @@ def lemma22(group, p):
 
 def _reduction(claim, thetas):
     ring_name, k, s = claim.key
-    ring, theta = bst._presentation(thetas, ring_name)
+    ring, theta = thetas.presentation(ring_name)
     rhs = sum((ring.parse(q) * theta[j] for j, q in claim.value.items()), ring.zero())
     return steenrod.power(k, theta[s]) == rhs
 
 
 def _theta(claim, thetas):
-    ring, theta = bst._presentation(thetas, claim.key[0])
+    ring, theta = thetas.presentation(claim.key[0])
     return theta[claim.key[1]] == ring.parse(claim.value)
 
 

@@ -132,7 +132,7 @@ def test_both_strategy_agreement_e8_p2():
 def _full_presentation(ts, presentation):
     """(ring, s -> theta_s) of one presentation, each theta_s in that ring:
     upstairs the full expansion `ts.omega`."""
-    ring, theta = bst._presentation(ts, presentation)
+    ring, theta = ts.presentation(presentation)
     return ring, ts.omega if presentation == "weight" else theta.__getitem__
 
 
@@ -349,14 +349,15 @@ def test_method1_equals_method2_on_e8_p5_up_to_t18():
     _assert_method1_equals_method2_on_e8_p5(18)
 
 
-def test_stability_check_refuses_the_restricted_f4_p2_ideal(fresh_bst_memos):
+def test_the_restricted_f4_p2_ideal_is_not_p_stable(fresh_bst_memos):
     # Sq^4 c_3 has a c_5 term, so P^2 theta_3 leaves <theta_2, theta_3>
-    # downstairs; every weight below 5 passes
-    bst._stable("F4", 2, "restricted", 4)
-    with pytest.raises(NotStable, match=r"P\^2 theta_3 is not in <theta_r : r <= 5>") as err:
-        bst._stable("F4", 2, "restricted", 5)
-    assert (err.value.j, err.value.i, err.value.u) == (3, 2, 5)
-    assert isinstance(err.value, NoSolution)
+    # downstairs at weight 5, below the next theta (theta_8); this is why
+    # the stability check runs upstairs only, where weight 5 passes
+    ts = liedata.theta_set("F4", 2)
+    gb, _ = bst._basis("F4", 2, "restricted", 8)
+    rest = normal_form(steenrod.power(2, ts.theta_restricted[3]), gb).remainder
+    assert rest == ts.restricted_ring.parse("c5")
+    bst._stable("F4", 2, 5)
 
 
 def _patch_omega(monkeypatch, group, p, s, f):
@@ -387,6 +388,9 @@ def test_stability_check_sees_a_dropped_term_of_theta3(monkeypatch, fresh_bst_me
             with pytest.raises(NotStable) as err:
                 compute_bst_method1("E6", 2, s, t)
             assert (err.value.j, err.value.i, err.value.u) == (2, 1, 3), (s, t)
+            assert str(err.value) == ("P^1 theta_2 is not in <theta_r : r <= 3> "
+                                      "in the weight presentation of (E6,2)")
+            assert isinstance(err.value, NoSolution)
 
 
 def test_zero_theta_t_is_case1_only_downstairs(monkeypatch, fresh_bst_memos):
@@ -420,14 +424,25 @@ def test_pivot_substitutes_reduced_chern_images(monkeypatch, fresh_bst_memos):
     # link of column 12, and the expansion divided has 141 terms, not 964
     seen = []
     expand = liedata.expand_in_weights
-    monkeypatch.setattr(liedata, "expand_in_weights",
-                        lambda *args: seen.append(args) or expand(*args))
+
+    def spy(f, group, p, chern):
+        images = {}
+
+        def image(j):
+            images[j] = chern(j)
+            return images[j]
+
+        out = expand(f, group, p, image)
+        seen.append((f, group, p, images, out))
+        return out
+
+    monkeypatch.setattr(liedata, "expand_in_weights", spy)
     gb, _ = bst._basis("E6", 2, "weight", 12)
-    f, group, p, chern = seen[-1]
+    f, group, p, images, out = seen[-1]
     assert (f, group, p) == (liedata.theta_set("E6", 2).theta_c[12], "E6", 2)
-    assert chern == {j: normal_form(liedata.chern_poly("E6", 2, j), gb).remainder
-                     for j in (4, 6)}
-    assert len(expand(*seen[-1]).terms) == 141
+    assert images == {j: normal_form(liedata.chern_poly("E6", 2, j), gb).remainder
+                      for j in (4, 6)}
+    assert len(out.terms) == 141
 
 
 @pytest.mark.parametrize("f", ["w1^2*w2+w3", "w1^4"], ids=["inhomogeneous", "weight-4"])

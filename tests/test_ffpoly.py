@@ -469,8 +469,9 @@ def test_mul_into_matches_tuple_keyed_product(data):
 @settings(max_examples=100, deadline=None)
 @given(kernel_operands(), st.integers(-12, 12))
 def test_shift_into_is_mul_into_by_one_term(data, c):
-    # the one-term product step of the Wu resultant: acc += c x^key terms,
-    # for any int c, equal to `mul_into` with the first factor {key: 1},
+    # the one-term product step (the Wu resultant's, and the loop inside
+    # `mul_into`): acc += c x^key terms, for any int c, equal to the
+    # tuple-keyed product, and to `mul_into` with the first factor {key: 1}
     # term for term and in the same insertion order
     R, a, b, pre, _ = data
     p = R.p
@@ -482,6 +483,10 @@ def test_shift_into_is_mul_into_by_one_term(data, c):
         out = shift_into(acc, key, c, keyed, p)
         assert out is acc
         assert list(out.items()) == list(want.items())
+        naive = naive_product({mon: 1}, b, c, p)
+        for m, v in pre.items():
+            naive[m] = (naive.get(m, 0) + v) % p
+        assert out == {R.key(m): v for m, v in naive.items() if v}
 
 
 def test_mul_into_cancellation_mod_p():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from exhopf import hopf, liedata, printed
+from exhopf import bst, hopf, liedata, printed
 from exhopf.hopf import (
     AlgebraElement,
     HopfError,
@@ -456,10 +456,42 @@ def test_mu_star_respects_the_relations(group, p):
     assert _relation_defects(model(group, p)) == []
 
 
-def test_relation_check_fails_on_a_broken_square(monkeypatch):
-    # (E8,2) with alpha_15^2 = x_30 instead of x_30 + x_6^2 x_18
-    monkeypatch.setitem(hopf.SQUARE_DATA["E8"], 8, [(1, {15: 1})])
-    assert _relation_defects(model("E8", 2)) == ["alpha_15"]
+def test_relation_check_fails_on_a_broken_square():
+    # Lemma 2.2 prints b_{8,15} = 0 on (E8,2), where the computed table has
+    # 1: with it alpha_15^2 = Sq^1 P^7 alpha_15 = 0, not x_30 + x_6^2 x_18
+    table = bst.full_table("E8", 2)
+    entries = dict(table.entries)
+    entries[(8, 15)] = bst.BstEntry(8, 15, 7, 0, "printed")
+    m = build_model("E8", 2, bst.BstTable(table.profile, entries))
+    assert m.square_table[8].is_zero()
+    report = check_suite(m)
+    assert [k for k, v in report.items() if not v] == [
+        "coassociativity", "delta_compatibility", "cartan_compatibility",
+        "corollary44_zeta_squares", "remark43_sq1_values", "pass"]
+
+
+# alpha_{2s-1}^2 at p = 2 as transcribed from the paper; everything not
+# listed squares to zero
+PRINTED_SQUARES = {
+    "G2": {2: [(1, {3: 1})]},
+    "F4": {2: [(1, {3: 1})]},
+    "E6": {2: [(1, {3: 1})]},
+    "E7": {2: [(1, {3: 1})], 3: [(1, {5: 1})], 5: [(1, {9: 1})]},
+    "E8": {
+        2: [(1, {3: 1})],
+        3: [(1, {5: 1})],
+        5: [(1, {9: 1})],
+        8: [(1, {15: 1}), (1, {3: 2, 9: 1})],
+    },
+}
+
+
+@pytest.mark.parametrize("group", list(PRINTED_SQUARES))
+def test_square_table_equals_the_printed_squares(group):
+    # the squares the model derives from the b-table and the Bockstein table
+    m = model(group, 2)
+    printed_squares = PRINTED_SQUARES[group]
+    assert m.square_table == {s: m._from_data(printed_squares.get(s, [])) for s in m.r_list}
 
 
 def _delta_squared_sweep(m):

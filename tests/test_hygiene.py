@@ -233,6 +233,104 @@ def test_residue_detector_sees_a_hand_written_elimination():
     assert _residue_sites(module) == {"pivot": 1, "solve": 1}
 
 
+# A library module imports or reads a private module-level name of another
+# library module only here, (importer, module, name): reason, so a new
+# reach into another module's internals fails the test below
+PRIVATE_READS = {
+    ("steenrod.py", "symfun", "_chern_forms"):
+        "the naming rule of a Chern ring, which `power` checks and reads its c_1 from",
+    ("steenrod.py", "symfun", "_wu_table"):
+        "the ring's slot table of P^j(c_m^e), kept beside its Wu formulas",
+}
+LIBRARY = {path.stem for path in SOURCES}
+
+
+def _private_reads(name, tree):
+    """{(name, module, private name)} for every private module-level name
+    of a library module that `tree` imports, or reads as an attribute of
+    a library module it imports."""
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = (node.module or "").removeprefix("exhopf").lstrip(".")
+        if not source:  # from . import bst [as bst_mod], from exhopf import bst
+            for alias in node.names:
+                if alias.name in LIBRARY:
+                    modules[alias.asname or alias.name] = alias.name
+        elif source in LIBRARY:
+            found |= {(name, source, a.name) for a in node.names if _private(a.name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.add((name, modules[node.value.id], node.attr))
+    return found
+
+
+def test_no_library_module_reads_another_ones_private_names():
+    found = set().union(*(_private_reads(path.name, _tree(path)) for path in SOURCES))
+    assert found == set(PRIVATE_READS)
+
+
+def test_private_read_detector_sees_imports_and_attributes():
+    module = ast.parse(
+        "from . import bst as b, liedata\nfrom .symfun import _x, y\n"
+        "from exhopf.ffpoly import _z\nfrom exhopf import hopf\n"
+        "def f(self):\n"
+        "    return b._presentation, liedata.theta_set, hopf._Combination, self._own\n"
+    )
+    assert _private_reads("printed.py", module) == {
+        ("printed.py", "symfun", "_x"), ("printed.py", "ffpoly", "_z"),
+        ("printed.py", "bst", "_presentation"), ("printed.py", "hopf", "_Combination"),
+    }
+
+
+# The naming rule of the Chern variables (c_j is the variable `c<j>`) is
+# read and written where the rings are made (`liedata`) and where their Wu
+# formulas are (`symfun._chern_forms`), and nowhere else
+CHERN_NAME_OWNERS = {"liedata.py", "symfun.py"}
+
+
+def _chern_name_sites(tree):
+    """Lines that turn a variable name into a Chern index or back:
+    `int(name[1:])`, `name.startswith("c")` or an f-string `f"c{j}"`."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func, arg = node.func, node.args[0]
+            if (isinstance(func, ast.Name) and func.id == "int"
+                    and isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Slice)
+                    and isinstance(arg.slice.lower, ast.Constant) and arg.slice.upper is None):
+                lines.add(node.lineno)
+            if (isinstance(func, ast.Attribute) and func.attr == "startswith"
+                    and isinstance(arg, ast.Constant) and arg.value == "c"):
+                lines.add(node.lineno)
+        if (isinstance(node, ast.JoinedStr) and len(node.values) > 1
+                and isinstance(node.values[0], ast.Constant) and node.values[0].value == "c"
+                and isinstance(node.values[1], ast.FormattedValue)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_liedata_and_symfun_read_chern_variable_names():
+    found = {path.name: lines for path in SOURCES
+             if path.name not in CHERN_NAME_OWNERS and (lines := _chern_name_sites(_tree(path)))}
+    assert found == {}
+    owners = [_chern_name_sites(_tree(path)) for path in SOURCES if path.name in CHERN_NAME_OWNERS]
+    assert all(owners) and len(owners) == len(CHERN_NAME_OWNERS)
+
+
+def test_chern_name_detector_sees_each_form():
+    module = ast.parse(
+        "def f(ring, j, text):\n"
+        "    for name in ring.names:\n"
+        "        if name.startswith('c'):\n"
+        "            j = int(name[1:])\n"
+        "    return ring.variable(f'c{j}'), int(text[0:2]), f'w{j}', name.startswith('w')\n"
+    )
+    assert _chern_name_sites(module) == [3, 4, 5]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_console_scripts_resolve():
     import tomllib

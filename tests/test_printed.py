@@ -39,7 +39,7 @@ def _invalid(claim, ts):
     if claim.kind in ("theta", "reduction"):
         texts = claim.value if claim.kind == "reduction" else {claim.key[-1]: claim.value}
         indices = {claim.key[-1], *texts}
-        ring, _ = bst._presentation(ts, claim.key[0])
+        ring, _ = ts.presentation(claim.key[0])
         try:
             for text in texts.values():
                 ring.parse(text)
