@@ -35,8 +35,9 @@ field n-1-i of the packed exponent vector, and
   are at least 1, so no exponent reaches its guard bit and no field
   spills into its neighbour.  `ExponentOverflow` enforces it where a
   weight can grow: `key` refuses such a monomial, `Polynomial.__mul__`
-  such a product, and `steenrod.power` such an output, once per call
-  before its recursion (`symfun.wu_formula` likewise).
+  such a product, and `steenrod.power` and `steenrod.total_power` such
+  an output, once per call before any work (`symfun.wu_formula`
+  likewise).
   `mul_into` itself checks nothing; division never raises a weight.
 
 Exponent tuples exist only at the boundary: `RingContext.key` and

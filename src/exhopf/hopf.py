@@ -972,10 +972,14 @@ def check_suite(model):
     `squares_via_delta_power` (p = 2) compares the Sq^{2k+1} fill of
     `_fill_ops` with delta: alpha_{2s-1}^2, which the model reads as the
     Sq^{2s-1} entry, Sq^1 of the b-table image, against delta P^{s-1}
-    alpha_{2s-1} through `bockstein`.  The printed squares are not an
-    input: the Corollary 4.4 zeta^2 claims (`corollary44_zeta_squares`),
-    which with `ZETA_DATA` imply each of them, check them, and so does the
-    pinned oracle `test_square_table_equals_the_printed_squares`.
+    alpha_{2s-1} through `bockstein`.  Both sides come from the one entry
+    (s, 2s-1) of the b-table, so the item holds on every b-table and fails
+    only on a broken fill, as the test
+    `test_squares_via_delta_power_fails_only_on_a_broken_fill` pins.  The
+    printed squares are not an input: the Corollary 4.4 zeta^2 claims
+    (`corollary44_zeta_squares`), which with `ZETA_DATA` imply each of
+    them, check them, and so does the pinned oracle
+    `test_square_table_equals_the_printed_squares`.
 
     The two printed items (p = 2) decide the ledger's Corollary 4.4 and
     Remark 4.3 claims on the model (`printed.holds`).

@@ -6,7 +6,7 @@ from exhopf import bst
 
 
 def _clear_bst_memos():
-    for memo in (bst._basis, bst._stable, bst._solve_rho):
+    for memo in (bst._basis, bst._stable, bst._solve_rho, bst._rho_powers):
         memo.cache_clear()
 
 

@@ -13,6 +13,7 @@ from exhopf.bst import (
 )
 from exhopf.ffpoly import Polynomial
 from exhopf.groebner import NoSolution, buchberger, normal_form, solve_linear_coefficient
+from conftest import _clear_bst_memos
 
 
 def test_admissible_pairs_and_instability():
@@ -322,14 +323,21 @@ def test_method1_applies_powers_to_pivot_remainders_only(monkeypatch, fresh_bst_
     # every P^k that Method I takes upstairs acts on some rho_s, never on an
     # expanded theta_s; on (E6,2) theta_12 has 964 terms and rho_12 has 7
     seen = []
-    power = steenrod.power
-    monkeypatch.setattr(steenrod, "power", lambda k, f: seen.append(f) or power(k, f))
+    total_power = steenrod.total_power
+    monkeypatch.setattr(steenrod, "total_power",
+                        lambda f, K: seen.append((f, K)) or total_power(f, K))
     full_table("E6", 2, strategy="method1")
     r_set = liedata.profile("E6", 2).r_set
     rho = {s: bst._basis("E6", 2, "weight", s)[1].remainder for s in r_set}
-    assert seen and all(any(f == r for r in rho.values()) for f in seen)
+    assert seen and all(any(f == r for r in rho.values()) for f, _ in seen)
     ts = liedata.theta_set("E6", 2)
     assert (len(ts.omega(12).terms), len(rho[12].terms)) == (964, 7)
+    # each rho_s is expanded once, up to K_s = min(s - 1, (12 - s) // (p - 1)),
+    # the largest k an entry or the stability check asks of it; a second
+    # table reads the same passes
+    full_table("E6", 2, strategy="method1")
+    assert sorted((s, K) for f, K in seen for s in r_set if f == rho[s]) == [
+        (2, 1), (3, 2), (5, 4), (8, 4), (9, 3)]
 
 
 def _assert_method1_equals_method2_on_e8_p5(tmax):
@@ -371,9 +379,9 @@ def _patch_omega(monkeypatch, group, p, s, f):
     return ts
 
 
-def test_stability_check_sees_a_dropped_term_of_theta3(monkeypatch, fresh_bst_memos):
-    # with one term of the (E6,2) theta_3 gone, the direct route still
-    # returns a b on three entries; the check refuses every column above 3
+def _assert_a_dropped_term_of_theta3_is_refused(monkeypatch):
+    """With one term of the (E6,2) theta_3 gone, the direct route still
+    returns a b on three entries; the check refuses every column above 3."""
     real = liedata.theta_set("E6", 2).omega(3)
     drop = min(real.terms)
     bad = Polynomial(real.ring, {m: c for m, c in real.terms.items() if m != drop})
@@ -391,6 +399,23 @@ def test_stability_check_sees_a_dropped_term_of_theta3(monkeypatch, fresh_bst_me
             assert str(err.value) == ("P^1 theta_2 is not in <theta_r : r <= 3> "
                                       "in the weight presentation of (E6,2)")
             assert isinstance(err.value, NoSolution)
+
+
+def test_stability_check_sees_a_dropped_term_of_theta3(monkeypatch, fresh_bst_memos):
+    _assert_a_dropped_term_of_theta3_is_refused(monkeypatch)
+
+
+def test_memo_clear_leaves_no_stale_power_of_a_real_rho(monkeypatch, fresh_bst_memos):
+    # a full (E6,2) Method I table fills every memo of `bst` from the real
+    # thetas, the one pass per rho_s of `_rho_powers` included; the clear of
+    # `fresh_bst_memos` empties them all, so the perturbed theta_3 that
+    # follows in the same process is still refused at j = 2, i = 1, u = 3
+    full_table("E6", 2, strategy="method1")
+    memos = [f for f in vars(bst).values() if hasattr(f, "cache_clear")]
+    assert bst._rho_powers in memos and bst._rho_powers.cache_info().currsize == 5
+    _clear_bst_memos()
+    assert [f.cache_info().currsize for f in memos] == [0] * len(memos)
+    _assert_a_dropped_term_of_theta3_is_refused(monkeypatch)
 
 
 def test_zero_theta_t_is_case1_only_downstairs(monkeypatch, fresh_bst_memos):

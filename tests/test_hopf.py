@@ -470,6 +470,26 @@ def test_relation_check_fails_on_a_broken_square():
         "corollary44_zeta_squares", "remark43_sq1_values", "pass"]
 
 
+def test_squares_via_delta_power_fails_only_on_a_broken_fill():
+    # alpha_15^2 is the Sq^15 fill b_{8,15} delta alpha_29 and delta P^7 alpha_15
+    # is delta of the Sq^14 fill b_{8,15} alpha_29: both sides come from the
+    # same entry, so the item holds on Lemma 2.2's b_{8,15} = 0 mutant of
+    # (E8,2), which five other items refuse, and fails only when the fill
+    # itself is broken
+    table = bst.full_table("E8", 2)
+    entries = dict(table.entries)
+    entries[(8, 15)] = bst.BstEntry(8, 15, 7, 0, "printed")
+    mutant = build_model("E8", 2, bst.BstTable(table.profile, entries))
+    report = check_suite(mutant)
+    assert report["squares_via_delta_power"] is True and report["pass"] is False
+    m = build_model("E8", 2, table)
+    square = dict(m._ops[15][15])
+    assert len(square) == 2
+    del square[min(square)]
+    m._ops[15][15] = square
+    assert check_suite(m)["squares_via_delta_power"] is False
+
+
 # alpha_{2s-1}^2 at p = 2 as transcribed from the paper; everything not
 # listed squares to zero
 PRINTED_SQUARES = {

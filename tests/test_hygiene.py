@@ -189,7 +189,7 @@ RESIDUE_SITES = {
     ("hopf.py", "multiply_basis"): (1, "the sign of a basis product"),
     ("hopf.py", "_bockstein_unit_inverse"): (1, "the check that u is a unit"),
     ("printed.py", "lemma22"): (1, "canonical residues of the printed values"),
-    ("steenrod.py", "_on_slot"): (1, "the binomial coefficient mod p"),
+    ("steenrod.py", "_unit_slot"): (1, "the binomial coefficient mod p"),
     ("symfun.py", "_chern_forms"): (2, "c_1 = 3 omega_r"),
 }
 

@@ -3,10 +3,10 @@ from math import comb
 
 import pytest
 
-from exhopf import bst, liedata, printed
+from exhopf import bst, liedata, printed, steenrod
 from exhopf.ffpoly import EXPONENT_LIMIT, ExponentOverflow, RingContext, render
 from exhopf.groebner import NoSolution
-from exhopf.steenrod import SteenrodError, power
+from exhopf.steenrod import SteenrodError, power, total_power
 from closed_forms import case1_in_weights
 from symfun_oracles import homogeneous_components, total_steenrod
 
@@ -149,6 +149,65 @@ def test_power_refuses_output_weight_2_to_15_up_front():
     assert comb(12383, 10192) % 3 == 2
     # weight 12383 + 2 * 10192 = 32767, the largest a key may hold
     assert power(10192, f) == R.monomial((EXPONENT_LIMIT - 1,), 2)
+
+
+def test_total_power_equals_the_total_operation():
+    # every layer of the one pass is the weight-(w + k(p-1)) part of
+    # t -> t + t^p, and P^k of the per-k path, above the weight too
+    rng = random.Random(29)
+    cases = 0
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            R = wring(p, n)
+            for w in range(1, 6):
+                f = random_homogeneous(R, w, rng)
+                comps = homogeneous_components(total_steenrod(f))
+                K = rng.randrange(w + 2)
+                layers = total_power(f, K)
+                assert len(layers) == K + 1
+                for k, layer in enumerate(layers):
+                    assert layer == comps.get(w + k * (p - 1), R.zero()), (p, n, f, k)
+                    assert layer == power(k, f), (p, n, f, k)
+                    cases += 1
+    assert cases == 164
+
+
+def test_total_power_of_zero_and_at_k_zero():
+    R = wring(3, 2)
+    assert total_power(R.zero(), 3) == [R.zero()] * 4
+    f = R.parse("w1^2*w2-w2^3")
+    assert total_power(f, 0) == [f]
+    assert total_power(R.constant(2), 2) == [R.constant(2), R.zero(), R.zero()]
+
+
+def test_total_power_refuses_chern_rings_negative_k_and_inhomogeneous():
+    R = liedata.restricted_ring("F4", 3)
+    with pytest.raises(SteenrodError):
+        total_power(R.variable("c2"), 1)
+    W = wring(2, 2)
+    with pytest.raises(SteenrodError):
+        total_power(W.variable("w1"), -1)
+    with pytest.raises(SteenrodError):
+        total_power(W.parse("w1+w2^2"), 1)
+
+
+def test_total_power_refuses_output_weight_2_to_15_up_front(monkeypatch):
+    # as in `power`, the weight w + K(p-1) of the top nonzero layer is bounded
+    # before the enumeration starts; layers above w are zero and never built
+    def no_work(*args):
+        raise AssertionError("enumerated")
+
+    R = RingContext(3, [("x", 1)])
+    f = R.monomial((12383,))
+    monkeypatch.setattr(steenrod, "_unit_layers", no_work)
+    with pytest.raises(ExponentOverflow):
+        total_power(f, 10193)  # weight 12383 + 2 * 10193 = 32769
+    x = R.variable("x")
+    layers = total_power(x ** 16000, 0)
+    assert layers == [x ** 16000]
+    monkeypatch.undo()
+    # x of weight 1: only P^1 x = x^3 is nonzero, though K(p-1) >= 2^15
+    assert total_power(x, 20000)[:3] == [x, x ** 3, R.zero()]
 
 
 def test_chern_context_validates_names():
