@@ -96,9 +96,10 @@ def _unit_slot(e, key, p, lo, hi):
     return [(j, j * step, c) for j in range(lo, min(e, hi) + 1) if (c := comb(e, j) % p)]
 
 
-def _unit_layers(f, low, high):
+def _unit_layers(f, weight, low, high):
     """{j: P^j f as a term dict} for low <= j <= high, of a homogeneous f
-    in a ring whose variables all have weight 1 (module docstring).
+    of weight `weight` in a ring whose variables all have weight 1 (module
+    docstring).
 
     Each monomial's slots are taken in turn.  A partial product is a flat
     (j, key, coeff) triple, extended by the options of the next slot, cut
@@ -110,7 +111,7 @@ def _unit_layers(f, low, high):
     per slot (best of 40 interleaved in-process passes).
     """
     ring = f.ring
-    p, coeffs, weight = ring.p, ring.coeffs, f.weight()
+    p, coeffs = ring.p, ring.coeffs
     sums, options_of = {}, {}
     for mon, c in f.terms.items():
         partial = [(0, mon, c)]
@@ -213,7 +214,7 @@ def power(k, f):
         return ring.zero()
     _check_output(w, k, ring.p)
     if _all_unit(ring):
-        return Polynomial(ring, _unit_layers(f, k, k).get(k, {}))
+        return Polynomial(ring, _unit_layers(f, w, k, k).get(k, {}))
     acc, memo, powers = {}, {}, _wu_table(ring)._slots
     for mon, c in f.terms.items():
         slots = tuple((i, e) for i, e in enumerate(ring.exponents(mon)) if e)
@@ -233,5 +234,5 @@ def total_power(f, K):
     w = _weight(f, K)
     top = min(K, w)
     _check_output(w, top, ring.p)
-    layers = _unit_layers(f, 1, top) if top else {}
+    layers = _unit_layers(f, w, 1, top) if top else {}
     return [f] + [Polynomial(ring, layers.get(j, {})) for j in range(1, K + 1)]
