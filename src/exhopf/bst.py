@@ -209,9 +209,10 @@ def _expand_reduced(group, p, theta, t, gb):
 # checked once per process, after the weights below it, and each P^k rho_s
 # is solved once, as an entry or in the check of weight t (the same step).
 # Measured on the `crosscheck` pairs (2-core VM, Python 3.11.7): 46 asks
-# check 34 weights, and 29 asks solve 19 left sides; their tables take
-# 0.0337 s (median of 15 cold processes), 0.0374 s with no memo on
-# `_stable` and 0.0367 s with none on `_solve_rho`.
+# check 34 weights, and 29 asks solve 19 left sides; with every memo of
+# this module cleared before each run, their tables take 41.7 ms, 44.1 ms
+# with no memo on `_stable` and 44.9 ms with none on `_solve_rho` (best of
+# 30 interleaved in-process runs, each memo faster in 30 of 30).
 @lru_cache(maxsize=None)
 def _stable(group, p, u):
     """Check that P^i theta_j lies in <theta_r : r <= u> for every j in
@@ -235,15 +236,14 @@ def _stable(group, p, u):
                 pass  # P^i rho_j reduces to zero, as the pivot does
             except NoSolution:
                 raise NotStable(group, p, j, i, u) from None
-        elif not groebner.normal_form(_power_rho(group, p, j, i), gb).remainder.is_zero():
+        elif not groebner.normal_form(_rho_powers(group, p, j)[i], gb).remainder.is_zero():
             raise NotStable(group, p, j, i, u)
 
 
 # One pass per rho_s for every k an entry or the check asks of it.
 # Measured on the `crosscheck` tables (2-core VM, Python 3.11.7, best of 40
 # interleaved in-process passes): their 32 P^k rho_s, on 16 remainders,
-# take 2.6 ms this way, 5.5 ms with a pass per ask and 4.2 ms by
-# `steenrod.power` per ask.
+# take 4.70 ms this way and 8.73 ms with a pass per ask (`steenrod.power`).
 @lru_cache(maxsize=None)
 def _rho_powers(group, p, s):
     """[P^0 rho_s, ..., P^K rho_s], rho_s the pivot remainder of column s
@@ -255,18 +255,13 @@ def _rho_powers(group, p, s):
     return steenrod.total_power(_basis(group, p, "weight", s)[1].remainder, top)
 
 
-def _power_rho(group, p, s, k):
-    """P^k rho_s, read off the one pass of `_rho_powers`."""
-    return _rho_powers(group, p, s)[k]
-
-
-# Measured with `_stable` above: 0.0367 s for the `crosscheck` tables
-# without this memo, against 0.0337 s.
+# Measured with `_stable` above: 44.9 ms for the `crosscheck` tables
+# without this memo, against 41.7 ms.
 @lru_cache(maxsize=None)
 def _solve_rho(group, p, s, t):
     """The b with P^k rho_s = b theta_t mod <theta_j : j < t> upstairs."""
     gb, pivot = _basis(group, p, "weight", t)
-    lhs = _power_rho(group, p, s, (t - s) // (p - 1))
+    lhs = _rho_powers(group, p, s)[(t - s) // (p - 1)]
     return solve_linear_coefficient(lhs, pivot, gb)
 
 

@@ -204,11 +204,11 @@ class RingContext:
             raise ValueError(f"modulus {p} too large (need p < 2**8)")
         self.p = p
         names = tuple(name for name, _ in variables)
-        weights = tuple(int(w) for _, w in variables)
+        weights = tuple(w for _, w in variables)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if any(w <= 0 for w in weights):
-            raise ValueError("variable weights must be positive")
+        if not all(type(w) is int and w > 0 for w in weights):
+            raise ValueError(f"variable weights {weights} must be positive ints")
         self.names = names
         self.weights = weights
         self.nvars = len(names)

@@ -324,8 +324,8 @@ class HopfModel:
         if not xmon.keys() <= k_map.keys():
             t = min(xmon.keys() - k_map.keys())
             raise HopfError(f"no generator x_{2*t} in ({self.group},{self.p})")
-        if min(xmon.values(), default=0) < 0:
-            raise HopfError(f"negative exponent in x-monomial {xmon}")
+        if not all(type(e) is int and e >= 0 for e in xmon.values()):
+            raise HopfError(f"x-monomial {xmon} needs exponents that are ints >= 0")
         mon = list(self._zero_x)
         for t, e in xmon.items():
             if e >= k_map[t]:
@@ -352,14 +352,6 @@ class HopfModel:
 
     def basis_parity(self, b):
         return len(b[1]) % 2
-
-    def basis_elements(self):
-        ranges = [range(k) for k in self.k_list]
-        odds_all = list(self.r_list)
-        for xexp in iproduct(*ranges):
-            for mask in range(1 << len(odds_all)):
-                odds = tuple(s for i, s in enumerate(odds_all) if mask >> i & 1)
-                yield (xexp, odds)
 
     def render_basis(self, b):
         xexp, odds = b

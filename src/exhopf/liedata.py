@@ -20,7 +20,7 @@ their expansions are too large.
 
 import hashlib
 import json
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from importlib import resources
 from operator import or_
 
@@ -70,13 +70,11 @@ class GroupProfile:
             raise UnsupportedPair(f"({group}, {p}) carries no p-torsion")
         self.group = group
         self.p = p
-        self.rank = GROUP_RANK[group]
         self.dim = GROUP_DIM[group]
         r, e, k = PROFILE_TABLE[(group, p)]
         self.r_set = r
         self.e_set = e
         self.k_map = dict(k)
-        self.distinguished_weight = DISTINGUISHED.get(group)
         if not set(e) <= set(r):
             raise ValueError("e(G,p) must be contained in r(G,p)")
 
@@ -151,8 +149,10 @@ def chern_substitution(group, p):
 # Cached per pair: each pivot of `bst._basis` upstairs asks once for every
 # c_j of its theta, so the ten default tables ask 19 times and build 2 (the
 # Method I fallbacks of F4 and E6 at p = 3), and the `crosscheck` tables ask
-# 37 times and build 4.  Uncached, the builds take 0.004 s of 0.044 s and
-# 0.008 s of 0.034 s, one process each (2-core VM, Python 3.11.7).
+# 37 times and build 4.  With this memo and those of `bst` cleared before
+# each run, the default tables take 43.0 ms with it and 50.9 ms without,
+# the `crosscheck` tables 41.7 ms and 57.0 ms (best of 30 interleaved
+# in-process runs, 2-core VM, Python 3.11.7).
 @lru_cache(maxsize=None)
 def _chern_polys(group, p):
     forms = chern_substitution(group, p)
@@ -279,12 +279,11 @@ class ThetaSet:
     """All presentations of the generating polynomials of one pair.
 
     The mixed presentation and its kappa-restriction are materialized at
-    load.  The full weight-ring expansions are expensive for the top E_8
-    degrees (hundreds of thousands of terms), so `omega` computes one per
-    call and keeps none.  The library asks for none: `bst` expands each
-    mixed theta_t with the Chern classes replaced by their normal forms,
-    which gives the same pivot remainder, and only the tests ask for the
-    full expansions.  Every expansion is homogeneity-checked
+    load.  The full weight-ring expansions are not: they run to hundreds
+    of thousands of terms for the top E_8 degrees, and the library needs
+    none.  `bst` expands each mixed theta_t with the Chern classes
+    replaced by their normal forms, which gives the same pivot remainder;
+    only the tests expand fully.  Every expansion is homogeneity-checked
     (`check_theta_weight`).
     """
 
@@ -307,11 +306,6 @@ class ThetaSet:
         return {"weight": (self.weight_ring, self.theta_c),
                 "restricted": (self.restricted_ring, self.theta_restricted),
                 "mixed": (self.mixed_ring, self.theta_c)}[name]
-
-    def omega(self, s):
-        """theta_s fully expanded in the weights."""
-        return check_theta_weight(
-            expand_in_weights(self.theta_c[s], self.profile.group, self.profile.p), s)
 
     def __repr__(self):
         return f"ThetaSet({self.profile.group}, p={self.profile.p})"
@@ -360,12 +354,12 @@ def check_theta_weight(f, s):
     return f
 
 
-def expand_in_weights(f, group, p, chern=None):
-    """Substitute the Chern polynomials into a mixed-presentation polynomial.
+def expand_in_weights(f, group, p, chern):
+    """Substitute Chern images into a mixed-presentation polynomial.
 
     Each c_j that occurs in f goes to `chern(j)`, a polynomial of the
-    weight ring, zero or homogeneous of weight j; `chern` defaults to
-    j -> c_j(G) and is called once for each such j and for no other.
+    weight ring, zero or homogeneous of weight j (c_j(G) itself, or one
+    congruent to it), called once for each such j and for no other.
     This is where a variable name of the mixed ring becomes a Chern index.
     """
     src = f.ring
@@ -374,8 +368,6 @@ def expand_in_weights(f, group, p, chern=None):
         if src != dst:
             raise ValueError("G2 thetas already live in the weight ring")
         return f
-    if chern is None:
-        chern = partial(chern_poly, group, p)
     occurring = reduce(or_, f.terms, 0)
     r = DISTINGUISHED[group]
     mapping = {f"w{r}": dst.variable(f"w{r}")}

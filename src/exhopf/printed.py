@@ -147,9 +147,15 @@ def claims(group, p):
     return out
 
 
+def _residue(claim):
+    """The printed value of a "b" claim as a canonical residue mod p."""
+    _, p = claim.pair
+    return claim.value % p
+
+
 def lemma22(group, p):
     """Lemma 2.2 on one pair, {(s, t): b} as canonical residues, zeros included."""
-    return {c.key: c.value % p for c in claims(group, p) if c.kind == "b"}
+    return {c.key: _residue(c) for c in claims(group, p) if c.kind == "b"}
 
 
 def _reduction(claim, thetas):
@@ -170,7 +176,7 @@ def _zeta_square(claim, model):
 
 
 _HOLDS = {
-    "b": lambda claim, table: table.value(*claim.key) == lemma22(*claim.pair)[claim.key],
+    "b": lambda claim, table: table.value(*claim.key) == _residue(claim),
     "theta": _theta,
     "reduction": _reduction,
     "zeta_square": _zeta_square,

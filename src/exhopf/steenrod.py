@@ -31,13 +31,14 @@ compositions j_1 + .. + j_n = k with j_i <= e_i, of the monomials prod
 v_i^(e_i + j_i(p-1)) with coefficient prod C(e_i, j_i) mod p: no product
 of term dicts is needed.  `_unit_layers` enumerates them slot by slot as
 flat (j, key, coeff) triples, the key of each slot's share added to the
-monomial's key.  `total_power(f, K)` reads every layer P^0 f .. P^K f
-off one enumeration cut at K, and `power(k, f)` runs the same one,
-pruned to the partial sums that can still reach k.  Method I of `bst`
-asks each pivot remainder rho_s for consecutive k and takes them all
-from one `total_power` pass: the 32 powers of the `crosscheck` tables,
-on 16 remainders, take 2.6 ms that way, 4.2 ms by `power` per k, and 6.8
-ms by the Cartan recursion that the weight ring ran before (best of 40
+monomial's key, and cuts them at the top layer asked.  `total_power(f,
+K)` reads every layer P^0 f .. P^K f off one enumeration cut at K, and
+`power(k, f)` reads layer k of the one cut at k.  Method I of `bst` asks
+each pivot remainder rho_s for consecutive k and takes them all from one
+`total_power` pass: the 32 powers of the `crosscheck` tables, on 16
+remainders, take 4.70 ms that way and 8.73 ms by `power` per k.  Also
+dropping the partial sums that cannot reach the lowest layer asked gives
+the same layers in 5.47 ms, so the cut is at the top only (best of 40
 interleaved in-process passes, 2-core VM, Python 3.11.7).
 
 On a ring with a Chern class `power` runs one Cartan recursion,
@@ -77,8 +78,6 @@ separate path.  Exponent tuples appear only where a monomial is split
 into its slots.
 """
 
-from math import comb
-
 from .ffpoly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, add_into, mul_into
 from .symfun import _chern_forms, _wu_table, wu_formula
 
@@ -87,47 +86,45 @@ class SteenrodError(ValueError):
     pass
 
 
-def _unit_slot(e, key, p, lo, hi):
-    """[(j, j(p-1) key, C(e, j) mod p)] for 0 <= lo <= j <= min(e, hi),
-    the nonzero binomials only: P^j(v^e) = C(e, j) v^(e + j(p-1)) for a
+def _unit_slot(e, key, p, top):
+    """[(j, j(p-1) key, C(e, j) mod p)] for 0 <= j <= min(e, top), the
+    nonzero binomials only: P^j(v^e) = C(e, j) v^(e + j(p-1)) for a
     variable v of weight 1 and monomial key `key`, and j(p-1) key is the
-    key that P^j adds to the slot."""
-    step = (p - 1) * key
-    return [(j, j * step, c) for j in range(lo, min(e, hi) + 1) if (c := comb(e, j) % p)]
+    key that P^j adds to the slot.  C(e, j) is stepped from C(e, j - 1),
+    so a large e costs one big-int step per j, not one binomial."""
+    step, out, c = (p - 1) * key, [], 1
+    for j in range(min(e, top) + 1):
+        if r := c % p:
+            out.append((j, j * step, r))
+        c = c * (e - j) // (j + 1)
+    return out
 
 
-def _unit_layers(f, weight, low, high):
-    """{j: P^j f as a term dict} for low <= j <= high, of a homogeneous f
-    of weight `weight` in a ring whose variables all have weight 1 (module
-    docstring).
+def _unit_layers(f, top):
+    """{j: P^j f as a term dict} for 0 <= j <= top, of a homogeneous f in a
+    ring whose variables all have weight 1 (module docstring).
 
     Each monomial's slots are taken in turn.  A partial product is a flat
-    (j, key, coeff) triple, extended by the options of the next slot, cut
-    at `high` and dropped once the slots left cannot lift it to `low`.
-    The products are summed per layer and key as plain ints, and each
-    layer is reduced once, by `add_into`.  A slot's options are built once
-    per call for each (variable, exponent, least share): the 32 powers of
-    the `crosscheck` tables take 2.7 ms so, 3.4 ms with the options built
-    per slot (best of 40 interleaved in-process passes).
+    (j, key, coeff) triple, extended by the options of the next slot and
+    cut at `top`.  The products are summed per layer and key as plain
+    ints, and each layer is reduced once, by `add_into`.  A slot's options
+    are built once per call for each (variable, exponent): the 32 powers
+    of the `crosscheck` tables take 4.70 ms so, 5.81 ms with the options
+    built per slot (best of 40 interleaved in-process passes).
     """
     ring = f.ring
     p, coeffs = ring.p, ring.coeffs
     sums, options_of = {}, {}
     for mon, c in f.terms.items():
         partial = [(0, mon, c)]
-        room, done = weight, 0
         for key, e in zip(coeffs, ring.exponents(mon)):
             if not e:
                 continue
-            room -= e
-            lo = max(0, low - room - min(done, high))
-            options = options_of.get((key, e, lo))
+            options = options_of.get((key, e))
             if options is None:
-                options = options_of[key, e, lo] = _unit_slot(e, key, p, lo, high)
-            done += e
-            floor = low - room
+                options = options_of[key, e] = _unit_slot(e, key, p, top)
             partial = [(jt + j, m + shift, cc * oc) for jt, m, cc in partial
-                       for j, shift, oc in options if floor <= jt + j <= high]
+                       for j, shift, oc in options if jt + j <= top]
         for jt, m, cc in partial:
             layer = sums.get(jt)
             if layer is None:
@@ -142,7 +139,7 @@ def _on_slot(j, i, e, ring, memo, powers):
     m = ring.weights[i]
     if m == 1:
         key = ring.coeffs[i]
-        return {e * key + shift: c for _, shift, c in _unit_slot(e, key, ring.p, j, j)}
+        return {e * key + shift: c for jj, shift, c in _unit_slot(e, key, ring.p, j) if jj == j}
     if e == 1:
         return wu_formula(j, m, ring).terms
     key = (j, i, e)
@@ -214,7 +211,7 @@ def power(k, f):
         return ring.zero()
     _check_output(w, k, ring.p)
     if _all_unit(ring):
-        return Polynomial(ring, _unit_layers(f, w, k, k).get(k, {}))
+        return Polynomial(ring, _unit_layers(f, k).get(k, {}))
     acc, memo, powers = {}, {}, _wu_table(ring)._slots
     for mon, c in f.terms.items():
         slots = tuple((i, e) for i, e in enumerate(ring.exponents(mon)) if e)
@@ -234,5 +231,5 @@ def total_power(f, K):
     w = _weight(f, K)
     top = min(K, w)
     _check_output(w, top, ring.p)
-    layers = _unit_layers(f, w, 1, top) if top else {}
+    layers = _unit_layers(f, top) if top else {}
     return [f] + [Polynomial(ring, layers.get(j, {})) for j in range(1, K + 1)]

@@ -12,6 +12,7 @@ from math import factorial
 
 from exhopf import liedata, printed
 from exhopf.steenrod import power
+from oracles import expand, omega
 
 
 def falling_binomial(n, i):
@@ -180,13 +181,13 @@ REMARK52_STABLE_M = {(3, 1): 1, (3, 2): 3, (3, 3): 5, (5, 1): 3}
 def case1_in_weights(group):
     """The ledger's Case 1 claims on (group, 2) decided in the weight ring,
     where the paper states them: {key: agree}, each theta and quotient
-    expanded by c_k -> c_k(G) (`liedata.expand_in_weights`)."""
+    expanded by c_k -> c_k(G) (`oracles.expand`)."""
     ts = liedata.theta_set(group, 2)
     out = {}
     for claim in printed.claims(group, 2):
         if claim.source == "Case 1":
             _, k, s = claim.key
-            rhs = sum((liedata.expand_in_weights(ts.mixed_ring.parse(q), group, 2) * ts.omega(j)
+            rhs = sum((expand(ts.mixed_ring.parse(q), group, 2) * omega(ts, j)
                        for j, q in claim.value.items()), ts.weight_ring.zero())
-            out[claim.key] = power(k, ts.omega(s)) == rhs
+            out[claim.key] = power(k, omega(ts, s)) == rhs
     return out

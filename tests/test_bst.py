@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from exhopf import bst, liedata, steenrod, symfun
@@ -14,6 +16,7 @@ from exhopf.bst import (
 from exhopf.ffpoly import Polynomial
 from exhopf.groebner import NoSolution, buchberger, normal_form, solve_linear_coefficient
 from conftest import _clear_bst_memos
+from oracles import omega
 
 
 def test_admissible_pairs_and_instability():
@@ -132,9 +135,9 @@ def test_both_strategy_agreement_e8_p2():
 
 def _full_presentation(ts, presentation):
     """(ring, s -> theta_s) of one presentation, each theta_s in that ring:
-    upstairs the full expansion `ts.omega`."""
+    upstairs the full expansion `oracles.omega`."""
     ring, theta = ts.presentation(presentation)
-    return ring, ts.omega if presentation == "weight" else theta.__getitem__
+    return ring, partial(omega, ts) if presentation == "weight" else theta.__getitem__
 
 
 def _scratch_basis(group, p, presentation, t):
@@ -221,11 +224,11 @@ def test_eq24_witness_f4_p3():
     # the defining relation: NF(P^k theta_s - b theta_t) = 0, NF(theta_t) != 0
     ts = liedata.theta_set("F4", 3)
     gb, _ = bst._basis("F4", 3, "weight", 4)
-    lhs = steenrod.power(1, ts.omega(2))
+    lhs = steenrod.power(1, omega(ts, 2))
     b = compute_bst_method1("F4", 3, 2, 4)
     assert b == 1
-    assert normal_form(lhs - b * ts.omega(4), gb).remainder.is_zero()
-    assert not normal_form(ts.omega(4), gb).remainder.is_zero()
+    assert normal_form(lhs - b * omega(ts, 4), gb).remainder.is_zero()
+    assert not normal_form(omega(ts, 4), gb).remainder.is_zero()
 
 
 def test_lemma22_passing_pairs():
@@ -295,16 +298,16 @@ def _direct_method1(group, p):
     oracle of Method I: NF(P^k theta_s), theta_s fully expanded, solved
     against the pivot of column t.  A failed solve maps to its error type."""
     ts = liedata.theta_set(group, p)
-    omega = {}
+    expanded = {}
     out = {}
     for s, t, k in admissible_pairs(ts.profile):
         if k >= s:
             continue
-        if s not in omega:
-            omega[s] = ts.omega(s)
+        if s not in expanded:
+            expanded[s] = omega(ts, s)
         gb, pivot = bst._basis(group, p, "weight", t)
         try:
-            out[(s, t)] = solve_linear_coefficient(steenrod.power(k, omega[s]), pivot, gb)
+            out[(s, t)] = solve_linear_coefficient(steenrod.power(k, expanded[s]), pivot, gb)
         except NoSolution as e:
             out[(s, t)] = type(e)
     return out
@@ -331,7 +334,7 @@ def test_method1_applies_powers_to_pivot_remainders_only(monkeypatch, fresh_bst_
     rho = {s: bst._basis("E6", 2, "weight", s)[1].remainder for s in r_set}
     assert seen and all(any(f == r for r in rho.values()) for f, _ in seen)
     ts = liedata.theta_set("E6", 2)
-    assert (len(ts.omega(12).terms), len(rho[12].terms)) == (964, 7)
+    assert (len(omega(ts, 12).terms), len(rho[12].terms)) == (964, 7)
     # each rho_s is expanded once, up to K_s = min(s - 1, (12 - s) // (p - 1)),
     # the largest k an entry or the stability check asks of it; a second
     # table reads the same passes
@@ -370,7 +373,7 @@ def test_the_restricted_f4_p2_ideal_is_not_p_stable(fresh_bst_memos):
 
 def _patch_omega(monkeypatch, group, p, s, f):
     """theta_s of the pair's weight presentation replaced by f: every
-    expansion of the mixed theta_s, full (`ts.omega`) or with reduced Chern
+    expansion of the mixed theta_s, full (`oracles.omega`) or with reduced Chern
     images (`bst._basis`), returns f."""
     ts = liedata.theta_set(group, p)
     expand = liedata.expand_in_weights
@@ -382,7 +385,7 @@ def _patch_omega(monkeypatch, group, p, s, f):
 def _assert_a_dropped_term_of_theta3_is_refused(monkeypatch):
     """With one term of the (E6,2) theta_3 gone, the direct route still
     returns a b on three entries; the check refuses every column above 3."""
-    real = liedata.theta_set("E6", 2).omega(3)
+    real = omega(liedata.theta_set("E6", 2), 3)
     drop = min(real.terms)
     bad = Polynomial(real.ring, {m: c for m, c in real.terms.items() if m != drop})
     _patch_omega(monkeypatch, "E6", 2, 3, bad)
@@ -439,7 +442,7 @@ def test_pivot_equals_the_full_expansion_divided(group, p):
     ts = liedata.theta_set(group, p)
     for t in ts.profile.r_set:
         gb, pivot = bst._basis(group, p, "weight", t)
-        want = normal_form(ts.omega(t), gb)
+        want = normal_form(omega(ts, t), gb)
         assert _terms(pivot.remainder) == _terms(want.remainder), t
         assert pivot.weights == want.weights == (t, t), t
 
@@ -479,4 +482,4 @@ def test_pivot_expansion_off_weight_t_is_refused(monkeypatch, fresh_bst_memos, f
     with pytest.raises(ValueError, match=message):
         bst._basis("F4", 2, "weight", 3)
     with pytest.raises(ValueError, match=message):
-        ts.omega(3)
+        omega(ts, 3)

@@ -38,6 +38,16 @@ def test_prime_field_validation():
             RingContext(bad, [])
 
 
+def test_variable_weights_must_be_positive_ints():
+    assert RingContext(2, [("x", 1), ("y", 2)]).weights == (1, 2)
+    # a weight is never coerced: 1.5 would silently become 1, "2" become 2
+    for bad in (0, -1, 1.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="must be positive ints"):
+            RingContext(2, [("x", 1), ("y", bad)])
+    with pytest.raises(ValueError, match="unique"):
+        RingContext(2, [("x", 1), ("x", 2)])
+
+
 def test_field_canonical_residues():
     R = RingContext(5, [("x", 1)])
     assert R.constant(-1).terms == {R.key((0,)): 4}

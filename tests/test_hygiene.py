@@ -188,7 +188,7 @@ RESIDUE_SITES = {
     ("groebner.py", "_divide"): (1, "the division step, the measured inner loop"),
     ("hopf.py", "multiply_basis"): (1, "the sign of a basis product"),
     ("hopf.py", "_bockstein_unit_inverse"): (1, "the check that u is a unit"),
-    ("printed.py", "lemma22"): (1, "canonical residues of the printed values"),
+    ("printed.py", "_residue"): (1, "canonical residues of the printed values"),
     ("steenrod.py", "_unit_slot"): (1, "the binomial coefficient mod p"),
     ("symfun.py", "_chern_forms"): (2, "c_1 = 3 omega_r"),
 }
@@ -342,6 +342,110 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (name, target)
+
+
+# A library function that no benchmark workload reaches is named here,
+# "module.qualname": reason, so an oracle that only the tests call fails the
+# test below (it belongs under tests/)
+UNREACHED = {
+    "bst.BstTable.value": "one entry by (s, t), read by the \"b\" check of `printed.compare`",
+    "ffpoly.RingContext.monomial": "public constructor from an exponent tuple, beside `parse`",
+    "hopf.AlgebraElement.degree": "public degree of a homogeneous element of the model",
+    "hopf.TensorElement.multiply": "the Koszul-signed product in H (x) H, public API",
+    "hopf.HopfModel.phi": "the reduced coproduct of any element, read by `printed.compare`",
+    "hopf.HopfModel.solve_coproduct":
+        "one coproduct from given others; `derive_coproducts` runs `_solve` itself",
+    "liedata.checksum_payload": "rebuilds data/theta_checksums.json after a transcription",
+    "printed.compare": "the ledger of every printed claim, which no workload decides",
+    "printed._reduction": "decides a \"reduction\" claim for `compare`",
+    "printed._theta": "decides a \"theta\" claim for `compare`",
+}
+
+
+def _defined_functions(tree):
+    """The `co_qualname` of every function a module defines with `def`:
+    methods as Class.name, nested functions as outer.<locals>.name."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_defined_function_detector_names_as_code_objects_do():
+    text = (
+        "def f():\n    def g():\n        return lambda: 1\n    return g\n"
+        "class A:\n    def __init__(self):\n        pass\n"
+        "    async def m(self):\n        def h():\n            pass\n"
+        "    class B:\n        def n(self):\n            pass\n"
+        "if True:\n    def k():\n        pass\n"
+    )
+    names = ["f", "f.<locals>.g", "A.__init__", "A.m", "A.m.<locals>.h", "A.B.n", "k"]
+    assert _defined_functions(ast.parse(text)) == names
+    if sys.version_info >= (3, 11):
+        space = {}
+        exec(compile(text, "<sample>", "exec"), space)
+        assert [space["f"]().__code__.co_qualname, space["A"].B.n.__code__.co_qualname] == [
+            "f.<locals>.g", "A.B.n"]
+
+
+def _clear_library_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("exhopf."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname needs Python 3.11")
+def test_every_library_function_is_reached_by_a_workload(monkeypatch):
+    # one pass over every pair of every benchmark workload, set-up included
+    # and with cold library caches, as a benchmark process runs them; every
+    # function of src/exhopf that it never calls is a dunder or in UNREACHED
+    import exhopf
+    from exhopf import liedata
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    def op(stage, call, canon):
+        result = call()
+        canon(result)
+        return result
+
+    _clear_library_caches()
+    sys.setprofile(profile)
+    try:
+        for workload, pairs in workloads.WORKLOADS.items():
+            for pair in pairs:
+                liedata.theta_set(*pair)
+            tables = workloads.load_tables() if workload == "models" else None
+            for pair in pairs:
+                workloads.run_pair(workload, pair, tables, op)
+    finally:
+        sys.setprofile(None)
+    package = Path(exhopf.__file__).resolve().parent
+    reached = {f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in codes
+               if Path(c.co_filename).resolve().parent == package}
+    unreached = {
+        f"{path.stem}.{name}" for path in SOURCES for name in _defined_functions(_tree(path))
+        if not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
+    } - reached
+    assert unreached == set(UNREACHED)
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):

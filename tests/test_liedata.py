@@ -17,6 +17,7 @@ from exhopf.liedata import (
     weight_ring,
     _stored_checksums,
 )
+from oracles import omega
 
 
 def test_all_ten_pairs_supported():
@@ -123,13 +124,13 @@ def test_theta_homogeneity_all_pairs():
 def _assert_three_way(ts, s):
     """kappa* after the full omega-expansion == expansion of the restriction."""
     g, p = ts.profile.group, ts.profile.p
-    r = ts.profile.distinguished_weight
+    r = liedata.DISTINGUISHED[g]
     W = ts.weight_ring
     killed = {f"w{r}": W.zero()}
     for name in W.names:
         if name != f"w{r}":
             killed[name] = W.variable(name)
-    lhs = ts.omega(s).substitute(killed, target_ring=W)
+    lhs = omega(ts, s).substitute(killed, target_ring=W)
     restricted = ts.theta_restricted[s]
     expand = {}
     for name in restricted.ring.names:
@@ -150,7 +151,7 @@ def test_three_way_consistency_light_pairs():
     for g, p in light:
         ts = theta_set(g, p)
         for s in ts.profile.r_set:
-            om = ts.omega(s)
+            om = omega(ts, s)
             assert om.weight() == s
             if g == "G2":
                 continue
@@ -177,7 +178,7 @@ def test_e8_heavy_pairs_light_degrees():
         ts = theta_set("E8", p)
         for s in ts.profile.r_set:
             if s <= smax:
-                assert ts.omega(s).weight() == s
+                assert omega(ts, s).weight() == s
 
 
 def test_example_58_restrictions():
