@@ -424,9 +424,10 @@ class Polynomial:
     # -- term access --------------------------------------------------------
 
     def leading_monomial(self):
+        """The key of the largest monomial: the smallest key (module docstring)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.order_key)
+        return min(self.terms)
 
     def monic(self):
         if not self.terms:

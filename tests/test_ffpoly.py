@@ -333,6 +333,8 @@ def test_order_key_matches_naive_order(weights, data):
     mons = data.draw(st.lists(exps, min_size=1, max_size=30, unique=True))
     by_key = sorted(mons, key=lambda m: R.order_key(R.key(m)))
     assert by_key == sorted(mons, key=lambda m: _order_key(m, R.weights))
+    f = R.from_terms([(m, 1) for m in mons])
+    assert R.exponents(f.leading_monomial()) == max(mons, key=lambda m: _order_key(m, R.weights))
 
 
 def test_exponent_at_limit_is_refused_at_every_entry():

@@ -255,6 +255,55 @@ def test_heap_division_matches_rescan_oracle_e6_method1():
         _assert_matches_oracle(steenrod.power(k, omega(ts, s)), gb)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_cancelled_key_is_recreated_without_a_second_push(monkeypatch, p):
+    """a^3 enters at the first step, cancels to 0 at the second and comes
+    back at the third: it is pushed once, and its last value survives."""
+    R = ring(p, ("a", "b"))
+    divisors = [R.parse("b^3+a^3"), R.parse(f"a*b^2+{p - 1}*a^3"), R.parse("a^2*b+a^3")]
+    f = R.parse("b^3+a*b^2+a^2*b")
+    assert [g.leading_monomial() for g in divisors] == sorted(f.terms)
+    pushed = []
+    real = groebner.heapq.heappush
+
+    def push(heap, key):
+        pushed.append(key)
+        real(heap, key)
+
+    monkeypatch.setattr(groebner.heapq, "heappush", push)
+    rem = groebner._divide(f.terms, [groebner._divisor(g, R) for g in divisors], R)
+    assert pushed == [R.key((3, 0))]
+    assert _tuple_items(rem, R) == list(naive_reduce(f.terms, divisors, R).items())
+    assert _tuple_items(rem, R) == [((3, 0), p - 1)]
+
+
+def _assert_ordered_like_naive(gb):
+    """Each element is monic and led by its naive-order maximum, and the
+    basis ascends strictly in (weight, naive order) of those."""
+    R = gb.ring
+    leads = []
+    for g in gb.basis:
+        lm = max((R.exponents(k) for k in g.terms), key=lambda m: _order_key(m, R.weights))
+        assert R.exponents(g.leading_monomial()) == lm
+        assert g.terms[R.key(lm)] == 1
+        leads.append(_order_key(lm, R.weights))
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("precedence", [None, (2, 0, 3, 1)])
+def test_basis_order_matches_naive_order(p, precedence):
+    rng = random.Random(300 + 10 * p + (precedence is not None))
+    R = ring(p, ("x", "y", "z", "t"), weights=(1, 1, 2, 3), precedence=precedence)
+    for _ in range(5):
+        gens = [g for g in (_random_homogeneous(R, w, rng) for w in (2, 3, 3, 4, 5))
+                if not g.is_zero()]
+        _assert_ordered_like_naive(buchberger(gens, truncation=8, ring=R))
+        base = buchberger([g for g in gens if g.weight() <= 3], truncation=4, ring=R)
+        rest = [g for g in gens if g.weight() > 3]
+        _assert_ordered_like_naive(buchberger(rest, truncation=8, ring=R, base=base))
+
+
 @pytest.mark.parametrize("precedence", [None, (3, 1, 0, 2)])
 def test_packed_key_reverses_order_key(precedence):
     # the division heap pops the smallest key first, which must be the
